@@ -269,7 +269,7 @@ def weyl_decompose(u: np.ndarray, atol: float = 1e-10) -> WeylDecomposition:
 
     # Reorder the eigenvalues so the angles land near the Weyl chamber.
     cstemp = np.mod(cs, pi2)
-    np.minimum(cstemp, pi2 - cstemp, cstemp)
+    np.minimum(cstemp, pi2 - cstemp, out=cstemp)
     order = np.argsort(cstemp)[[1, 2, 0]]
     cs = cs[order]
     d[:3] = d[order]

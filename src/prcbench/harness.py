@@ -13,7 +13,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import noise as noise_mod
 from . import sim
-from .circuits import BitString, Circuit
+from .circuits import Circuit
 from .errors import SchemaError
 from .metrics import RunMetrics
 from .noise import NoiseSpec
@@ -129,26 +129,6 @@ def derived_seed(config: BenchConfig, n: int, d: int, rep: int) -> int:
     return int(_rep_seed_sequence(config, n, d, rep).generate_state(1, np.uint64)[0])
 
 
-def _exact_metrics(dist: sim.ProbabilityDistribution, target: BitString, c_max: float) -> RunMetrics:
-    probs = dist.probs
-    t = target.index
-    p_peak = float(probs[t])
-    masked = probs.copy()
-    masked[t] = -1.0
-    p_second = float(masked.max())
-    identified = p_peak > p_second
-    c_exp = metrics_mod.contrast_from_probabilities(p_peak, p_second)
-    f_raw = metrics_mod.fidelity_error(c_exp, c_max)
-    return RunMetrics(
-        identified=identified,
-        p_hat_peak=p_peak,
-        p_hat_second=p_second,
-        c_exp=c_exp,
-        f=metrics_mod.clamp_fidelity_error(f_raw),
-        f_raw=f_raw,
-    )
-
-
 def _run_rep(
     circuit: Circuit,
     profile: PeakProfile,
@@ -169,7 +149,7 @@ def _run_rep(
             noise_mod.effective_fidelity(perturbed, spec.p1, spec.p2),
         )
     if config.exact:
-        run_metrics = _exact_metrics(
+        run_metrics = metrics_mod.exact_metrics(
             noise_mod.readout_confusion(dist, spec.readout_eps), circuit.target, profile.c_max
         )
         shots_used = 0

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuits import BitString
 from .errors import DomainMismatchError, UndefinedMetricError
-from .sim import ShotHistogram
+from .sim import ProbabilityDistribution, ShotHistogram
 
 
 @dataclass(frozen=True)
@@ -24,35 +26,41 @@ class RunMetrics:
     f_raw: float
 
 
+def _peak_and_second(weights: np.ndarray, position: int | None) -> tuple:
+    """weights[position] (0 when position is None) and the largest weight at
+    any other position (0 when there is none)."""
+    if position is None:
+        return 0, weights.max(initial=0).item()
+    peak = weights[position].item()
+    second = max(weights[:position].max(initial=0), weights[position + 1 :].max(initial=0))
+    return peak, second.item()
+
+
+def _counts_peak_and_second(hist: ShotHistogram, target: BitString) -> tuple[int, int]:
+    if hist.shots == 0:
+        raise UndefinedMetricError("empty histogram")
+    return _peak_and_second(hist.tallies, hist.position(target.index))
+
+
 def identify(hist: ShotHistogram, target: BitString) -> bool:
     """True iff the target strictly out-counts every other outcome.
 
     A tie means the device failed to make the peak distinguishable, so
     ties are failures; this keeps the predicate deterministic.
     """
-    if hist.shots == 0:
-        raise UndefinedMetricError("empty histogram")
-    t_count = hist.count(target)
-    t_index = target.index
-    return all(c < t_count for idx, c in hist.counts.items() if idx != t_index)
+    peak, second = _counts_peak_and_second(hist, target)
+    return peak > second
 
 
 def strongest_competitor(hist: ShotHistogram, target: BitString) -> int:
     """Largest count among non-target outcomes (0 if there are none)."""
-    t_index = target.index
-    return max((c for idx, c in hist.counts.items() if idx != t_index), default=0)
+    return _peak_and_second(hist.tallies, hist.position(target.index))[1]
 
 
 def relative_peakedness(hist: ShotHistogram, target: BitString) -> float:
     """(p_peak - p_second) / (p_peak + p_second) over empirical frequencies,
     with p_peak the target's frequency; negative when a competitor wins."""
-    if hist.shots == 0:
-        raise UndefinedMetricError("empty histogram")
-    peak = hist.count(target)
-    second = strongest_competitor(hist, target)
-    if peak + second == 0:
-        raise UndefinedMetricError("target and strongest competitor both have zero counts")
-    return (peak - second) / (peak + second)
+    return contrast_from_probabilities(*_counts_peak_and_second(hist, target))
 
 
 def contrast_from_probabilities(p_peak: float, p_second: float) -> float:
@@ -76,22 +84,32 @@ def clamp_fidelity_error(f_raw: float) -> float:
     return min(1.0, max(0.0, f_raw))
 
 
-def run_metrics(hist: ShotHistogram, target: BitString, c_max: float) -> RunMetrics:
-    shots = hist.shots
-    if shots == 0:
-        raise UndefinedMetricError("empty histogram")
-    peak = hist.count(target)
-    second = strongest_competitor(hist, target)
-    c_exp = relative_peakedness(hist, target)
+def _metrics(peak, second, total, c_max: float) -> RunMetrics:
+    """The run metrics from the target's weight, its strongest competitor's
+    weight and the total weight, as shot counts or as probabilities."""
+    c_exp = contrast_from_probabilities(peak, second)
     f_raw = fidelity_error(c_exp, c_max)
     return RunMetrics(
-        identified=identify(hist, target),
-        p_hat_peak=peak / shots,
-        p_hat_second=second / shots,
+        identified=peak > second,
+        p_hat_peak=peak / total,
+        p_hat_second=second / total,
         c_exp=c_exp,
         f=clamp_fidelity_error(f_raw),
         f_raw=f_raw,
     )
+
+
+def run_metrics(hist: ShotHistogram, target: BitString, c_max: float) -> RunMetrics:
+    """Metrics of one run from its shot counts."""
+    peak, second = _counts_peak_and_second(hist, target)
+    return _metrics(peak, second, hist.shots, c_max)
+
+
+def exact_metrics(dist: ProbabilityDistribution, target: BitString, c_max: float) -> RunMetrics:
+    """Metrics of one run in the infinite-shot limit, from the exact
+    probabilities of the observed distribution."""
+    peak, second = _peak_and_second(dist.probs, target.index)
+    return _metrics(peak, second, 1, c_max)
 
 
 def delta_matrix(a, b) -> "DeltaGrid":

@@ -8,14 +8,15 @@ per-shot readout flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .circuits import Circuit
+from .errors import SchemaError
 from .sim import ProbabilityDistribution, ShotHistogram
 
-_READOUT_CHUNK = 1 << 18
+_READOUT_CHUNK = 1 << 15  # shots per mask draw
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,13 @@ class NoiseSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NoiseSpec":
-        return cls(
-            p1=float(doc.get("p1", 0.0)),
-            p2=float(doc.get("p2", 0.0)),
-            readout_eps=float(doc.get("readout_eps", 0.0)),
-            coherent_delta=float(doc.get("coherent_delta", 0.0)),
-        )
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(doc) - set(names))
+        if unknown:
+            raise SchemaError(
+                f"unknown noise key(s) {', '.join(map(repr, unknown))}; expected {', '.join(names)}"
+            )
+        return cls(**{name: float(doc[name]) for name in names if name in doc})
 
 
 def effective_fidelity(circuit: Circuit, p1: float, p2: float) -> float:
@@ -72,25 +74,24 @@ def depolarize(dist: ProbabilityDistribution, f: float) -> ProbabilityDistributi
 
 
 def readout_flip(hist: ShotHistogram, eps: float, rng: np.random.Generator) -> ShotHistogram:
-    """Flip each bit of each recorded shot independently with probability eps."""
+    """Flip each bit of each recorded shot independently with probability eps.
+
+    Shots are laid out in ascending outcome order and draw their flip masks
+    row by row from one uniform stream, so the result depends on the rng
+    state alone; the chunk size only bounds the size of each draw.
+    """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if eps == 0.0:
         return hist
     n = hist.n
     weights = 1 << np.arange(n, dtype=np.int64)
-    out: dict[int, int] = {}
-    for outcome, count in sorted(hist.counts.items()):
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, _READOUT_CHUNK)
-            masks = (rng.random((chunk, n)) < eps) @ weights
-            flipped = np.bitwise_xor(masks.astype(np.int64), outcome)
-            values, counts = np.unique(flipped, return_counts=True)
-            for v, c in zip(values, counts):
-                out[int(v)] = out.get(int(v), 0) + int(c)
-            remaining -= chunk
-    return ShotHistogram(n, out)
+    shots = np.repeat(hist.outcomes, hist.tallies)
+    for start in range(0, len(shots), _READOUT_CHUNK):
+        rows = shots[start : start + _READOUT_CHUNK]
+        rows ^= (rng.random((len(rows), n)) < eps) @ weights
+    values, counts = np.unique(shots, return_counts=True)
+    return ShotHistogram.from_arrays(n, values, counts)
 
 
 def readout_confusion(dist: ProbabilityDistribution, eps: float) -> ProbabilityDistribution:

@@ -13,6 +13,7 @@ from . import sim
 from .circuits import ROLE_PEAKING, BitString, Circuit
 from .errors import CapacityError, NothingToOptimizeError
 from .gates import PARAMS_PER_GATE, GateParams
+from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
 
@@ -203,18 +204,13 @@ def peak_profile(circuit: Circuit) -> PeakProfile:
     i_second = int(order[-2])
     p_peak = float(probs[i_peak])
     p_second = float(probs[i_second])
-    if p_second == 0.0:
-        r_p = float("inf")
-        c_max = 1.0
-    else:
-        r_p = p_peak / p_second
-        c_max = (p_peak - p_second) / (p_peak + p_second)
+    r_p = float("inf") if p_second == 0.0 else p_peak / p_second
     return PeakProfile(
         target=circuit.target,
         p_peak=p_peak,
         p_second=p_second,
         r_p=r_p,
-        c_max=c_max,
+        c_max=contrast_from_probabilities(p_peak, p_second),
         argmax=BitString.from_index(i_peak, circuit.n),
         target_mismatch=(i_peak != circuit.target.index),
     )

@@ -7,6 +7,7 @@ Qubit 0 is the least significant bit of every amplitude index.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,25 +52,95 @@ class ProbabilityDistribution:
         return float(self.probs.sum())
 
 
-@dataclass(frozen=True)
 class ShotHistogram:
-    """Sampled outcome counts, keyed by basis index."""
+    """Sampled outcome counts as two aligned int64 arrays: the distinct basis
+    indices in ascending order (`outcomes`) and how often each was seen
+    (`tallies`).  `counts` offers the same data as a read-only mapping."""
 
-    n: int
-    counts: dict[int, int]
+    __slots__ = ("n", "outcomes", "tallies", "shots")
+
+    def __init__(self, n: int, counts: Mapping[int, int]) -> None:
+        items = sorted(counts.items())
+        self._init(
+            n,
+            np.array([idx for idx, _ in items], dtype=np.int64),
+            np.array([c for _, c in items], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_arrays(cls, n: int, outcomes: np.ndarray, tallies: np.ndarray) -> "ShotHistogram":
+        """Wrap distinct ascending outcomes and their tallies, e.g. the two
+        arrays `np.unique(..., return_counts=True)` returns."""
+        hist = cls.__new__(cls)
+        hist._init(n, np.asarray(outcomes, dtype=np.int64), np.asarray(tallies, dtype=np.int64))
+        return hist
+
+    def _init(self, n: int, outcomes: np.ndarray, tallies: np.ndarray) -> None:
+        self.n = n
+        self.outcomes = outcomes
+        self.tallies = tallies
+        self.shots = int(tallies.sum())
 
     @property
-    def shots(self) -> int:
-        return sum(self.counts.values())
+    def counts(self) -> Mapping[int, int]:
+        return _CountsView(self)
+
+    def position(self, idx: int) -> int | None:
+        """Array position of basis index idx, or None if it was never seen."""
+        i = int(np.searchsorted(self.outcomes, idx))
+        return i if i < len(self.outcomes) and self.outcomes[i] == idx else None
 
     def count(self, outcome: BitString | int) -> int:
         idx = outcome.index if isinstance(outcome, BitString) else int(outcome)
-        return self.counts.get(idx, 0)
+        i = self.position(idx)
+        return 0 if i is None else int(self.tallies[i])
 
     def top(self, k: int) -> list[tuple[BitString, int]]:
         """k most frequent outcomes, ties broken by basis index."""
-        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(BitString.from_index(i, self.n), c) for i, c in ranked[:k]]
+        tallies = self.tallies
+        # Only tallies at least as large as the k-th largest can rank; the
+        # stable sort keeps tied candidates in ascending index order.
+        candidates = np.arange(len(tallies))
+        if 0 < k < len(tallies):
+            kth = np.partition(tallies, len(tallies) - k)[len(tallies) - k]
+            candidates = np.flatnonzero(tallies >= kth)
+        ranked = candidates[np.argsort(-tallies[candidates], kind="stable")][:k]
+        return [
+            (BitString.from_index(int(self.outcomes[i]), self.n), int(tallies[i])) for i in ranked
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShotHistogram):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.outcomes, other.outcomes)
+            and np.array_equal(self.tallies, other.tallies)
+        )
+
+    def __repr__(self) -> str:
+        return f"ShotHistogram({self.n}, {dict(self.counts)!r})"
+
+
+class _CountsView(Mapping):
+    """{basis index: count} view of a ShotHistogram's arrays."""
+
+    __slots__ = ("_hist",)
+
+    def __init__(self, hist: ShotHistogram) -> None:
+        self._hist = hist
+
+    def __getitem__(self, idx: int) -> int:
+        i = self._hist.position(idx)
+        if i is None:
+            raise KeyError(idx)
+        return int(self._hist.tallies[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._hist.outcomes.tolist())
+
+    def __len__(self) -> int:
+        return len(self._hist.outcomes)
 
 
 def apply_gate_matrix(state: np.ndarray, u: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
@@ -128,7 +199,7 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     probs = dist.probs / dist.probs.sum()  # absorb 1e-12 simulation drift
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     values, counts = np.unique(outcomes, return_counts=True)
-    return ShotHistogram(dist.n, {int(v): int(c) for v, c in zip(values, counts)})
+    return ShotHistogram.from_arrays(dist.n, values, counts)
 
 
 def _zyz_triple_derivs(triple, u: np.ndarray) -> np.ndarray:

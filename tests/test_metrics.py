@@ -5,13 +5,16 @@ from prcbench.circuits import BitString
 from prcbench.errors import DomainMismatchError, UndefinedMetricError
 from prcbench.metrics import (
     clamp_fidelity_error,
+    contrast_from_probabilities,
     delta_matrix,
+    exact_metrics,
     fidelity_error,
     identify,
     relative_peakedness,
     run_metrics,
+    strongest_competitor,
 )
-from prcbench.sim import ShotHistogram
+from prcbench.sim import ProbabilityDistribution, ShotHistogram
 
 T = BitString.from_text("00")
 OTHER = BitString.from_text("10")
@@ -115,6 +118,78 @@ def test_run_metrics_bundle():
     assert m.c_exp == pytest.approx(5 / 9)
     assert m.f_raw == pytest.approx(1 - (5 / 9) / 0.998)
     assert m.f == clamp_fidelity_error(m.f_raw)
+
+
+class TestTargetNotRecorded:
+    # n = 2: index 3 ("11") lies above every recorded outcome, index 1 ("10")
+    # between two of them and index 0 ("00") below both.
+    @pytest.mark.parametrize(
+        "counts,target_index",
+        [({1: 5, 2: 3}, 3), ({0: 5, 3: 2}, 1), ({2: 4, 3: 6}, 0)],
+    )
+    def test_absent_target(self, counts, target_index):
+        h = hist(counts)
+        target = BitString.from_index(target_index, 2)
+        best = max(counts.values())
+        assert h.count(target) == 0
+        assert not identify(h, target)
+        assert strongest_competitor(h, target) == best
+        assert relative_peakedness(h, target) == -1.0
+        m = run_metrics(h, target, c_max=0.9)
+        assert not m.identified
+        assert m.p_hat_peak == 0.0
+        assert m.p_hat_second == best / sum(counts.values())
+        assert m.c_exp == -1.0
+
+    def test_target_is_last_outcome(self):
+        h = hist({0: 1, 1: 2, 3: 9})
+        assert identify(h, BitString.from_index(3, 2))
+        assert strongest_competitor(h, BitString.from_index(3, 2)) == 2
+
+    def test_competitor_of_empty_histogram(self):
+        assert strongest_competitor(hist({}), T) == 0
+
+
+def reference_metrics(counts, target_index, c_max):
+    """Dict scan over every recorded outcome."""
+    shots = sum(counts.values())
+    peak = counts.get(target_index, 0)
+    second = max((c for idx, c in counts.items() if idx != target_index), default=0)
+    identified = all(c < peak for idx, c in counts.items() if idx != target_index)
+    c_exp = (peak - second) / (peak + second)
+    f_raw = 1.0 - c_exp / c_max
+    return identified, peak / shots, second / shots, c_exp, clamp_fidelity_error(f_raw), f_raw
+
+
+def test_run_metrics_match_dict_scan(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        size = int(rng.integers(1, 1 << n))
+        outcomes = rng.choice(1 << n, size=size, replace=False)
+        counts = {int(i): int(c) for i, c in zip(outcomes, rng.integers(1, 30, size=size))}
+        h = ShotHistogram(n, counts)
+        for t in range(1 << n):
+            m = run_metrics(h, BitString.from_index(t, n), c_max=0.97)
+            assert (m.identified, m.p_hat_peak, m.p_hat_second, m.c_exp, m.f, m.f_raw) == (
+                reference_metrics(counts, t, 0.97)
+            )
+
+
+def test_exact_metrics_from_probabilities(rng):
+    probs = rng.random(16)
+    probs /= probs.sum()
+    target = BitString.from_index(int(np.argmax(probs)), 4)
+    masked = probs.copy()
+    masked[target.index] = -1.0
+    p_second = float(masked.max())
+    m = exact_metrics(ProbabilityDistribution(probs, 4), target, c_max=0.8)
+    assert m.identified
+    assert m.p_hat_peak == float(probs[target.index])
+    assert m.p_hat_second == p_second
+    assert m.c_exp == contrast_from_probabilities(m.p_hat_peak, p_second)
+    assert m.f_raw == fidelity_error(m.c_exp, 0.8)
+    other = BitString.from_index((target.index + 1) % 16, 4)
+    assert not exact_metrics(ProbabilityDistribution(probs, 4), other, c_max=0.8).identified
 
 
 class TestDeltaMatrix:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from prcbench import sim
+from prcbench import noise, sim
 from prcbench.circuits import (
     BitString,
     build_exact_inverse_peaking,
     build_reference_circuit,
     retarget,
 )
+from prcbench.errors import SchemaError
+from prcbench.harness import BenchConfig
 from prcbench.metrics import contrast_from_probabilities
 from prcbench.noise import (
     NoiseSpec,
@@ -113,6 +115,66 @@ class TestReadoutFlip:
             assert abs(ones / 100_000 - 0.5) < 0.01
 
 
+def reference_readout_flip(hist, eps, rng):
+    """Per-outcome loop: each distinct outcome in ascending order draws the
+    flip masks of its own shots, then its flipped shots are tallied."""
+    weights = 1 << np.arange(hist.n, dtype=np.int64)
+    out: dict[int, int] = {}
+    for outcome, count in sorted(hist.counts.items()):
+        masks = (rng.random((count, hist.n)) < eps) @ weights
+        values, counts = np.unique(masks ^ outcome, return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            out[v] = out.get(v, 0) + c
+    return out
+
+
+class TestReadoutFlipMatchesReference:
+    CASES = [
+        (3, {0: 10, 5: 3}, 0.2),
+        (6, {1: 1, 17: 400, 63: 2, 40: 77}, 0.05),
+        (10, {3: 1}, 0.5),
+        (4, {0: 0, 9: 12}, 0.3),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2027])
+    @pytest.mark.parametrize("n,counts,eps", CASES)
+    def test_count_for_count(self, n, counts, eps, seed):
+        hist = ShotHistogram(n, counts)
+        got = readout_flip(hist, eps, np.random.default_rng(seed))
+        want = reference_readout_flip(hist, eps, np.random.default_rng(seed))
+        assert got.counts == want
+        assert got.shots == hist.shots
+
+    def test_empty_histogram(self):
+        rng = np.random.default_rng(4)
+        flipped = readout_flip(ShotHistogram(5, {}), 0.1, rng)
+        assert flipped.shots == 0 and len(flipped.counts) == 0
+        # Nothing was drawn from the stream.
+        assert rng.random() == np.random.default_rng(4).random()
+
+    def test_shots_cross_chunk_boundary(self):
+        # Outcome 6's shots straddle the first chunk boundary.
+        chunk = noise._READOUT_CHUNK
+        hist = ShotHistogram(8, {2: chunk - 5, 6: 11, 200: chunk + 3})
+        got = readout_flip(hist, 0.07, np.random.default_rng(19))
+        want = reference_readout_flip(hist, 0.07, np.random.default_rng(19))
+        assert got.counts == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_size_does_not_change_stream(self, monkeypatch, chunk):
+        hist = ShotHistogram(5, {0: 50, 7: 9, 30: 21})
+        want = readout_flip(hist, 0.15, np.random.default_rng(8))
+        monkeypatch.setattr(noise, "_READOUT_CHUNK", chunk)
+        assert readout_flip(hist, 0.15, np.random.default_rng(8)) == want
+
+    def test_leaves_rng_where_reference_does(self):
+        hist = ShotHistogram(6, {5: 300, 12: 41})
+        rng_a, rng_b = np.random.default_rng(23), np.random.default_rng(23)
+        readout_flip(hist, 0.1, rng_a)
+        reference_readout_flip(hist, 0.1, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
 class TestReadoutConfusion:
     def test_matches_sampled_channel(self):
         # The exact channel is the infinite-shot limit of readout_flip.
@@ -165,3 +227,10 @@ def test_noise_spec_validation_and_roundtrip():
         NoiseSpec(p2=1.5)
     with pytest.raises(ValueError):
         NoiseSpec(coherent_delta=-0.1)
+
+
+def test_noise_spec_rejects_unknown_key():
+    with pytest.raises(SchemaError, match="'p_2'"):
+        NoiseSpec.from_dict({"p_2": 0.05})
+    with pytest.raises(SchemaError, match="'p_2'"):
+        BenchConfig.from_dict({"noise": {"p2": 0.01, "p_2": 0.05}})

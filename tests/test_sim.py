@@ -117,6 +117,25 @@ class TestSampling:
         assert [b.index for b, _ in top] == [1, 0, 2]
 
 
+class TestShotHistogramArrays:
+    def test_top_matches_sorted_reference_with_ties(self, rng):
+        for k in (0, 1, 3, 5, 40, 100):
+            counts = {int(i): int(c) for i, c in enumerate(rng.integers(0, 4, size=64)) if c}
+            hist = sim.ShotHistogram(6, counts)
+            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+            assert [(b.index, c) for b, c in hist.top(k)] == ranked
+
+    def test_from_arrays_equals_mapping_constructor(self):
+        a = sim.ShotHistogram.from_arrays(3, np.array([1, 4, 6]), np.array([2, 7, 1]))
+        b = sim.ShotHistogram(3, {6: 1, 1: 2, 4: 7})
+        assert a == b
+        assert a.counts == {1: 2, 4: 7, 6: 1} and len(a.counts) == 3
+        assert a.shots == 10 and a.count(4) == 7 and a.count(5) == 0
+        assert a.count(BitString.from_index(6, 3)) == 1
+        with pytest.raises(KeyError):
+            a.counts[5]
+
+
 class TestPeakGradient:
     def test_stationary_at_mirror_optimum(self):
         circ = build_exact_inverse_peaking(build_reference_circuit(4, 6, seed=2))
