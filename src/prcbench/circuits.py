@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDimensionError, SchemaError
-from .gates import GateParams, haar_random_unitary, kak_decompose
+from .gates import PARAMS_PER_GATE, GateParams, haar_random_unitary, kak_decompose
 
 ROLE_RANDOM = "random-half"
 ROLE_PEAKING = "peaking-half"
@@ -133,6 +133,21 @@ class Circuit:
 
     def with_target(self, target: BitString) -> "Circuit":
         return replace(self, target=target)
+
+
+def peaking_vector(circuit: Circuit) -> np.ndarray:
+    """Flat parameter vector over the peaking half, placement order."""
+    gates = list(circuit.peaking_placements())
+    if not gates:
+        return np.zeros(0)
+    return np.concatenate([g.params.to_vector() for g in gates])
+
+
+def peaking_params(vec: np.ndarray, num_gates: int) -> list[GateParams]:
+    """Inverse of peaking_vector: the parameters of each of num_gates gates."""
+    if len(vec) != num_gates * PARAMS_PER_GATE:
+        raise ValueError("parameter vector length does not match the peaking half")
+    return [GateParams.from_vector(row) for row in np.reshape(vec, (num_gates, PARAMS_PER_GATE))]
 
 
 def random_depth_for(d: int) -> int:

@@ -117,23 +117,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _load_matrix_or_fail(path: str) -> harness.BenchmarkMatrix:
-    return harness.load_matrix(path)
-
-
 def _cmd_report(args) -> int:
     out = Path(args.out)
     if args.mode == "heatmap":
         if len(args.inputs) != 1:
             raise UsageError("heatmap mode takes exactly one matrix file")
-        matrix = _load_matrix_or_fail(args.inputs[0])
+        matrix = harness.load_matrix(args.inputs[0])
         out.write_text(report.render_matrix_heatmap(matrix), encoding="utf-8")
         out.with_suffix(".csv").write_text(harness.matrix_to_csv(matrix), encoding="utf-8")
     elif args.mode == "delta":
         if len(args.inputs) != 2:
             raise UsageError("delta mode takes exactly two matrix files (A minus B)")
-        ma = _load_matrix_or_fail(args.inputs[0])
-        mb = _load_matrix_or_fail(args.inputs[1])
+        ma = harness.load_matrix(args.inputs[0])
+        mb = harness.load_matrix(args.inputs[1])
         delta = metrics.delta_matrix(ma, mb)
         out.write_text(report.render_delta_heatmap(delta), encoding="utf-8")
         out.with_suffix(".csv").write_text(report.delta_to_csv(delta), encoding="utf-8")
@@ -147,7 +143,7 @@ def _cmd_report(args) -> int:
             key = (int(n_text), int(d_text))
         except ValueError as exc:
             raise UsageError(f"cannot parse --cell {args.cell!r}") from exc
-        matrix = _load_matrix_or_fail(args.inputs[0])
+        matrix = harness.load_matrix(args.inputs[0])
         if key not in matrix.cells:
             print(f"cell {key} not present in matrix", file=sys.stderr)
             return 1
@@ -161,7 +157,8 @@ def _cmd_report(args) -> int:
             return 1
         counts = {BitString.from_text(t).index: c for t, c in record.top_counts}
         hist = ShotHistogram(record.n, counts)
-        svg = report.render_histogram(hist, BitString.from_text(record.target), args.top_k)
+        target = BitString.from_text(record.target)
+        svg = report.render_histogram(hist, target, record.shots, args.top_k)
         out.write_text(svg, encoding="utf-8")
     print(f"wrote {out}")
     return 0

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON file reader
+that raises SchemaError for malformed documents."""
+
+import json
+from pathlib import Path
 
 
 class PrcBenchError(Exception):
@@ -31,3 +35,11 @@ class DomainMismatchError(PrcBenchError, ValueError):
 
 class SchemaError(PrcBenchError, ValueError):
     """Persisted document is malformed or has an unsupported schema version."""
+
+
+def read_json(path):
+    """The JSON document in a file; invalid JSON raises SchemaError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc

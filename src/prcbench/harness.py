@@ -4,7 +4,6 @@ policy, adaptive row skipping, aggregation, and matrix persistence."""
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,7 +13,7 @@ from . import metrics as metrics_mod
 from . import noise as noise_mod
 from . import sim
 from .circuits import Circuit
-from .errors import SchemaError
+from .errors import SchemaError, read_json
 from .metrics import RunMetrics
 from .noise import NoiseSpec
 from .optimize import PeakProfile
@@ -40,7 +39,6 @@ class BenchConfig:
     master_seed: int = 0
     exact: bool = False  # infinite-shot mode: metrics from the exact noisy distribution
     top_k: int = 5
-    deterministic: bool = True  # exclude wall-clock fields from serialization
 
     def __post_init__(self) -> None:
         if self.reps < 1:
@@ -49,6 +47,8 @@ class BenchConfig:
             raise ValueError("threshold must lie in 1..reps")
         if self.skip_window < 1:
             raise ValueError("skip window must be at least 1")
+        if self.top_k < 0:
+            raise ValueError("top_k must be non-negative")
         if not self.qubits or not self.depths:
             raise ValueError("qubit and depth lists must be non-empty")
 
@@ -66,7 +66,6 @@ class BenchConfig:
             "master_seed": self.master_seed,
             "exact": self.exact,
             "top_k": self.top_k,
-            "deterministic": self.deterministic,
         }
 
     @classmethod
@@ -94,7 +93,6 @@ class RunRecord:
     target: str
     metrics: RunMetrics
     top_counts: tuple[tuple[str, int], ...]
-    wall_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,6 @@ def _run_rep(
     shots: int,
     base_dist: sim.ProbabilityDistribution | None,
 ) -> RunRecord:
-    t0 = time.perf_counter()
     spec = config.noise
     rng = np.random.default_rng(_rep_seed_sequence(config, circuit.n, circuit.d, rep))
     if base_dist is not None:
@@ -169,7 +166,6 @@ def _run_rep(
         target=circuit.target.text,
         metrics=run_metrics,
         top_counts=top,
-        wall_time=None if config.deterministic else time.perf_counter() - t0,
     )
 
 
@@ -261,7 +257,7 @@ def _metrics_to_dict(m: RunMetrics) -> dict:
 
 
 def _record_to_dict(r: RunRecord) -> dict:
-    doc = {
+    return {
         "n": r.n,
         "d": r.d,
         "rep": r.rep,
@@ -271,9 +267,6 @@ def _record_to_dict(r: RunRecord) -> dict:
         "metrics": _metrics_to_dict(r.metrics),
         "top_counts": [[text, count] for text, count in r.top_counts],
     }
-    if r.wall_time is not None:
-        doc["wall_time"] = r.wall_time
-    return doc
 
 
 def matrix_to_dict(matrix: BenchmarkMatrix) -> dict:
@@ -327,7 +320,12 @@ def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
         raise SchemaError(
             f"unsupported matrix schema {doc['schema']!r}; expected {MATRIX_SCHEMA!r}"
         )
-    config = BenchConfig.from_dict(doc.get("config", {}))
+    # Older files carry the wall-clock switch `deterministic` here and
+    # `wall_time` in each record; both are dropped.
+    config_doc = doc.get("config", {})
+    if isinstance(config_doc, dict):
+        config_doc = {k: v for k, v in config_doc.items() if k != "deterministic"}
+    config = BenchConfig.from_dict(config_doc)
     cells: dict[tuple[int, int], CellResult] = {}
     for i, cd in enumerate(doc.get("cells", [])):
         path = f"cells[{i}]"
@@ -342,7 +340,6 @@ def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
                     target=str(rd["target"]),
                     metrics=_parse_metrics(rd["metrics"], f"{path}.records[{j}].metrics"),
                     top_counts=tuple((str(t), int(c)) for t, c in rd.get("top_counts", [])),
-                    wall_time=rd.get("wall_time"),
                 )
                 for j, rd in enumerate(cd["records"])
             )
@@ -365,13 +362,7 @@ def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
 
 
 def load_matrix(path) -> BenchmarkMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return matrix_from_dict(doc)
+    return matrix_from_dict(read_json(path))
 
 
 def matrix_to_csv(matrix: BenchmarkMatrix) -> str:

@@ -3,16 +3,14 @@ and circuit-intrinsic peak profiles."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import sim
-from .circuits import ROLE_PEAKING, BitString, Circuit
+from .circuits import ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector
 from .errors import CapacityError, NothingToOptimizeError
-from .gates import PARAMS_PER_GATE, GateParams
 from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
@@ -44,26 +42,14 @@ class OptimizationTrace:
     final_objective: float
     iterations_stage1: int
     iterations_stage2: int
-    wall_time: float
-
-
-def peaking_vector(circuit: Circuit) -> np.ndarray:
-    """Flat parameter vector over the peaking half, placement order."""
-    gates = list(circuit.peaking_placements())
-    if not gates:
-        return np.zeros(0)
-    return np.concatenate([g.params.to_vector() for g in gates])
 
 
 def with_peaking_vector(circuit: Circuit, vec: np.ndarray) -> Circuit:
     """Circuit with peaking-half parameters replaced; random half untouched."""
     gates = list(circuit.peaking_placements())
-    if len(vec) != len(gates) * PARAMS_PER_GATE:
-        raise ValueError("parameter vector length does not match the peaking half")
-    new_params = {}
-    for i, g in enumerate(gates):
-        chunk = vec[i * PARAMS_PER_GATE : (i + 1) * PARAMS_PER_GATE]
-        new_params[(g.layer_index, g.qubit_low)] = GateParams.from_vector(chunk)
+    new_params = {
+        (g.layer_index, g.qubit_low): p for g, p in zip(gates, peaking_params(vec, len(gates)))
+    }
     layers = tuple(
         tuple(
             replace(g, params=new_params[(g.layer_index, g.qubit_low)])
@@ -96,7 +82,6 @@ def optimize(
     if not any(True for _ in circuit.peaking_placements()):
         raise NothingToOptimizeError("circuit has no peaking layers")
 
-    t_start = time.perf_counter()
     engine = sim.PeakObjective(circuit)
     x0 = peaking_vector(circuit)
     best_x = x0.copy()
@@ -162,7 +147,6 @@ def optimize(
         final_objective=best_p,
         iterations_stage1=iterations_stage1,
         iterations_stage2=iterations_stage2,
-        wall_time=time.perf_counter() - t_start,
     )
     return final_circuit, trace
 

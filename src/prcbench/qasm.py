@@ -242,14 +242,7 @@ def _steps_3(su: np.ndarray):
         ("local", LOW, ry_matrix(alpha)),
         ("cx", LOW, HIGH),
     ]
-    v = np.eye(4, dtype=complex)
-    for kind, *rest in interior:
-        if kind == "cx":
-            v = (CNOT_LH if rest == [LOW, HIGH] else CNOT_HL) @ v
-        else:
-            slot, mat = rest
-            v = (np.kron(mat, np.eye(2)) if slot == HIGH else np.kron(np.eye(2), mat)) @ v
-    v = SWAP @ v
+    v = SWAP @ _steps_matrix(interior)
     a, b, c, d = _extract_prefactors(swap_u, v)
     # The SWAP absorbed into v swaps A and B across slots.
     return [("local", HIGH, c), ("local", LOW, d), *interior, ("local", LOW, a), ("local", HIGH, b)]

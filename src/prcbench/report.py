@@ -78,16 +78,6 @@ def _svg_header(width: float, height: float) -> list[str]:
     ]
 
 
-def _grid_geometry(qubits, depths):
-    width = MARGIN_LEFT + CELL * len(depths) + LEGEND_WIDTH
-    height = MARGIN_TOP + CELL * len(qubits) + MARGIN_BOTTOM
-    return width, height
-
-
-def _cell_origin(col: int, row_from_top: int) -> tuple[float, float]:
-    return MARGIN_LEFT + col * CELL, MARGIN_TOP + row_from_top * CELL
-
-
 def _axis_labels(qubits, depths, title: str) -> list[str]:
     parts = [f'<text x="{MARGIN_LEFT}" y="20" font-size="13">{title}</text>']
     for col, d in enumerate(depths):
@@ -147,54 +137,35 @@ def skip_boundary(matrix: BenchmarkMatrix) -> list[tuple[float, float]]:
     return points
 
 
-def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identification") -> str:
-    """Grid with depth horizontal and qubit count vertical: identified cells
-    colored by mean fidelity error, non-identified light gray, skipped
-    white, and a black staircase between executed and skipped cells."""
-    if not matrix.cells:
-        raise ValueError("empty benchmark matrix")
-    qubits = list(matrix.qubits)
-    depths = list(matrix.depths)
-    width, height = _grid_geometry(qubits, depths)
+def _render_grid(qubits, depths, title, fill, overlay, legend_title, ramp, ramp_ends, swatches):
+    """Grid with depth horizontal and qubit count vertical, cell (n, d)
+    filled with fill(n, d), then the overlay elements, then a legend: its
+    title, the ramp colors labeled at both ends, and one swatch per
+    (color, label)."""
+    width = MARGIN_LEFT + CELL * len(depths) + LEGEND_WIDTH
+    height = MARGIN_TOP + CELL * len(qubits) + MARGIN_BOTTOM
     parts = _svg_header(width, height)
     parts.extend(_axis_labels(qubits, depths, title))
     for row, n in enumerate(reversed(qubits)):
         for col, d in enumerate(depths):
-            cell = matrix.cells[(n, d)]
-            if cell.status == STATUS_IDENTIFIED:
-                fill = sequential_color(cell.mean_f if cell.mean_f is not None else 1.0)
-            elif cell.status == STATUS_NON_IDENTIFIED:
-                fill = COLOR_NON_IDENTIFIED
-            else:
-                fill = COLOR_SKIPPED
-            x, y = _cell_origin(col, row)
+            x, y = MARGIN_LEFT + col * CELL, MARGIN_TOP + row * CELL
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{CELL}" height="{CELL}" '
-                f'fill="{fill}" stroke="{COLOR_GRID}" stroke-width="0.5"/>'
+                f'fill="{fill(n, d)}" stroke="{COLOR_GRID}" stroke-width="0.5"/>'
             )
-    pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in skip_boundary(matrix))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#000000" stroke-width="2"/>')
-
-    # Legend: color ramp plus the three cell states.
+    parts.extend(overlay)
     lx = MARGIN_LEFT + CELL * len(depths) + 18
-    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 8}" font-size="10">fidelity error</text>')
-    ramp_steps = 10
-    for i in range(ramp_steps):
-        v = i / (ramp_steps - 1)
+    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 8}" font-size="10">{legend_title}</text>')
+    for i, color in enumerate(ramp):
         parts.append(
-            f'<rect x="{lx + i * 9}" y="{MARGIN_TOP + 14}" width="9" height="10" '
-            f'fill="{sequential_color(v)}"/>'
+            f'<rect x="{lx + i * 9}" y="{MARGIN_TOP + 14}" width="9" height="10" fill="{color}"/>'
         )
-    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 36}" font-size="9">0</text>')
+    low, high = ramp_ends
+    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 36}" font-size="9">{low}</text>')
     parts.append(
-        f'<text x="{lx + ramp_steps * 9}" y="{MARGIN_TOP + 36}" font-size="9" text-anchor="end">1</text>'
+        f'<text x="{lx + len(ramp) * 9}" y="{MARGIN_TOP + 36}" font-size="9" text-anchor="end">{high}</text>'
     )
-    for dy, (color, label) in enumerate(
-        [
-            (COLOR_NON_IDENTIFIED, "non-identified"),
-            (COLOR_SKIPPED, "skipped"),
-        ]
-    ):
+    for dy, (color, label) in enumerate(swatches):
         y = MARGIN_TOP + 50 + dy * 16
         parts.append(
             f'<rect x="{lx}" y="{y}" width="10" height="10" fill="{color}" '
@@ -205,54 +176,64 @@ def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identifica
     return "\n".join(parts) + "\n"
 
 
+def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identification") -> str:
+    """Grid with depth horizontal and qubit count vertical: identified cells
+    colored by mean fidelity error, non-identified light gray, skipped
+    white, and a black staircase between executed and skipped cells."""
+    if not matrix.cells:
+        raise ValueError("empty benchmark matrix")
+
+    def fill(n: int, d: int) -> str:
+        cell = matrix.cells[(n, d)]
+        if cell.status == STATUS_IDENTIFIED:
+            return sequential_color(cell.mean_f if cell.mean_f is not None else 1.0)
+        return COLOR_NON_IDENTIFIED if cell.status == STATUS_NON_IDENTIFIED else COLOR_SKIPPED
+
+    pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in skip_boundary(matrix))
+    return _render_grid(
+        list(matrix.qubits),
+        list(matrix.depths),
+        title,
+        fill,
+        overlay=[f'<polyline points="{pts}" fill="none" stroke="#000000" stroke-width="2"/>'],
+        legend_title="fidelity error",
+        ramp=[sequential_color(i / 9) for i in range(10)],
+        ramp_ends=("0", "1"),
+        swatches=[(COLOR_NON_IDENTIFIED, "non-identified"), (COLOR_SKIPPED, "skipped")],
+    )
+
+
 def render_delta_heatmap(delta: DeltaGrid, title: str = "Fidelity error difference") -> str:
     """Diverging map over [-1, 1], white at zero; cells absent from the
     comparison stay uncolored."""
     if not delta.values:
         raise ValueError("empty delta grid")
-    qubits = list(delta.qubits)
-    depths = list(delta.depths)
-    width, height = _grid_geometry(qubits, depths)
-    parts = _svg_header(width, height)
-    parts.extend(_axis_labels(qubits, depths, title))
-    for row, n in enumerate(reversed(qubits)):
-        for col, d in enumerate(depths):
-            value = delta.values.get((n, d))
-            x, y = _cell_origin(col, row)
-            if value is None:
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{y:.1f}" width="{CELL}" height="{CELL}" '
-                    f'fill="none" stroke="{COLOR_GRID}" stroke-width="0.5"/>'
-                )
-            else:
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{y:.1f}" width="{CELL}" height="{CELL}" '
-                    f'fill="{diverging_color(value)}" stroke="{COLOR_GRID}" stroke-width="0.5"/>'
-                )
-    lx = MARGIN_LEFT + CELL * len(depths) + 18
-    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 8}" font-size="10">&#916;F</text>')
-    ramp_steps = 11
-    for i in range(ramp_steps):
-        v = -1.0 + 2.0 * i / (ramp_steps - 1)
-        parts.append(
-            f'<rect x="{lx + i * 9}" y="{MARGIN_TOP + 14}" width="9" height="10" '
-            f'fill="{diverging_color(v)}"/>'
-        )
-    parts.append(f'<text x="{lx}" y="{MARGIN_TOP + 36}" font-size="9">-1</text>')
-    parts.append(
-        f'<text x="{lx + ramp_steps * 9}" y="{MARGIN_TOP + 36}" font-size="9" text-anchor="end">+1</text>'
+
+    def fill(n: int, d: int) -> str:
+        value = delta.values.get((n, d))
+        return "none" if value is None else diverging_color(value)
+
+    return _render_grid(
+        list(delta.qubits),
+        list(delta.depths),
+        title,
+        fill,
+        overlay=[],
+        legend_title="&#916;F",
+        ramp=[diverging_color(-1.0 + 2.0 * i / 10) for i in range(11)],
+        ramp_ends=("-1", "+1"),
+        swatches=[],
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
-def render_histogram(hist: ShotHistogram, target: BitString, top_k: int = 10) -> str:
-    """Bar chart of the top-k outcomes by frequency with the target bar
-    highlighted and frequencies labeled."""
+def render_histogram(hist: ShotHistogram, target: BitString, shots: int, top_k: int = 10) -> str:
+    """Bar chart of the top-k outcomes with the target bar highlighted.
+    Each bar is labeled with its frequency count / shots, where shots is
+    the run's total, which exceeds hist.shots when hist holds only the
+    run's most frequent outcomes."""
     if hist.shots == 0:
         raise ValueError("empty histogram")
     entries = hist.top(top_k)
-    shots = hist.shots
     bar_w = 34
     gap = 10
     plot_h = 150

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BitString, Circuit
+from .circuits import BitString, Circuit, peaking_params, peaking_vector
 from .errors import CapacityError
 from .gates import (
     PARAMS_PER_GATE,
@@ -97,6 +97,8 @@ class ShotHistogram:
 
     def top(self, k: int) -> list[tuple[BitString, int]]:
         """k most frequent outcomes, ties broken by basis index."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
         tallies = self.tallies
         # Only tallies at least as large as the k-th largest can rank; the
         # stable sort keeps tied candidates in ascending index order.
@@ -165,21 +167,33 @@ def _apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
     return np.ascontiguousarray(psi[:, ::-1, :]).reshape(-1)
 
 
-def _check_capacity(n: int) -> None:
+def _zero_state(n: int) -> np.ndarray:
+    """|0^n> as a flat amplitude vector, within the memory guard."""
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit memory guard")
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def _apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply (4x4 unitary, qubit_low) pairs in order."""
+    for u, q in gates:
+        state = apply_gate_matrix(state, u, q, n)
+    return state
+
+
+def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
+    for q in final_x:
+        state = _apply_x(state, q)
+    return state
 
 
 def run(circuit: Circuit) -> Statevector:
     """C|0^n> with every gate applied as its 4x4 unitary, layers in order."""
-    _check_capacity(circuit.n)
-    state = np.zeros(1 << circuit.n, dtype=complex)
-    state[0] = 1.0
-    for g in circuit.placements():
-        state = apply_gate_matrix(state, g.params.matrix(), g.qubit_low, circuit.n)
-    for q in circuit.final_x:
-        state = _apply_x(state, q)
-    return Statevector(state, circuit.n)
+    gates = ((g.params.matrix(), g.qubit_low) for g in circuit.placements())
+    state = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
+    return Statevector(_apply_final_x(state, circuit.final_x), circuit.n)
 
 
 def peak_amplitude(circuit: Circuit) -> complex:
@@ -265,55 +279,31 @@ class PeakObjective:
     """
 
     def __init__(self, circuit: Circuit):
-        _check_capacity(circuit.n)
         self.n = circuit.n
         self.target_index = circuit.target.index
         self.final_x = circuit.final_x
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
-        state = np.zeros(1 << circuit.n, dtype=complex)
-        state[0] = 1.0
-        for layer in circuit.layers[: circuit.random_depth]:
-            for g in layer:
-                state = apply_gate_matrix(state, g.params.matrix(), g.qubit_low, circuit.n)
-        self._psi_random = state
-
-    def _params(self, vec: np.ndarray) -> list[GateParams]:
-        if len(vec) != self.num_params:
-            raise ValueError("parameter vector length does not match the peaking half")
-        return [
-            GateParams.from_vector(vec[i * PARAMS_PER_GATE : (i + 1) * PARAMS_PER_GATE])
-            for i in range(len(self.positions))
-        ]
-
-    def value(self, vec: np.ndarray) -> float:
-        k = self._psi_random.copy()
-        for p, q in zip(self._params(vec), self.positions):
-            k = apply_gate_matrix(k, p.matrix(), q, self.n)
-        for q in self.final_x:
-            k = _apply_x(k, q)
-        return float(np.abs(k[self.target_index]) ** 2)
+        random_half = (g for layer in circuit.layers[: circuit.random_depth] for g in layer)
+        gates = ((g.params.matrix(), g.qubit_low) for g in random_half)
+        self._psi_random = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        params = self._params(vec)
+        params = peaking_params(vec, len(self.positions))
         mats = [p.matrix() for p in params]
-        k = self._psi_random.copy()
-        for u, q in zip(mats, self.positions):
-            k = apply_gate_matrix(k, u, q, self.n)
-        psi = k
-        for q in self.final_x:
-            psi = _apply_x(psi, q)
+        k = _apply_gates(self._psi_random, zip(mats, self.positions), self.n)
+        psi = _apply_final_x(k, self.final_x)
         amp = psi[self.target_index]
         p_val = float(np.abs(amp) ** 2)
         if not self.positions:
             return p_val, np.zeros(0)
 
-        # Bra side starts from |s><s| psi with the trailing NOTs peeled off;
-        # the ket is already the pre-NOT state.
+        # Bra side starts from |s><s| psi with the trailing NOTs peeled off
+        # (they commute, so order does not matter); the ket is already the
+        # pre-NOT state.
         b = np.zeros_like(psi)
         b[self.target_index] = amp
-        for q in reversed(self.final_x):
-            b = _apply_x(b, q)
+        b = _apply_final_x(b, self.final_x)
 
         grads = np.zeros(self.num_params)
         for idx in range(len(self.positions) - 1, -1, -1):
@@ -333,12 +323,7 @@ class PeakObjective:
 def peak_value_and_gradient(circuit: Circuit) -> tuple[float, np.ndarray]:
     """p = |<s|C|0^n>|^2 and its exact gradient over all peaking-half
     parameters (16 per gate, placement order)."""
-    peaking = list(circuit.peaking_placements())
-    obj = PeakObjective(circuit)
-    if not peaking:
-        return obj.value(np.zeros(0)), np.zeros(0)
-    vec = np.concatenate([g.params.to_vector() for g in peaking])
-    return obj.value_and_gradient(vec)
+    return PeakObjective(circuit).value_and_gradient(peaking_vector(circuit))
 
 
 def peak_gradient(circuit: Circuit) -> np.ndarray:

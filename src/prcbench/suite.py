@@ -10,18 +10,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import sim
 from .circuits import (
     Circuit,
     build_reference_circuit,
-    circuit_from_json,
+    circuit_from_dict,
     circuit_to_dict,
     derive_subcircuit,
 )
-from .errors import SchemaError
+from .errors import SchemaError, read_json
 from .optimize import (
     OptimizerConfig,
     PeakProfile,
+    objective,
     optimize,
     peak_profile,
     profile_from_dict,
@@ -72,7 +72,7 @@ def generate_suite(
             circuit, trace = optimize(circuit, optimizer)
             final = trace.final_objective
         else:
-            final = float(abs(sim.peak_amplitude(circuit)) ** 2)
+            final = objective(circuit)
         return key, SuiteCell(circuit=circuit, profile=peak_profile(circuit), final_objective=final)
 
     keys = [(n, d) for n in qubits for d in depths]
@@ -125,12 +125,7 @@ def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) 
 
 def load_suite(manifest_path) -> Suite:
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    doc = read_json(manifest_path)
     if not isinstance(doc, dict) or doc.get("schema") != SUITE_SCHEMA:
         raise SchemaError(
             f"unsupported suite schema {doc.get('schema')!r}; expected {SUITE_SCHEMA!r}"
@@ -142,9 +137,12 @@ def load_suite(manifest_path) -> Suite:
         cell_path = manifest_path.parent / name
         if not cell_path.exists():
             raise FileNotFoundError(f"suite cell ({n}, {d}) missing: {cell_path}")
-        text = cell_path.read_text(encoding="utf-8")
-        circuit = circuit_from_json(text)
-        cell_doc = json.loads(text)
+        cell_doc = read_json(cell_path)
+        circuit = circuit_from_dict(cell_doc)
+        if (circuit.n, circuit.d) != (n, d):
+            raise SchemaError(
+                f"suite key {key!r} disagrees with {cell_path}: n={circuit.n}, d={circuit.d}"
+            )
         if "profile" not in cell_doc:
             raise SchemaError(f"{cell_path}: circuit file has no embedded profile")
         profile = profile_from_dict(cell_doc["profile"])

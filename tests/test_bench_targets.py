@@ -1,0 +1,40 @@
+"""The benchmark's tracer names prcbench functions by module and attribute
+path.  These checks make a rename of a traced function fail the test suite
+instead of a traced benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        yield importlib.import_module("spans"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+def test_every_span_target_resolves(bench_modules):
+    spans, _ = bench_modules
+    for span_name, module_name, path in spans.SPAN_TARGETS:
+        module = importlib.import_module(module_name)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            # The tracer patches the class attribute itself, so it must be
+            # defined on the class, not inherited.
+            assert attr in vars(getattr(module, cls_name)), (span_name, module_name, path)
+        else:
+            assert callable(getattr(module, path, None)), (span_name, module_name, path)
+
+
+def test_every_expected_span_is_traced(bench_modules):
+    spans, workloads = bench_modules
+    for name, workload in workloads.WORKLOADS.items():
+        unknown = set(workload.expected_spans) - set(spans.SPAN_NAMES)
+        assert not unknown, (name, sorted(unknown))

@@ -1,8 +1,10 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from prcbench.cli import main, _parse_range, UsageError
+from prcbench.report import COLOR_TARGET_BAR
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +194,27 @@ def test_output_dir_env_default(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (target / "suite.json").exists()
+
+
+def test_report_histogram_labels_frequency_over_all_shots(tiny_suite, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "reps": 1, "threshold": 1, "master_seed": 5, "top_k": 2,
+        "noise": {"p2": 0.05, "readout_eps": 0.05},
+    }))
+    matrix = tmp_path / "matrix.json"
+    assert main(["bench", "--suite", str(tiny_suite / "suite.json"),
+                 "--config", str(config), "--out", str(matrix)]) == 0
+    cell = next(c for c in json.loads(matrix.read_text())["cells"] if (c["n"], c["d"]) == (3, 4))
+    record = cell["records"][0]
+    # The record keeps only the top two outcomes, so their counts do not
+    # add up to the run's shots.
+    assert sum(count for _, count in record["top_counts"]) < record["shots"]
+    assert record["target"] in [text for text, _ in record["top_counts"]]
+
+    out = tmp_path / "hist.svg"
+    assert main(["report", "--mode", "histogram", str(matrix), "--cell", "3,4",
+                 "--out", str(out)]) == 0
+    elements = list(ET.fromstring(out.read_text()))
+    bar = next(i for i, e in enumerate(elements) if e.get("fill") == COLOR_TARGET_BAR)
+    assert elements[bar + 1].text == f"{record['metrics']['p_hat_peak']:.4f}"

@@ -80,6 +80,16 @@ class TestConfig:
         with pytest.raises(SchemaError):
             BenchConfig.from_dict({"reps": "many"})
 
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k"):
+            BenchConfig(top_k=-1)
+        with pytest.raises(SchemaError, match="top_k"):
+            BenchConfig.from_dict({"top_k": -1})
+
+    def test_wall_clock_switch_is_an_unknown_key(self):
+        with pytest.raises(SchemaError, match="deterministic"):
+            BenchConfig.from_dict({"deterministic": True})
+
 
 class TestRunCell:
     def test_noiseless_identifies_all_reps(self, mirror_cell):
@@ -266,6 +276,27 @@ class TestPersistence:
         persist_matrix(matrix, path)
         again = load_matrix(path)
         assert matrix_to_json(again) == matrix_to_json(matrix)
+
+    def test_fresh_matrix_config_has_no_deterministic_key(self, scripted_suite):
+        depths = tuple(sorted(d for _, d in scripted_suite))[:1]
+        config = BenchConfig(qubits=(3,), depths=depths, reps=2, threshold=1)
+        doc = json.loads(matrix_to_json(run_matrix(scripted_suite, config)))
+        assert "deterministic" not in doc["config"]
+        assert all("wall_time" not in r for cell in doc["cells"] for r in cell["records"])
+
+    def test_older_file_with_wall_clock_fields_loads(self, scripted_suite, tmp_path):
+        depths = tuple(sorted(d for _, d in scripted_suite))[:2]
+        config = BenchConfig(qubits=(3,), depths=depths, reps=2, threshold=1)
+        fresh = matrix_to_json(run_matrix(scripted_suite, config))
+        doc = json.loads(fresh)
+        doc["config"]["deterministic"] = False
+        records = [r for cell in doc["cells"] for r in cell["records"]]
+        assert records
+        for i, record in enumerate(records):
+            record["wall_time"] = 0.25 + i
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        assert matrix_to_json(load_matrix(path)) == fresh
 
     def test_version_error(self, tmp_path):
         path = tmp_path / "legacy.json"

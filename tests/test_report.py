@@ -154,23 +154,24 @@ class TestDeltaHeatmap:
 class TestHistogram:
     def test_point_mass_single_highlighted_bar(self):
         hist = ShotHistogram(3, {0: 500})
-        svg = render_histogram(hist, BitString.zeros(3))
+        svg = render_histogram(hist, BitString.zeros(3), hist.shots)
         ET.fromstring(svg)
         assert svg.count("<rect") == 1
         assert "#d62728" in svg
 
     def test_identified_shape_tallest_is_target(self):
         hist = ShotHistogram(2, {0: 80, 1: 10, 2: 10})
-        svg = render_histogram(hist, BitString.zeros(2))
+        svg = render_histogram(hist, BitString.zeros(2), hist.shots)
         first_bar = svg[svg.index("<rect") :].split("/>")[0]
         assert "#d62728" in first_bar  # bars are emitted tallest first
 
     def test_non_identified_shape_target_not_tallest(self):
         hist = ShotHistogram(2, {0: 10, 1: 80, 2: 10})
-        svg = render_histogram(hist, BitString.zeros(2))
+        svg = render_histogram(hist, BitString.zeros(2), hist.shots)
         first_bar = svg[svg.index("<rect") :].split("/>")[0]
         assert "#d62728" not in first_bar
 
     def test_empty_rejected(self):
+        hist = ShotHistogram(2, {})
         with pytest.raises(ValueError):
-            render_histogram(ShotHistogram(2, {}), BitString.zeros(2))
+            render_histogram(hist, BitString.zeros(2), hist.shots)

@@ -116,6 +116,11 @@ class TestSampling:
         top = hist.top(3)
         assert [b.index for b, _ in top] == [1, 0, 2]
 
+    def test_negative_top_k_rejected(self):
+        hist = sim.ShotHistogram(2, {0: 5, 1: 10, 2: 5, 3: 1})
+        with pytest.raises(ValueError):
+            hist.top(-1)
+
 
 class TestShotHistogramArrays:
     def test_top_matches_sorted_reference_with_ties(self, rng):
