@@ -143,11 +143,17 @@ def peaking_vector(circuit: Circuit) -> np.ndarray:
     return np.concatenate([g.params.to_vector() for g in gates])
 
 
-def peaking_params(vec: np.ndarray, num_gates: int) -> list[GateParams]:
-    """Inverse of peaking_vector: the parameters of each of num_gates gates."""
+def peaking_rows(vec: np.ndarray, num_gates: int) -> np.ndarray:
+    """Inverse of peaking_vector as a (num_gates, 16) array of to_vector()
+    rows, one per gate."""
     if len(vec) != num_gates * PARAMS_PER_GATE:
         raise ValueError("parameter vector length does not match the peaking half")
-    return [GateParams.from_vector(row) for row in np.reshape(vec, (num_gates, PARAMS_PER_GATE))]
+    return np.reshape(vec, (num_gates, PARAMS_PER_GATE))
+
+
+def peaking_params(vec: np.ndarray, num_gates: int) -> list[GateParams]:
+    """Inverse of peaking_vector: the parameters of each of num_gates gates."""
+    return [GateParams.from_vector(row) for row in peaking_rows(vec, num_gates)]
 
 
 def random_depth_for(d: int) -> int:

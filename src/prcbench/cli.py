@@ -172,8 +172,9 @@ def _cmd_export_qasm(args) -> int:
     lines = ["n,d,file,two_qubit,single_qubit"]
     for (n, d), cell in suite.cells.items():
         name = qasm.qasm_filename(n, d, seed_hash)
-        (out_dir / name).write_text(qasm.emit_qasm(cell.circuit), encoding="utf-8")
-        counts = qasm.gate_count(cell.circuit)
+        ops = qasm.circuit_native_ops(cell.circuit)  # decompose each gate once
+        (out_dir / name).write_text(qasm.qasm_from_ops(n, ops), encoding="utf-8")
+        counts = qasm.count_ops(ops)
         lines.append(f"{n},{d},{name},{counts['two_qubit']},{counts['single_qubit']}")
     csv_path = out_dir / "gate_counts.csv"
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

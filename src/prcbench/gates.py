@@ -10,6 +10,11 @@ Conventions used throughout the package:
   ``u(t) = Rz(t[2]) @ Ry(t[1]) @ Rz(t[0])`` (``t[0]`` applied first).
 * The entangling core is ``exp(i*(a XX + b YY + c ZZ))`` with canonical
   angles ``pi/4 >= a >= b >= |c|`` (Weyl chamber).
+
+One batched constructor, ``gate_matrices``, builds every gate matrix in the
+package (and, for the optimizer, every parameter derivative) from a
+``(G, 16)`` array of ``GateParams.to_vector()`` rows; ``GateParams.matrix``
+is its one-row case.
 """
 
 from __future__ import annotations
@@ -127,10 +132,7 @@ class GateParams:
             raise ValueError("GateParams needs 6 + 3 + 6 angles")
 
     def matrix(self) -> np.ndarray:
-        pre = np.kron(su2_from_zyz(self.pre[3:6]), su2_from_zyz(self.pre[0:3]))
-        post = np.kron(su2_from_zyz(self.post[3:6]), su2_from_zyz(self.post[0:3]))
-        core = entangling_core(*self.entangling)
-        return np.exp(1j * self.phase) * (post @ core @ pre)
+        return gate_matrices(self.to_vector()[None])[0]
 
     def to_vector(self) -> np.ndarray:
         return np.array([*self.pre, *self.entangling, *self.post, self.phase])
@@ -153,6 +155,87 @@ class GateParams:
 
 
 PARAMS_PER_GATE = 16
+
+_EYE4 = np.eye(4, dtype=complex)
+_PAULI_PAIRS = np.stack((XX, YY, ZZ))
+_MHY = -0.5j * _Y  # d/dtheta generator of Ry
+_MHZ = -0.5j * _Z  # d/dtheta generator of Rz
+# Columns of a parameter row holding the ZYZ triples, in the order pre low,
+# pre high, post low, post high.
+_TRIPLE_COLUMNS = np.r_[0:6, 9:15]
+
+
+def _rz_stack(theta: np.ndarray) -> np.ndarray:
+    """rz_matrix over an array of angles, shape theta.shape + (2, 2)."""
+    e = np.exp(-0.5j * theta)
+    out = np.zeros(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = e
+    out[..., 1, 1] = e.conjugate()
+    return out
+
+
+def _ry_stack(theta: np.ndarray) -> np.ndarray:
+    """ry_matrix over an array of angles, shape theta.shape + (2, 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
+
+
+def gate_matrices(params: np.ndarray, derivatives: bool = False):
+    """Unitaries of G gates from their (G, 16) parameter rows, each in
+    to_vector() order, as a (G, 4, 4) stack.
+
+    With ``derivatives``, also returns dU/dtheta for all 16 parameters of
+    every gate as a (G, 16, 4, 4) stack.  Every entry is computed by the
+    same sequence of floating-point operations as a per-gate evaluation of
+    the GateParams formula: stacked matmuls in the same association,
+    np.kron's broadcast product for the local layers and an outer-product
+    einsum for the kron of a derivative, so results do not depend on G.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != PARAMS_PER_GATE:
+        raise ValueError(f"gate parameters must have shape (G, {PARAMS_PER_GATE})")
+    g = len(params)
+    angles = params[:, _TRIPLE_COLUMNS].reshape(g, 4, 3)
+    rz0 = _rz_stack(angles[..., 0])
+    ry1 = _ry_stack(angles[..., 1])
+    rz2 = _rz_stack(angles[..., 2])
+    su2 = rz2 @ ry1 @ rz0  # (G, 4, 2, 2): pre low, pre high, post low, post high
+    high, low = su2[:, 1::2], su2[:, 0::2]
+    # kron(high, low), as np.kron forms it.
+    local = (high[..., :, None, :, None] * low[..., None, :, None, :]).reshape(g, 2, 4, 4)
+    pre, post = local[:, 0], local[:, 1]
+
+    ent = params[:, 6:9, None, None]
+    terms = np.cos(ent) * _EYE4 + (1j * np.sin(ent)) * _PAULI_PAIRS
+    core = terms[:, 0] @ terms[:, 1] @ terms[:, 2]
+    phase = np.exp(1j * params[:, 15])[:, None, None]
+    post_core = post @ core
+    unitaries = phase * (post_core @ pre)
+    if not derivatives:
+        return unitaries
+
+    # Derivatives of each triple u = Rz(t2) Ry(t1) Rz(t0): (G, 4, 3, 2, 2).
+    du = np.stack((su2 @ _MHZ, rz2 @ _MHY @ ry1 @ rz0, _MHZ @ su2), axis=2)
+    # kron(high, d low) and kron(d high, low): (G, 2, 3, 4, 4) over pre, post.
+    d_low = np.einsum("gkab,gkjcd->gkjacbd", high, du[:, 0::2]).reshape(g, 2, 3, 4, 4)
+    d_high = np.einsum("gkjab,gkcd->gkjacbd", du[:, 1::2], low).reshape(g, 2, 3, 4, 4)
+
+    left = phase * post_core  # left @ d(pre)
+    right = core @ pre  # phase * d(post) @ right
+    out = np.empty((g, PARAMS_PER_GATE, 4, 4), dtype=complex)
+    out[:, 0:3] = left[:, None] @ d_low[:, 0]
+    out[:, 3:6] = left[:, None] @ d_high[:, 0]
+    sigmas = _PAULI_PAIRS @ core[:, None]
+    out[:, 6:9] = (phase * post)[:, None] @ (1j * sigmas) @ pre[:, None]
+    out[:, 9:12] = phase[:, None] * (d_low[:, 1] @ right[:, None])
+    out[:, 12:15] = phase[:, None] * (d_high[:, 1] @ right[:, None])
+    out[:, 15] = 1j * (left @ pre)
+    return unitaries, out
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from . import sim
 from .circuits import ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector
-from .errors import CapacityError, NothingToOptimizeError
+from .errors import CapacityError, NothingToOptimizeError, SchemaError
 from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
@@ -212,14 +212,38 @@ def profile_to_dict(profile: PeakProfile) -> dict:
     }
 
 
-def profile_from_dict(doc: dict) -> PeakProfile:
-    r_p = doc["r_p"]
+def profile_from_dict(doc: dict, where: str = "profile") -> PeakProfile:
+    """Inverse of profile_to_dict.  A missing or ill-typed field raises
+    SchemaError naming its path, ``<where>.<field>``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
+
+    def field(name: str, types: tuple, what: str):
+        if name not in doc:
+            raise SchemaError(f"{where}.{name}: missing")
+        value = doc[name]
+        # bool is an int subclass; only target_mismatch may be one.
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise SchemaError(f"{where}.{name}: expected {what}, got {value!r}")
+        return value
+
+    def number(name: str) -> float:
+        return float(field(name, (int, float), "a number"))
+
+    def bits(name: str) -> BitString:
+        text = field(name, (str,), "a bitstring")
+        try:
+            return BitString.from_text(text)
+        except ValueError as exc:
+            raise SchemaError(f"{where}.{name}: expected a bitstring, got {text!r}") from exc
+
+    r_p = field("r_p", (int, float, type(None)), "a number or null")
     return PeakProfile(
-        target=BitString.from_text(doc["target"]),
-        p_peak=float(doc["p_peak"]),
-        p_second=float(doc["p_second"]),
+        target=bits("target"),
+        p_peak=number("p_peak"),
+        p_second=number("p_second"),
         r_p=float("inf") if r_p is None else float(r_p),
-        c_max=float(doc["c_max"]),
-        argmax=BitString.from_text(doc["argmax"]),
-        target_mismatch=bool(doc["target_mismatch"]),
+        c_max=number("c_max"),
+        argmax=bits("argmax"),
+        target_mismatch=field("target_mismatch", (bool,), "a boolean"),
     )

@@ -350,35 +350,39 @@ def circuit_native_ops(circuit: Circuit) -> list[tuple]:
     return stream
 
 
+def count_ops(ops) -> dict[str, int]:
+    """Counts over a native stream; two_qubit counts CNOTs."""
+    two = sum(1 for op in ops if op[0] == "cx")
+    return {"two_qubit": two, "single_qubit": len(ops) - two}
+
+
 def gate_count(circuit: Circuit) -> dict[str, int]:
     """Counts over the decomposed native stream; two_qubit counts CNOTs."""
-    two = single = 0
-    for op in circuit_native_ops(circuit):
-        if op[0] == "cx":
-            two += 1
-        else:
-            single += 1
-    return {"two_qubit": two, "single_qubit": single}
+    return count_ops(circuit_native_ops(circuit))
 
 
-def emit_qasm(circuit: Circuit) -> str:
-    """Well-formed OpenQASM 2.0 with one quantum and one classical register,
-    the decomposed gate stream in layer order, and a terminal full-register
-    measurement.  Byte-stable for a fixed circuit."""
-    n = circuit.n
+def qasm_from_ops(n: int, ops) -> str:
+    """OpenQASM 2.0 text of an n-qubit native stream, as emit_qasm writes it."""
     lines = [
         QASM_SCHEMA_HEADER,
         'include "qelib1.inc";',
         f"qreg q[{n}];",
         f"creg c[{n}];",
     ]
-    for op in circuit_native_ops(circuit):
+    for op in ops:
         if op[0] == "cx":
             lines.append(f"cx q[{op[1]}], q[{op[2]}];")
         else:
             lines.append(f"{op[0]}({op[2]:.17g}) q[{op[1]}];")
     lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"
+
+
+def emit_qasm(circuit: Circuit) -> str:
+    """Well-formed OpenQASM 2.0 with one quantum and one classical register,
+    the decomposed gate stream in layer order, and a terminal full-register
+    measurement.  Byte-stable for a fixed circuit."""
+    return qasm_from_ops(circuit.n, circuit_native_ops(circuit))
 
 
 def qasm_filename(n: int, d: int, seed_hash: str) -> str:

@@ -12,26 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BitString, Circuit, peaking_params, peaking_vector
+from .circuits import BitString, Circuit, peaking_rows, peaking_vector
 from .errors import CapacityError
-from .gates import (
-    PARAMS_PER_GATE,
-    XX,
-    YY,
-    ZZ,
-    GateParams,
-    entangling_core,
-    ry_matrix,
-    rz_matrix,
-    su2_from_zyz,
-)
+from .gates import PARAMS_PER_GATE, gate_matrices
 
 MAX_QUBITS = 26  # memory guard: 2**26 complex amplitudes = 1 GiB
-
-_Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-_MHY = -0.5j * _Y2  # d/dtheta generator of Ry
-_MHZ = -0.5j * _Z2  # d/dtheta generator of Rz
 
 
 @dataclass(frozen=True)
@@ -183,6 +168,13 @@ def _apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
     return state
 
 
+def _placed_unitaries(placements) -> list[tuple[np.ndarray, int]]:
+    """(4x4 unitary, qubit_low) for each placement, built in one batch."""
+    placements = list(placements)
+    rows = np.array([g.params.to_vector() for g in placements]).reshape(-1, PARAMS_PER_GATE)
+    return list(zip(gate_matrices(rows), (g.qubit_low for g in placements)))
+
+
 def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
     for q in final_x:
         state = _apply_x(state, q)
@@ -191,7 +183,7 @@ def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
 
 def run(circuit: Circuit) -> Statevector:
     """C|0^n> with every gate applied as its 4x4 unitary, layers in order."""
-    gates = ((g.params.matrix(), g.qubit_low) for g in circuit.placements())
+    gates = _placed_unitaries(circuit.placements())
     state = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
     return Statevector(_apply_final_x(state, circuit.final_x), circuit.n)
 
@@ -214,48 +206,6 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     values, counts = np.unique(outcomes, return_counts=True)
     return ShotHistogram.from_arrays(dist.n, values, counts)
-
-
-def _zyz_triple_derivs(triple, u: np.ndarray) -> np.ndarray:
-    rz0 = rz_matrix(triple[0])
-    ry1 = ry_matrix(triple[1])
-    rz2 = rz_matrix(triple[2])
-    return np.stack((u @ _MHZ, rz2 @ _MHY @ ry1 @ rz0, _MHZ @ u))
-
-
-def _kron_right(a: np.ndarray, b_stack: np.ndarray) -> np.ndarray:
-    """kron(a, b) for a single 2x2 and a stack of 2x2s."""
-    return np.einsum("ab,jcd->jacbd", a, b_stack).reshape(-1, 4, 4)
-
-
-def _kron_left(a_stack: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("jab,cd->jacbd", a_stack, b).reshape(-1, 4, 4)
-
-
-def _gate_derivatives(p: GateParams) -> np.ndarray:
-    """dU/dtheta for all 16 parameters as a (16, 4, 4) stack, in
-    to_vector() order."""
-    q_lo = su2_from_zyz(p.pre[0:3])
-    q_hi = su2_from_zyz(p.pre[3:6])
-    p_lo = su2_from_zyz(p.post[0:3])
-    p_hi = su2_from_zyz(p.post[3:6])
-    core = entangling_core(*p.entangling)
-    phase = np.exp(1j * p.phase)
-    pre = np.kron(q_hi, q_lo)
-    post = np.kron(p_hi, p_lo)
-
-    left = phase * (post @ core)  # left @ d(pre)
-    right = core @ pre  # phase * d(post) @ right
-
-    out = np.empty((PARAMS_PER_GATE, 4, 4), dtype=complex)
-    out[0:3] = left @ _kron_right(q_hi, _zyz_triple_derivs(p.pre[0:3], q_lo))
-    out[3:6] = left @ _kron_left(_zyz_triple_derivs(p.pre[3:6], q_hi), q_lo)
-    sigmas = np.stack((XX @ core, YY @ core, ZZ @ core))
-    out[6:9] = (phase * post) @ (1j * sigmas) @ pre
-    out[9:12] = phase * (_kron_right(p_hi, _zyz_triple_derivs(p.post[0:3], p_lo)) @ right)
-    out[12:15] = phase * (_kron_left(_zyz_triple_derivs(p.post[3:6], p_hi), p_lo) @ right)
-    out[15] = 1j * (left @ pre)
-    return out
 
 
 def _pair_environment(b: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
@@ -285,12 +235,12 @@ class PeakObjective:
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
         random_half = (g for layer in circuit.layers[: circuit.random_depth] for g in layer)
-        gates = ((g.params.matrix(), g.qubit_low) for g in random_half)
+        gates = _placed_unitaries(random_half)
         self._psi_random = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
-        params = peaking_params(vec, len(self.positions))
-        mats = [p.matrix() for p in params]
+        rows = peaking_rows(vec, len(self.positions))
+        mats, derivs = gate_matrices(rows, derivatives=True)
         k = _apply_gates(self._psi_random, zip(mats, self.positions), self.n)
         psi = _apply_final_x(k, self.final_x)
         amp = psi[self.target_index]
@@ -305,19 +255,17 @@ class PeakObjective:
         b[self.target_index] = amp
         b = _apply_final_x(b, self.final_x)
 
-        grads = np.zeros(self.num_params)
+        # The sweep only moves the bra and the ket back through each gate
+        # and records the pair environment there; dp/dtheta = 2 Re <b|dU|k>
+        # is then one contraction over all gates.
+        envs = np.empty((len(self.positions), 4, 4), dtype=complex)
         for idx in range(len(self.positions) - 1, -1, -1):
             q = self.positions[idx]
             ud = mats[idx].conj().T
             k = apply_gate_matrix(k, ud, q, self.n)
-            env = _pair_environment(b, k, q, self.n)
-            derivs = _gate_derivatives(params[idx])
-            base = idx * PARAMS_PER_GATE
-            grads[base : base + PARAMS_PER_GATE] = 2.0 * np.real(
-                np.einsum("ij,mij->m", env, derivs)
-            )
+            envs[idx] = _pair_environment(b, k, q, self.n)
             b = apply_gate_matrix(b, ud, q, self.n)
-        return p_val, grads
+        return p_val, 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
 
 
 def peak_value_and_gradient(circuit: Circuit) -> tuple[float, np.ndarray]:

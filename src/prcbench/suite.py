@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from .optimize import (
 )
 
 SUITE_SCHEMA = "prc-suite/1"
+_CELL_KEY = re.compile(r"([0-9]+)x([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,12 @@ def load_suite(manifest_path) -> Suite:
         )
     cells: dict[tuple[int, int], SuiteCell] = {}
     for key, name in doc["circuits"].items():
-        n_text, d_text = key.split("x")
-        n, d = int(n_text), int(d_text)
+        match = _CELL_KEY.fullmatch(key)
+        if match is None:
+            raise SchemaError(
+                f"{manifest_path}: suite key {key!r} is not <n>x<d> with integer n and d"
+            )
+        n, d = int(match[1]), int(match[2])
         cell_path = manifest_path.parent / name
         if not cell_path.exists():
             raise FileNotFoundError(f"suite cell ({n}, {d}) missing: {cell_path}")
@@ -145,7 +151,7 @@ def load_suite(manifest_path) -> Suite:
             )
         if "profile" not in cell_doc:
             raise SchemaError(f"{cell_path}: circuit file has no embedded profile")
-        profile = profile_from_dict(cell_doc["profile"])
+        profile = profile_from_dict(cell_doc["profile"], where=f"{cell_path}: profile")
         cells[(n, d)] = SuiteCell(
             circuit=circuit,
             profile=profile,

@@ -218,3 +218,30 @@ def test_report_histogram_labels_frequency_over_all_shots(tiny_suite, tmp_path):
     elements = list(ET.fromstring(out.read_text()))
     bar = next(i for i, e in enumerate(elements) if e.get("fill") == COLOR_TARGET_BAR)
     assert elements[bar + 1].text == f"{record['metrics']['p_hat_peak']:.4f}"
+
+
+def test_export_qasm_decomposes_each_gate_once(tiny_suite, tmp_path, monkeypatch):
+    from prcbench import qasm
+    from prcbench.suite import load_suite
+
+    calls = []
+    decompose = qasm.decompose_gate
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return decompose(params, *args, **kwargs)
+
+    monkeypatch.setattr(qasm, "decompose_gate", counting)
+    qdir = tmp_path / "qasm"
+    assert main(["export-qasm", "--suite", str(tiny_suite / "suite.json"),
+                 "--out-dir", str(qdir)]) == 0
+    suite = load_suite(tiny_suite / "suite.json")
+    assert len(calls) == sum(c.circuit.num_placements() for c in suite.cells.values())
+
+    # The file text and the CSV counts match the one-circuit entry points.
+    monkeypatch.setattr(qasm, "decompose_gate", decompose)
+    rows = (qdir / "gate_counts.csv").read_text().splitlines()[1:]
+    for row, cell in zip(rows, suite.cells.values()):
+        _, _, name, two, single = row.split(",")
+        assert (qdir / name).read_text() == qasm.emit_qasm(cell.circuit)
+        assert qasm.gate_count(cell.circuit) == {"two_qubit": int(two), "single_qubit": int(single)}

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gate_reference import reference_derivatives, reference_matrix, same_bits
 from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
     entangling_core,
+    gate_matrices,
     haar_random_unitary,
     kak_decompose,
     su2_from_zyz,
@@ -104,3 +108,35 @@ def test_weyl_matrix_identity(rng):
     u = haar_random_unitary(rng)
     w = weyl_decompose(u)
     assert np.max(np.abs(w.matrix() - u)) <= 1e-10
+
+
+_ANGLE = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
+_ROW = st.one_of(st.lists(_ANGLE, min_size=16, max_size=16), st.just([0.0] * 16))
+_ROWS = st.sampled_from([1, 2, 7]).flatmap(lambda g: st.lists(_ROW, min_size=g, max_size=g))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_ROWS)
+def test_batched_gate_algebra_matches_per_gate_reference(rows):
+    rows = np.array(rows)
+    unitaries, derivs = gate_matrices(rows, derivatives=True)
+    assert unitaries.shape == (len(rows), 4, 4)
+    assert derivs.shape == (len(rows), 16, 4, 4)
+    assert same_bits(gate_matrices(rows), unitaries)
+    for row, u, du in zip(rows, unitaries, derivs):
+        p = GateParams.from_vector(row)
+        assert same_bits(p.matrix(), u)
+        assert same_bits(reference_matrix(p), u)
+        assert same_bits(reference_derivatives(p), du)
+
+
+def test_batched_identity_gate():
+    u, du = gate_matrices(GateParams.identity().to_vector()[None], derivatives=True)
+    assert np.array_equal(u[0], np.eye(4))
+    assert same_bits(du[0], reference_derivatives(GateParams.identity()))
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 15), (1, 17)])
+def test_batched_gate_algebra_rejects_bad_shape(shape):
+    with pytest.raises(ValueError, match=r"\(G, 16\)"):
+        gate_matrices(np.zeros(shape))

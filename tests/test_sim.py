@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_state
+from gate_reference import reference_derivatives, reference_matrix, same_bits
 from prcbench import sim
 from prcbench.circuits import (
     ROLE_PEAKING,
@@ -11,6 +12,7 @@ from prcbench.circuits import (
     build_exact_inverse_peaking,
     build_reference_circuit,
     derive_subcircuit,
+    peaking_params,
 )
 from prcbench.errors import CapacityError
 from prcbench.gates import kak_decompose
@@ -191,3 +193,40 @@ class TestPeakGradient:
             fm = abs(sim.peak_amplitude(with_peaking_vector(circ, down))) ** 2
             fd = (fp - fm) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-6 * max(abs(fd), 1e-2)
+
+    def test_wrong_length_vector_rejected(self):
+        circ = derive_subcircuit(build_reference_circuit(3, 4, seed=0), 3, 4)
+        engine = sim.PeakObjective(circ)
+        for size in (engine.num_params - 1, engine.num_params + 16, 0):
+            with pytest.raises(ValueError, match="does not match the peaking half"):
+                engine.value_and_gradient(np.zeros(size))
+
+    @pytest.mark.parametrize("n,d,seed", [(2, 4, 3), (5, 10, 7), (6, 7, 1)])
+    def test_matches_per_gate_sweep_bit_for_bit(self, n, d, seed):
+        # The reverse sweep of the per-gate algorithm: each gate's matrix and
+        # derivatives are built where the sweep reaches it and contracted
+        # with that gate's environment alone.
+        circ = derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d)
+        assert not circ.final_x
+        x0 = peaking_vector(circ)
+        vec = x0 + np.random.default_rng(seed).uniform(-1, 1, len(x0))
+        engine = sim.PeakObjective(circ)
+        params = peaking_params(vec, len(engine.positions))
+        mats = [reference_matrix(p) for p in params]
+        k = sim.run(with_peaking_vector(circ, vec)).amplitudes
+        b = np.zeros_like(k)
+        b[circ.target.index] = k[circ.target.index]
+        p_ref = float(np.abs(k[circ.target.index]) ** 2)
+        ref = np.zeros(engine.num_params)
+        for idx in range(len(engine.positions) - 1, -1, -1):
+            q = engine.positions[idx]
+            ud = mats[idx].conj().T
+            k = sim.apply_gate_matrix(k, ud, q, n)
+            env = sim._pair_environment(b, k, q, n)
+            ref[16 * idx : 16 * idx + 16] = 2.0 * np.real(
+                np.einsum("ij,mij->m", env, reference_derivatives(params[idx]))
+            )
+            b = sim.apply_gate_matrix(b, ud, q, n)
+        p, grad = engine.value_and_gradient(vec)
+        assert p == p_ref
+        assert same_bits(grad, ref)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -38,4 +39,47 @@ def test_cell_file_not_json_names_file(saved_suite):
     _, manifest = saved_suite
     (manifest.parent / "prc_n2_d4.json").write_text("{oops")
     with pytest.raises(SchemaError, match=r"prc_n2_d4\.json"):
+        load_suite(manifest)
+
+
+@pytest.mark.parametrize("bad_key", ["2by4", "2x", "axb", "x4", "2x4x4", "-2x4"])
+def test_malformed_manifest_key_names_key_and_manifest(saved_suite, bad_key):
+    _, manifest = saved_suite
+    doc = json.loads(manifest.read_text())
+    doc["circuits"][bad_key] = doc["circuits"].pop("2x4")
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"suite\.json: suite key '{re.escape(bad_key)}'"):
+        load_suite(manifest)
+
+
+@pytest.mark.parametrize("field", ["target", "p_peak", "p_second", "r_p", "c_max", "argmax", "target_mismatch"])
+def test_missing_profile_field_names_file_and_path(saved_suite, field):
+    _, manifest = saved_suite
+    cell_path = manifest.parent / "prc_n2_d4.json"
+    doc = json.loads(cell_path.read_text())
+    del doc["profile"][field]
+    cell_path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"prc_n2_d4\.json: profile\.{field}: missing"):
+        load_suite(manifest)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("c_max", "0.5"),
+        ("p_peak", None),
+        ("p_second", True),
+        ("r_p", [2.0]),
+        ("target", 0),
+        ("argmax", "0a"),
+        ("target_mismatch", 0),
+    ],
+)
+def test_ill_typed_profile_field_names_file_and_path(saved_suite, field, value):
+    _, manifest = saved_suite
+    cell_path = manifest.parent / "prc_n2_d4.json"
+    doc = json.loads(cell_path.read_text())
+    doc["profile"][field] = value
+    cell_path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"prc_n2_d4\.json: profile\.{field}: expected"):
         load_suite(manifest)
