@@ -389,7 +389,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
             )
             for layer in doc["layers"]
         )
-        return Circuit(
+        circuit = Circuit(
             n=int(doc["n"]),
             d=int(doc["d"]),
             random_depth=int(doc["random_depth"]),
@@ -400,6 +400,31 @@ def circuit_from_dict(doc: dict) -> Circuit:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed circuit document: {exc}") from exc
+    _check_loaded(circuit)
+    return circuit
+
+
+def _check_loaded(circuit: Circuit) -> None:
+    """What a circuit document must agree on beyond what Circuit checks:
+    each gate's layer field and role match its position, and final_x lists
+    distinct qubits of the register."""
+    for t, layer in enumerate(circuit.layers):
+        role = ROLE_RANDOM if t < circuit.random_depth else ROLE_PEAKING
+        for i, g in enumerate(layer):
+            if g.layer_index != t:
+                raise SchemaError(
+                    f"layers[{t}][{i}].layer: {g.layer_index} differs from its position {t}"
+                )
+            if g.role != role:
+                raise SchemaError(
+                    f"layers[{t}][{i}].role: {g.role!r}, but random_depth "
+                    f"{circuit.random_depth} makes layer {t} {role!r}"
+                )
+    for i, q in enumerate(circuit.final_x):
+        if not 0 <= q < circuit.n:
+            raise SchemaError(f"final_x[{i}]: qubit {q} is outside 0..{circuit.n - 1}")
+        if q in circuit.final_x[:i]:
+            raise SchemaError(f"final_x[{i}]: qubit {q} is listed twice")
 
 
 def circuit_from_json(text: str) -> Circuit:

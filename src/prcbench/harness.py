@@ -23,6 +23,7 @@ MATRIX_SCHEMA = "prc-matrix/1"
 STATUS_IDENTIFIED = "identified"
 STATUS_NON_IDENTIFIED = "non_identified"
 STATUS_SKIPPED = "skipped"
+_STATUSES = (STATUS_IDENTIFIED, STATUS_NON_IDENTIFIED, STATUS_SKIPPED)
 
 
 @dataclass(frozen=True)
@@ -349,13 +350,28 @@ def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
                 mean_f=None if cd["mean_f"] is None else float(cd["mean_f"]),
                 identified_reps=int(cd["identified_reps"]),
             )
-            cells[(int(cd["n"]), int(cd["d"]))] = cell
+            key = (int(cd["n"]), int(cd["d"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed matrix document at {path}: {exc}") from exc
+        if cell.status not in _STATUSES:
+            raise SchemaError(
+                f"{path}.status: unknown status {cell.status!r}; expected one of {_STATUSES}"
+            )
+        if key in cells:
+            raise SchemaError(f"{path}: duplicate cell {key}")
+        cells[key] = cell
+    qubits = tuple(int(q) for q in doc.get("qubits", []))
+    depths = tuple(int(d) for d in doc.get("depths", []))
+    grid = {(n, d) for n in qubits for d in depths}
+    if set(cells) != grid:
+        raise SchemaError(
+            f"cells: the grid is not qubits x depths; missing {sorted(grid - set(cells))}, "
+            f"extra {sorted(set(cells) - grid)}"
+        )
     return BenchmarkMatrix(
         config=config,
-        qubits=tuple(int(q) for q in doc.get("qubits", [])),
-        depths=tuple(int(d) for d in doc.get("depths", [])),
+        qubits=qubits,
+        depths=depths,
         cells={key: cells[key] for key in sorted(cells)},
         provenance=dict(doc.get("provenance", {})),
     )

@@ -38,9 +38,6 @@ class NoiseSpec:
         if self.coherent_delta < 0:
             raise ValueError("coherent_delta must be non-negative")
 
-    def is_noiseless(self) -> bool:
-        return self.p1 == 0 and self.p2 == 0 and self.readout_eps == 0 and self.coherent_delta == 0
-
     def to_dict(self) -> dict:
         return {
             "p1": self.p1,

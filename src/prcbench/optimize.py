@@ -14,6 +14,9 @@ from .errors import CapacityError, NothingToOptimizeError, SchemaError
 from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
+# Peak probabilities are squared statevector amplitudes, which rounding can
+# push past 1 (1 + 3e-15 on mirror circuits), so loading allows this much.
+_PROBABILITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,8 @@ def profile_to_dict(profile: PeakProfile) -> dict:
 
 
 def profile_from_dict(doc: dict, where: str = "profile") -> PeakProfile:
-    """Inverse of profile_to_dict.  A missing or ill-typed field raises
-    SchemaError naming its path, ``<where>.<field>``."""
+    """Inverse of profile_to_dict.  A missing, ill-typed or out-of-range
+    field raises SchemaError naming its path, ``<where>.<field>``."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
 
@@ -237,13 +240,25 @@ def profile_from_dict(doc: dict, where: str = "profile") -> PeakProfile:
         except ValueError as exc:
             raise SchemaError(f"{where}.{name}: expected a bitstring, got {text!r}") from exc
 
+    def unit(name: str) -> float:
+        value = number(name)
+        if not -_PROBABILITY_SLACK <= value <= 1 + _PROBABILITY_SLACK:
+            raise SchemaError(f"{where}.{name}: {value!r} is outside [0, 1]")
+        return value
+
+    target = bits("target")
+    p_peak, p_second = unit("p_peak"), unit("p_second")
+    if p_second > p_peak:
+        raise SchemaError(f"{where}.p_second: {p_second!r} exceeds p_peak {p_peak!r}")
     r_p = field("r_p", (int, float, type(None)), "a number or null")
+    if r_p is not None and not r_p >= 1:
+        raise SchemaError(f"{where}.r_p: {r_p!r} is below 1")
     return PeakProfile(
-        target=bits("target"),
-        p_peak=number("p_peak"),
-        p_second=number("p_second"),
+        target=target,
+        p_peak=p_peak,
+        p_second=p_second,
         r_p=float("inf") if r_p is None else float(r_p),
-        c_max=number("c_max"),
+        c_max=unit("c_max"),
         argmax=bits("argmax"),
         target_mismatch=field("target_mismatch", (bool,), "a boolean"),
     )

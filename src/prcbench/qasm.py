@@ -1,15 +1,18 @@
-"""OpenQASM 2.0 export: analytic decomposition of every two-qubit gate into
-the fixed native set {rz, ry, cx} plus post-decomposition gate counts.
+"""OpenQASM 2.0 export: every two-qubit gate synthesized into the fixed
+native set {rz, ry, cx} from its KAK form, plus post-decomposition gate
+counts.
 
 Synthesis works in "slot" space for a gate pair (slot 0 = low qubit, the
-less significant bit; slot 1 = high qubit): a gate is classified by how many
-CNOTs it needs (0/1/2/3, from the spectrum of the magic-basis invariant
-gamma(U) = M M^T), the matching fixed-shape template is instantiated, and
-the single-qubit prefactors are recovered by simultaneous diagonalization
-of the templates' invariants.  Every decomposition is verified against the
-gate matrix before being emitted; if a specialized template falls short
-numerically the next more general one is used, so synthesis never fails,
-it only spends extra CNOTs.
+less significant bit; slot 1 = high qubit).  ``gates.kak_decompose`` writes
+the gate as local ZYZ layers around the core exp(i*(a XX + b YY + c ZZ))
+with Weyl-chamber angles, and those angles alone give the CNOT count
+(Shende, Markov & Bullock, quant-ph/0308033): 0 at (0, 0, 0), 1 at
+(pi/4, 0, 0), 2 when c = 0 and 3 otherwise.  Each class replaces the core
+with a fixed-shape circuit whose angles are linear in (a, b, c) (Vatan &
+Williams, quant-ph/0308006), and the KAK layers become its outer local
+steps.  Every sequence is verified against the gate matrix before it is
+emitted; one that falls short raises DecompositionError, so the emitted
+CNOT count is always the classified one.
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ import numpy as np
 from .circuits import Circuit
 from .errors import DecompositionError
 from .gates import (
-    MAGIC,
-    MAGIC_DAG,
     GateParams,
+    kak_decompose,
     ry_matrix,
     rz_matrix,
-    split_product_gate,
-    unitarity_defect,
+    su2_from_zyz,
     zyz_angles,
 )
 
@@ -43,44 +44,34 @@ CNOT_HL = np.array(
 CNOT_LH = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )  # control low, target high
-SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
-# kron(S, SX): the interior of the adjacent-CNOT special case.
-_S_SX = np.array(
-    [
-        [0.5 + 0.5j, 0.5 - 0.5j, 0, 0],
-        [0.5 - 0.5j, 0.5 + 0.5j, 0, 0],
-        [0, 0, -0.5 + 0.5j, 0.5 + 0.5j],
-        [0, 0, 0.5 + 0.5j, -0.5 + 0.5j],
-    ],
-    dtype=complex,
-)
-_S_2 = np.array([[1, 0], [0, 1j]], dtype=complex)
-_SX_2 = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
-
-# Fixed invariant data of the single-CNOT template V = e^{i pi/4} SWAP @ CNOT_HL.
-_V_ONE_CNOT = np.array(
-    [
-        [0.5, 0.5j, 0.5j, -0.5],
-        [-0.5j, 0.5, -0.5, -0.5j],
-        [-0.5j, -0.5, 0.5, -0.5j],
-        [0.5, -0.5j, -0.5j, -0.5],
-    ],
-    dtype=complex,
-)
-_Q_ONE_CNOT = (1 / np.sqrt(2)) * np.array(
-    [[-1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=float
-)
+_H = math.pi / 2
 
 
-def _rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def _layer(high, low) -> tuple[np.ndarray, np.ndarray]:
+    """Single-qubit gates (high, low) from their ZYZ triples."""
+    return su2_from_zyz(high), su2_from_zyz(low)
+
+
+# Fixed Clifford layers that turn each CNOT circuit into the core, up to
+# global phase: core(pi/4, 0, 0) = POST_1 CX PRE_1 and core(a, b, 0) =
+# K_2 CX kron(ry(2a), rz(2b)) CX K_2^dag.  The three-CNOT circuit is run at
+# (pi/2 - a, b, -c), which PRE_3 and POST_3 map back onto core(a, b, c);
+# that keeps both of its middle ry angles in [0, pi/2] for Weyl-chamber
+# angles, so each is emitted as one rotation.
+_PRE_1 = _layer((0.0, -_H, -_H), (_H, -_H, -_H))
+_POST_1 = _layer((0.0, _H, 0.0), (0.0, 0.0, 0.0))
+_K_2 = _layer((0.0, _H, _H), (_H, _H, -_H))
+_K_2_DAG = tuple(m.conj().T for m in _K_2)
+_PRE_3 = _layer((-_H, 0.0, 0.0), (0.0, math.pi, 0.0))
+_POST_3 = _layer((math.pi, math.pi, 0.0), (math.pi, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
 class NativeOp:
-    """One native gate: rz/ry carry (slot, angle), cx carries (control, target)."""
+    """One native gate: rz/ry rotate q0 by angle, cx has control q0 and
+    target q1.  decompose_gate numbers qubits by slot; circuit_native_ops
+    by global qubit index."""
 
     name: str
     q0: int
@@ -88,164 +79,51 @@ class NativeOp:
     angle: float = 0.0
 
 
-def _to_su4(u: np.ndarray) -> np.ndarray:
-    det = complex(np.linalg.det(u))
-    return u * det ** (-0.25)
-
-
-def _gamma(u_su: np.ndarray) -> np.ndarray:
-    m = MAGIC_DAG @ u_su @ MAGIC
-    return m @ m.T
-
-
-def num_cnots_required(u: np.ndarray, atol: float = 1e-10) -> int:
-    """Minimum CNOTs for a two-qubit unitary, from trace and spectrum of
-    gamma(U) in the magic basis."""
-    g = _gamma(_to_su4(np.asarray(u, dtype=complex)))
-    trace = complex(np.trace(g))
-    if abs(trace - 4) < atol or abs(trace + 4) < atol:
+def _cnot_class(a: float, b: float, c: float, atol: float) -> int:
+    """CNOTs needed for core(a, b, c) with Weyl-chamber angles.  An angle
+    within atol / 8 of a class boundary counts as on it, which keeps the
+    template's error well inside the atol that synthesis verifies."""
+    tol = atol / 8
+    if max(abs(a), abs(b), abs(c)) <= tol:
         return 0
-    evs = np.linalg.eigvals(g)
-    if abs(trace) < atol and np.allclose(np.sort(evs.imag), [-1, -1, 1, 1], atol=1e-8):
+    if max(abs(a - math.pi / 4), abs(b), abs(c)) <= tol:
         return 1
-    if abs(trace.imag) < atol:
+    if abs(c) <= tol:
         return 2
     return 3
 
 
-def _fix_det(p: np.ndarray) -> np.ndarray:
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, -1] = -p[:, -1]
-    return p
+def num_cnots_required(u: np.ndarray, atol: float = 1e-10) -> int:
+    """Minimum CNOTs for a two-qubit unitary, from its Weyl-chamber angles."""
+    return _cnot_class(*kak_decompose(u).entangling, atol)
 
 
-def _extract_prefactors(u: np.ndarray, v: np.ndarray):
-    """A, B, C, D in SU(2) with (A kron B) @ v @ (C kron D) ~ u (up to phase),
-    for u, v in the same local-equivalence class.
-
-    Diagonalizes gamma(u) and gamma(v) over SO(4) with a shared random mix of
-    real and imaginary parts (they share a spectrum, so matching eigh order
-    aligns the eigenbases), then converts the SO(4) conjugators back to
-    tensor products through the magic basis.  Retries with fresh mixes until
-    the candidate verifies.
-    """
-    ug = MAGIC_DAG @ u @ MAGIC
-    vg = MAGIC_DAG @ v @ MAGIC
-    uu = ug @ ug.T
-    vv = vg @ vg.T
-    rng = np.random.default_rng(1234)
-    for attempt in range(48):
-        if attempt == 0:
-            wr, wi = 1.0, 1.0
-        elif attempt == 1:
-            wr, wi = 1.0, 0.0
-        elif attempt == 2:
-            wr, wi = 0.0, 1.0
-        else:
-            wr, wi = rng.normal(), rng.normal()
-        p_mix = wr * uu.real + wi * uu.imag
-        q_mix = wr * vv.real + wi * vv.imag
-        _, p = np.linalg.eigh((p_mix + p_mix.T) / 2)
-        _, q = np.linalg.eigh((q_mix + q_mix.T) / 2)
-        p = _fix_det(p)
-        q = _fix_det(q)
-        g = p @ q.T
-        h = vg.conj().T @ g.T @ ug
-        if np.max(np.abs(h.imag)) > 1e-8:
-            continue
-        if np.max(np.abs(g @ vg @ h - ug)) > 1e-9:
-            continue
-        ab = MAGIC @ g @ MAGIC_DAG
-        cd = MAGIC @ h.real @ MAGIC_DAG
-        try:
-            a, b, _ = split_product_gate(ab)
-            c, d, _ = split_product_gate(cd)
-        except DecompositionError:
-            continue
-        return a, b, c, d
-    raise DecompositionError("failed to extract single-qubit prefactors")
+def _locals(layer) -> list:
+    high, low = layer
+    return [("local", HIGH, high), ("local", LOW, low)]
 
 
-def _steps_0(su: np.ndarray):
-    left, right, _ = split_product_gate(su)
-    return [("local", HIGH, left), ("local", LOW, right)]
-
-
-def _steps_1(su: np.ndarray):
-    swap_u = np.exp(1j * np.pi / 4) * (SWAP @ su)
-    ug = MAGIC_DAG @ swap_u @ MAGIC
-    uu = ug @ ug.T
-    _, p = np.linalg.eigh(uu.real)
-    p = _fix_det(p)
-    g = p @ _Q_ONE_CNOT.T
-    h = _V_ONE_CNOT.conj().T @ g.T @ ug
-    ab = MAGIC @ g @ MAGIC_DAG
-    cd = MAGIC @ h @ MAGIC_DAG
-    a, b, _ = split_product_gate(ab)
-    c, d, _ = split_product_gate(cd)
-    # The SWAP folded into the template exchanges which slot gets A and B.
+def _core_steps(cnots: int, a: float, b: float, c: float) -> list:
+    """Steps whose product is core(a, b, c) up to global phase, with the
+    given number of CNOTs; exact for angles of that class."""
+    if cnots == 0:
+        return []
+    if cnots == 1:
+        return [*_locals(_PRE_1), ("cx", HIGH, LOW), *_locals(_POST_1)]
+    if cnots == 2:
+        middle = [("local", HIGH, ry_matrix(2 * a)), ("local", LOW, rz_matrix(2 * b))]
+        return [*_locals(_K_2_DAG), ("cx", HIGH, LOW), *middle, ("cx", HIGH, LOW), *_locals(_K_2)]
     return [
-        ("local", HIGH, c),
-        ("local", LOW, d),
+        *_locals(_PRE_3),
         ("cx", HIGH, LOW),
-        ("local", LOW, a),
-        ("local", HIGH, b),
-    ]
-
-
-def _steps_2(su: np.ndarray):
-    evs = np.linalg.eigvals(_gamma(su))
-    if np.allclose(np.sort(evs.real), [-1, -1, 1, 1], atol=1e-8) and np.max(np.abs(evs.imag)) < 1e-8:
-        inner = _S_SX
-        interior = [
-            ("cx", LOW, HIGH),
-            ("local", HIGH, _S_2),
-            ("local", LOW, _SX_2),
-            ("cx", LOW, HIGH),
-        ]
-    else:
-        x = float(np.angle(evs[0]))
-        y = float(np.angle(evs[1]))
-        if abs(x + y) < 1e-9:
-            y = float(np.angle(evs[2]))
-        delta = (x + y) / 2
-        phi = (x - y) / 2
-        # Nudge delta off exact special points so the invariant spectra of
-        # the template and the target remain simultaneously separable.
-        delta += 5 * np.finfo(float).eps
-        inner = np.kron(rz_matrix(delta), _rx_matrix(phi))
-        interior = [
-            ("cx", LOW, HIGH),
-            ("local", HIGH, rz_matrix(delta)),
-            ("local", LOW, _rx_matrix(phi)),
-            ("cx", LOW, HIGH),
-        ]
-    v = CNOT_LH @ inner @ CNOT_LH
-    a, b, c, d = _extract_prefactors(su, v)
-    return [("local", HIGH, c), ("local", LOW, d), *interior, ("local", HIGH, a), ("local", LOW, b)]
-
-
-def _steps_3(su: np.ndarray):
-    swap_u = np.exp(1j * np.pi / 4) * (SWAP @ su)
-    evs = np.linalg.eigvals(_gamma(swap_u))
-    angles = np.sort(np.angle(evs))
-    x, y, z = float(angles[0]), float(angles[1]), float(angles[2])
-    alpha = (x + y) / 2
-    beta = (x + z) / 2
-    delta = (z + y) / 2
-    interior = [
+        ("local", LOW, rz_matrix(_H + 2 * c)),
+        ("local", HIGH, ry_matrix(_H - 2 * a)),
         ("cx", LOW, HIGH),
-        ("local", HIGH, rz_matrix(delta)),
-        ("local", LOW, ry_matrix(beta)),
+        ("local", HIGH, ry_matrix(_H - 2 * b)),
         ("cx", HIGH, LOW),
-        ("local", LOW, ry_matrix(alpha)),
-        ("cx", LOW, HIGH),
+        ("local", LOW, rz_matrix(_H)),
+        *_locals(_POST_3),
     ]
-    v = SWAP @ _steps_matrix(interior)
-    a, b, c, d = _extract_prefactors(swap_u, v)
-    # The SWAP absorbed into v swaps A and B across slots.
-    return [("local", HIGH, c), ("local", LOW, d), *interior, ("local", LOW, a), ("local", HIGH, b)]
 
 
 def _steps_matrix(steps) -> np.ndarray:
@@ -253,9 +131,10 @@ def _steps_matrix(steps) -> np.ndarray:
     for kind, *rest in steps:
         if kind == "cx":
             m = (CNOT_LH if rest == [LOW, HIGH] else CNOT_HL) @ m
-        else:
-            slot, mat = rest
-            m = (np.kron(mat, np.eye(2)) if slot == HIGH else np.kron(np.eye(2), mat)) @ m
+            continue
+        slot, mat = rest
+        # Row index = 2 * high + low: kron(mat, I) @ m or kron(I, mat) @ m.
+        m = (mat @ (m.reshape(2, 8) if slot == HIGH else m.reshape(2, 2, 4))).reshape(4, 4)
     return m
 
 
@@ -302,57 +181,51 @@ def _emit_local(slot: int, mat: np.ndarray) -> list[NativeOp]:
 
 def decompose_gate(params: GateParams, atol: float = 1e-10) -> list[NativeOp]:
     """Native-gate sequence (rz/ry/cx over two slots) whose product equals
-    the gate unitary up to global phase within atol.
+    the gate unitary up to global phase within atol, with
+    num_cnots_required CNOTs.
 
     Non-canonical parameters are fine: the gate matrix is rebuilt and
-    re-classified from scratch, so inputs are canonicalized implicitly.
+    KAK-decomposed from scratch, so inputs are canonicalized implicitly.
     """
     u = params.matrix()
-    if unitarity_defect(u) > 1e-9:
-        raise DecompositionError("gate parameters do not form a unitary")
-    su = _to_su4(u)
-    builders = {0: _steps_0, 1: _steps_1, 2: _steps_2, 3: _steps_3}
-    first = num_cnots_required(su)
-    last_error = None
-    for k in range(first, 4):
-        try:
-            steps = builders[k](su)
-        except DecompositionError as exc:
-            last_error = exc
-            continue
-        if _phase_aligned_error(_steps_matrix(steps), su) <= atol:
-            steps = _merge_locals(steps)
-            ops: list[NativeOp] = []
-            for kind, *rest in steps:
-                if kind == "cx":
-                    ops.append(NativeOp("cx", rest[0], rest[1]))
-                else:
-                    ops.extend(_emit_local(rest[0], rest[1]))
-            return ops
-    raise DecompositionError(f"gate synthesis failed to verify: {last_error}")
+    kak = kak_decompose(u)  # raises DecompositionError for a non-unitary u
+    steps = _merge_locals([
+        *_locals(_layer(kak.pre[3:], kak.pre[:3])),
+        *_core_steps(_cnot_class(*kak.entangling, atol), *kak.entangling),
+        *_locals(_layer(kak.post[3:], kak.post[:3])),
+    ])
+    error = _phase_aligned_error(_steps_matrix(steps), u)
+    if error > atol:
+        raise DecompositionError(f"gate synthesis failed to verify: error {error:.2e} > {atol:.2e}")
+    ops: list[NativeOp] = []
+    for kind, *rest in steps:
+        if kind == "cx":
+            ops.append(NativeOp("cx", rest[0], rest[1]))
+        else:
+            ops.extend(_emit_local(rest[0], rest[1]))
+    return ops
 
 
-def circuit_native_ops(circuit: Circuit) -> list[tuple]:
-    """Whole-circuit native stream in global qubit indices: ("rz"/"ry",
-    qubit, angle) and ("cx", control, target), layer order."""
-    stream: list[tuple] = []
+def circuit_native_ops(circuit: Circuit) -> list[NativeOp]:
+    """Whole-circuit native stream in global qubit indices, layer order."""
+    stream: list[NativeOp] = []
     for g in circuit.placements():
         lo = g.qubit_low
         for op in decompose_gate(g.params):
             if op.name == "cx":
-                stream.append(("cx", lo + op.q0, lo + op.q1))
+                stream.append(NativeOp("cx", lo + op.q0, lo + op.q1))
             else:
-                stream.append((op.name, lo + op.q0, op.angle))
+                stream.append(NativeOp(op.name, lo + op.q0, angle=op.angle))
     for q in circuit.final_x:
         # X up to phase in the native set.
-        stream.append(("rz", q, math.pi))
-        stream.append(("ry", q, math.pi))
+        stream.append(NativeOp("rz", q, angle=math.pi))
+        stream.append(NativeOp("ry", q, angle=math.pi))
     return stream
 
 
 def count_ops(ops) -> dict[str, int]:
     """Counts over a native stream; two_qubit counts CNOTs."""
-    two = sum(1 for op in ops if op[0] == "cx")
+    two = sum(1 for op in ops if op.name == "cx")
     return {"two_qubit": two, "single_qubit": len(ops) - two}
 
 
@@ -370,10 +243,10 @@ def qasm_from_ops(n: int, ops) -> str:
         f"creg c[{n}];",
     ]
     for op in ops:
-        if op[0] == "cx":
-            lines.append(f"cx q[{op[1]}], q[{op[2]}];")
+        if op.name == "cx":
+            lines.append(f"cx q[{op.q0}], q[{op.q1}];")
         else:
-            lines.append(f"{op[0]}({op[2]:.17g}) q[{op[1]}];")
+            lines.append(f"{op.name}({op.angle:.17g}) q[{op.q0}];")
     lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"
 

@@ -38,3 +38,19 @@ def test_every_expected_span_is_traced(bench_modules):
     for name, workload in workloads.WORKLOADS.items():
         unknown = set(workload.expected_spans) - set(spans.SPAN_NAMES)
         assert not unknown, (name, sorted(unknown))
+
+
+def test_decompose_gate_result_fits_the_cnot_hook(bench_modules):
+    # The traced qasm.decompose_gate span counts emitted CNOTs by reading
+    # `.name` off each returned op.
+    from prcbench.gates import GateParams, entangling_core, kak_decompose
+    from prcbench.qasm import decompose_gate
+
+    spans, _ = bench_modules
+    counters = spans.Counters()
+    for params in (GateParams.identity(), kak_decompose(entangling_core(0.4, 0.2, 0.1))):
+        ops = decompose_gate(params)
+        assert all(isinstance(op.name, str) for op in ops)
+        spans.HOOKS["qasm.decompose_gate"](counters, (params,), {}, ops)
+    assert counters["qasm.cnots_emitted"] == 3
+    assert len(counters.decomposed) == 2

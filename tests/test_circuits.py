@@ -224,6 +224,46 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             circuit_from_json(json.dumps(doc))
 
+    @staticmethod
+    def _load_edited(edit):
+        circ = derive_subcircuit(build_reference_circuit(3, 4, seed=0), 3, 4)
+        doc = json.loads(circuit_to_json(circ))
+        edit(doc)
+        return circuit_from_json(json.dumps(doc))
+
+    def test_final_x_outside_register(self):
+        with pytest.raises(SchemaError, match=r"final_x\[0\]: qubit 7 is outside 0\.\.2"):
+            self._load_edited(lambda doc: doc.update(final_x=[7]))
+
+    def test_final_x_listed_twice(self):
+        with pytest.raises(SchemaError, match=r"final_x\[1\]: qubit 1 is listed twice"):
+            self._load_edited(lambda doc: doc.update(final_x=[1, 1]))
+
+    def test_layer_field_differs_from_position(self):
+        def edit(doc):
+            doc["layers"][0][0]["layer"] = 3
+
+        with pytest.raises(SchemaError, match=r"layers\[0\]\[0\]\.layer"):
+            self._load_edited(edit)
+
+    def test_random_role_in_peaking_layer(self):
+        def edit(doc):
+            doc["layers"][3][0]["role"] = "random-half"
+
+        with pytest.raises(SchemaError, match=r"layers\[3\]\[0\]\.role"):
+            self._load_edited(edit)
+
+    def test_peaking_role_in_random_layer(self):
+        def edit(doc):
+            doc["layers"][0][0]["role"] = "peaking-half"
+
+        with pytest.raises(SchemaError, match=r"layers\[0\]\[0\]\.role"):
+            self._load_edited(edit)
+
+    def test_random_depth_disagreeing_with_roles(self):
+        with pytest.raises(SchemaError, match=r"layers\[2\]\[0\]\.role"):
+            self._load_edited(lambda doc: doc.update(random_depth=3))
+
 
 class TestBitString:
     def test_index_little_endian(self):

@@ -315,6 +315,44 @@ class TestPersistence:
         with pytest.raises(SchemaError, match=r"cells\[0\]"):
             load_matrix(path)
 
+    @staticmethod
+    def _load_edited(scripted_suite, tmp_path, edit):
+        depths = tuple(sorted(d for _, d in scripted_suite))[:2]
+        config = BenchConfig(qubits=(3,), depths=depths, reps=2, threshold=1)
+        doc = json.loads(matrix_to_json(run_matrix(scripted_suite, config)))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return load_matrix(path)
+
+    def test_unknown_status_names_cell(self, scripted_suite, tmp_path):
+        def edit(doc):
+            doc["cells"][1]["status"] = "bogus"
+
+        with pytest.raises(SchemaError, match=r"cells\[1\]\.status: unknown status 'bogus'"):
+            self._load_edited(scripted_suite, tmp_path, edit)
+
+    def test_duplicate_cell_names_cell(self, scripted_suite, tmp_path):
+        def edit(doc):
+            doc["cells"].append(dict(doc["cells"][0]))
+
+        with pytest.raises(SchemaError, match=r"cells\[2\]: duplicate cell \(3, "):
+            self._load_edited(scripted_suite, tmp_path, edit)
+
+    def test_missing_cell_is_not_the_grid(self, scripted_suite, tmp_path):
+        def edit(doc):
+            del doc["cells"][1]
+
+        with pytest.raises(SchemaError, match=r"cells: the grid is not qubits x depths; missing \[\(3, "):
+            self._load_edited(scripted_suite, tmp_path, edit)
+
+    def test_cell_outside_the_grid(self, scripted_suite, tmp_path):
+        def edit(doc):
+            doc["cells"][1]["n"] = 4
+
+        with pytest.raises(SchemaError, match=r"extra \[\(4, "):
+            self._load_edited(scripted_suite, tmp_path, edit)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{{{{")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_state
 from qasm_replay import replay_distribution
@@ -14,7 +16,13 @@ from prcbench.circuits import (
     derive_subcircuit,
     retarget,
 )
-from prcbench.gates import GateParams, entangling_core, haar_random_unitary, kak_decompose
+from prcbench.gates import (
+    GateParams,
+    entangling_core,
+    haar_random_unitary,
+    kak_decompose,
+    su2_from_zyz,
+)
 from prcbench.qasm import (
     CNOT_HL,
     decompose_gate,
@@ -110,6 +118,76 @@ def test_num_cnots_matches_known_gates():
     assert num_cnots_required(CNOT_HL) == 1
     assert num_cnots_required(swap) == 3
     assert num_cnots_required(haar_random_unitary(np.random.default_rng(0))) == 3
+
+
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+_NAMED = {"I": np.eye(4, dtype=complex), "CNOT": CNOT_HL, "SWAP": SWAP}
+# Class boundaries of the Weyl chamber mixed with generic angles.
+_ANGLE = st.one_of(
+    st.sampled_from([0.0, np.pi / 4, -np.pi / 4, np.pi / 2]),
+    st.floats(-np.pi, np.pi, allow_nan=False),
+)
+
+
+def _perturbation(rng, eps):
+    """exp(i * eps * H) for a random Hermitian H of unit scale."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh((g + g.conj().T) / 2)
+    return (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+def _dressing(rng):
+    return np.kron(
+        su2_from_zyz(rng.uniform(-np.pi, np.pi, 3)), su2_from_zyz(rng.uniform(-np.pi, np.pi, 3))
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    base=st.one_of(st.sampled_from(sorted(_NAMED)), st.tuples(_ANGLE, _ANGLE, _ANGLE)),
+    exponent=st.one_of(st.none(), st.floats(6, 12)),
+    dressed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesis_replays_gate_with_classified_cnots(base, exponent, dressed, seed):
+    rng = np.random.default_rng(seed)
+    u = _NAMED[base] if isinstance(base, str) else entangling_core(*base)
+    if exponent is not None:
+        u = _perturbation(rng, 10.0**-exponent) @ u
+    if dressed:
+        u = _dressing(rng) @ u @ _dressing(rng)
+    ops = decompose_gate(kak_decompose(u))
+    assert phase_aligned_error(ops_to_matrix(ops), u) <= 1e-10
+    assert cnots(ops) == num_cnots_required(u)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_haar_gates_need_exactly_three_cnots(seed):
+    u = haar_random_unitary(np.random.default_rng(seed))
+    assert num_cnots_required(u) == 3
+    assert cnots(decompose_gate(kak_decompose(u))) == 3
+
+
+@pytest.mark.parametrize(
+    "u,expected",
+    [
+        (np.eye(4, dtype=complex), 0),
+        (CNOT_HL, 1),
+        (entangling_core(0.3, 0.0, 0.0), 2),
+        (entangling_core(0.4, 0.1, 0.0), 2),
+        (entangling_core(np.pi / 4, np.pi / 4, 0.0), 2),
+        (SWAP, 3),
+    ],
+)
+def test_near_degenerate_gates_emit_the_classified_count(u, expected):
+    # A 1e-6 perturbation moves each gate off its class boundary: it is
+    # classified as needing 3 CNOTs and emitted with exactly 3.
+    assert cnots(decompose_gate(kak_decompose(u))) == num_cnots_required(u) == expected
+    bumped = _perturbation(np.random.default_rng(3), 1e-6) @ u
+    ops = decompose_gate(kak_decompose(bumped))
+    assert cnots(ops) == num_cnots_required(bumped) == 3
+    assert phase_aligned_error(ops_to_matrix(ops), bumped) <= 1e-10
 
 
 class TestEmitQasm:

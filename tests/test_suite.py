@@ -83,3 +83,45 @@ def test_ill_typed_profile_field_names_file_and_path(saved_suite, field, value):
     cell_path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=rf"prc_n2_d4\.json: profile\.{field}: expected"):
         load_suite(manifest)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("p_peak", 5.0, "is outside"),
+        ("p_peak", -0.5, "is outside"),
+        ("p_second", 1.5, "is outside"),
+        ("p_second", -0.25, "is outside"),
+        ("c_max", -3.0, "is outside"),
+        ("c_max", 1.25, "is outside"),
+        ("r_p", 0.5, "is below 1"),
+    ],
+)
+def test_out_of_range_profile_field_names_file_and_path(saved_suite, field, value, message):
+    _, manifest = saved_suite
+    cell_path = manifest.parent / "prc_n2_d4.json"
+    doc = json.loads(cell_path.read_text())
+    doc["profile"][field] = value
+    cell_path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"prc_n2_d4\.json: profile\.{field}: .* {message}"):
+        load_suite(manifest)
+
+
+def test_second_probability_above_peak_names_file_and_path(saved_suite):
+    _, manifest = saved_suite
+    cell_path = manifest.parent / "prc_n2_d4.json"
+    doc = json.loads(cell_path.read_text())
+    doc["profile"].update(p_peak=0.25, p_second=0.5)
+    cell_path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"prc_n2_d4\.json: profile\.p_second: 0\.5 exceeds p_peak"):
+        load_suite(manifest)
+
+
+def test_peak_probability_rounded_above_one_loads(saved_suite):
+    # Squared amplitudes of an exact peak can land a few ulps above 1.
+    _, manifest = saved_suite
+    cell_path = manifest.parent / "prc_n2_d4.json"
+    doc = json.loads(cell_path.read_text())
+    doc["profile"].update(p_peak=1.000000000000003, p_second=0.0, r_p=None, c_max=1.0)
+    cell_path.write_text(json.dumps(doc))
+    assert load_suite(manifest).cells[(2, 4)].profile.p_peak == 1.000000000000003
