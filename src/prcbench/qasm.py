@@ -4,8 +4,11 @@ counts.
 
 Synthesis works in "slot" space for a gate pair (slot 0 = low qubit, the
 less significant bit; slot 1 = high qubit).  ``gates.kak_decompose`` writes
-the gate as local ZYZ layers around the core exp(i*(a XX + b YY + c ZZ))
-with Weyl-chamber angles, and those angles alone give the CNOT count
+the gate as local ZYZ layers around the core exp(i*(a XX + b YY + c ZZ)),
+and GateParams stores a gate in that form.  Entangling angles outside the
+Weyl chamber (optimized parameters, or the rare kak_decompose output on a
+degenerate gate) are folded back in by local Pauli and Clifford moves
+(``_fold``), and the chamber angles alone give the CNOT count
 (Shende, Markov & Bullock, quant-ph/0308033): 0 at (0, 0, 0), 1 at
 (pi/4, 0, 0), 2 when c = 0 and 3 otherwise.  Each class replaces the core
 with a fixed-shape circuit whose angles are linear in (a, b, c) (Vatan &
@@ -79,10 +82,64 @@ class NativeOp:
     angle: float = 0.0
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# _SWAPS[i, j] is a Clifford C with C P_i C^dag = +-P_j and C P_j C^dag =
+# +-P_i (S, H and rx(pi/2)); applied to both slots it swaps the i and j
+# terms of the core, because the signs cancel between the slots.
+_SWAPS = {
+    (0, 1): np.diag([1.0, 1j]),
+    (0, 2): np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    (1, 2): np.array([[1, -1j], [-1j, 1]], dtype=complex) / math.sqrt(2),
+}
+
+
+def _fold(a: float, b: float, c: float):
+    """Weyl-chamber angles (pi/4 >= a' >= b' >= |c'|) of core(a, b, c) and
+    the local steps around it: the product of ``before``, core(a', b', c')
+    and ``after`` equals core(a, b, c) up to global phase.  Angles already
+    in the chamber come back unchanged with no steps.
+
+    The moves are: a shift of one angle by pi/2, which multiplies the core
+    by the commuting local i P(x)P; a sign flip of two angles, which is a
+    conjugation by the third Pauli on one slot; and a swap of two angles,
+    a conjugation by the matching _SWAPS Clifford on both slots.  A shift
+    by pi is the global phase -1 alone.
+    """
+    x = [a, b, c]
+    if math.pi / 4 >= a >= b >= abs(c):
+        return (a, b, c), [], []
+    eye = np.eye(2, dtype=complex)
+    before, after = [eye, eye], [eye, eye]  # (high, low) layers
+    for i in range(3):
+        if abs(x[i]) > math.pi / 4:
+            k = round(x[i] / _H)
+            x[i] -= k * _H
+            if k % 2:
+                before = [_PAULIS[i] @ m for m in before]
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        if abs(x[i]) < abs(x[j]):
+            x[i], x[j] = x[j], x[i]
+            swap = _SWAPS[i, j]
+            before = [swap @ m for m in before]
+            after = [m @ swap.conj().T for m in after]
+    for i in (0, 1):
+        if x[i] < 0:
+            x[i], x[2] = -x[i], -x[2]
+            pauli = _PAULIS[1 - i]  # anticommutes with P_i and P_2
+            before[0] = pauli @ before[0]
+            after[0] = after[0] @ pauli
+    return tuple(x), _locals(before), _locals(after)
+
+
 def _cnot_class(a: float, b: float, c: float, atol: float) -> int:
-    """CNOTs needed for core(a, b, c) with Weyl-chamber angles.  An angle
-    within atol / 8 of a class boundary counts as on it, which keeps the
-    template's error well inside the atol that synthesis verifies."""
+    """CNOTs needed for core(a, b, c), read off its Weyl-chamber angles.  An
+    angle within atol / 8 of a class boundary counts as on it, which keeps
+    the template's error well inside the atol that synthesis verifies."""
+    (a, b, c), _, _ = _fold(a, b, c)
     tol = atol / 8
     if max(abs(a), abs(b), abs(c)) <= tol:
         return 0
@@ -184,18 +241,20 @@ def decompose_gate(params: GateParams, atol: float = 1e-10) -> list[NativeOp]:
     the gate unitary up to global phase within atol, with
     num_cnots_required CNOTs.
 
-    Non-canonical parameters are fine: the gate matrix is rebuilt and
-    KAK-decomposed from scratch, so inputs are canonicalized implicitly.
+    The parameters already write the gate as local layers around a core, so
+    they are used as they are; entangling angles outside the Weyl chamber
+    are folded into it.
     """
-    u = params.matrix()
-    kak = kak_decompose(u)  # raises DecompositionError for a non-unitary u
+    angles, before, after = _fold(*params.entangling)
     steps = _merge_locals([
-        *_locals(_layer(kak.pre[3:], kak.pre[:3])),
-        *_core_steps(_cnot_class(*kak.entangling, atol), *kak.entangling),
-        *_locals(_layer(kak.post[3:], kak.post[:3])),
+        *_locals(_layer(params.pre[3:], params.pre[:3])),
+        *before,
+        *_core_steps(_cnot_class(*angles, atol), *angles),
+        *after,
+        *_locals(_layer(params.post[3:], params.post[:3])),
     ])
-    error = _phase_aligned_error(_steps_matrix(steps), u)
-    if error > atol:
+    error = _phase_aligned_error(_steps_matrix(steps), params.matrix())
+    if not error <= atol:  # also catches NaN from non-finite parameters
         raise DecompositionError(f"gate synthesis failed to verify: error {error:.2e} > {atol:.2e}")
     ops: list[NativeOp] = []
     for kind, *rest in steps:

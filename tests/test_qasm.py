@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_state
@@ -129,6 +129,10 @@ _ANGLE = st.one_of(
 )
 
 
+# On the (pi/2, b, b) line, kak_decompose returns c = -pi for this b.
+_B_OFF_CHAMBER = 1.3637501761749167
+
+
 def _perturbation(rng, eps):
     """exp(i * eps * H) for a random Hermitian H of unit scale."""
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -149,6 +153,9 @@ def _dressing(rng):
     dressed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# kak_decompose returns the angles (0.207, 0.207, -pi) here: c is outside the
+# chamber, and the gate is class 2 because core(a, b, c + pi) = -core(a, b, c).
+@example(base=(np.pi / 2, _B_OFF_CHAMBER, _B_OFF_CHAMBER), exponent=None, dressed=False, seed=0)
 def test_synthesis_replays_gate_with_classified_cnots(base, exponent, dressed, seed):
     rng = np.random.default_rng(seed)
     u = _NAMED[base] if isinstance(base, str) else entangling_core(*base)
@@ -178,6 +185,7 @@ def test_haar_gates_need_exactly_three_cnots(seed):
         (entangling_core(0.4, 0.1, 0.0), 2),
         (entangling_core(np.pi / 4, np.pi / 4, 0.0), 2),
         (SWAP, 3),
+        (entangling_core(np.pi / 2, _B_OFF_CHAMBER, _B_OFF_CHAMBER), 2),
     ],
 )
 def test_near_degenerate_gates_emit_the_classified_count(u, expected):
