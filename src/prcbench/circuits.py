@@ -406,11 +406,14 @@ def circuit_from_dict(doc: dict) -> Circuit:
 
 def _check_loaded(circuit: Circuit) -> None:
     """What a circuit document must agree on beyond what Circuit checks:
-    each gate's layer field and role match its position, and final_x lists
-    distinct qubits of the register."""
+    each gate's parameters are finite, its layer field and role match its
+    position, and final_x lists distinct qubits of the register."""
     for t, layer in enumerate(circuit.layers):
         role = ROLE_RANDOM if t < circuit.random_depth else ROLE_PEAKING
         for i, g in enumerate(layer):
+            for j, value in enumerate(g.params.to_vector()):
+                if not np.isfinite(value):
+                    raise SchemaError(f"layers[{t}][{i}].params[{j}]: {value} is not finite")
             if g.layer_index != t:
                 raise SchemaError(
                     f"layers[{t}][{i}].layer: {g.layer_index} differs from its position {t}"

@@ -242,7 +242,7 @@ def run_matrix(
         qubits=qubits,
         depths=depths,
         cells=cells,
-        provenance=dict(provenance or {}),
+        provenance={**(provenance or {}), "numerics": sim.NUMERICS},
     )
 
 
@@ -368,12 +368,15 @@ def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
             f"cells: the grid is not qubits x depths; missing {sorted(grid - set(cells))}, "
             f"extra {sorted(set(cells) - grid)}"
         )
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise SchemaError(f"provenance: expected an object, got {type(provenance).__name__}")
     return BenchmarkMatrix(
         config=config,
         qubits=qubits,
         depths=depths,
         cells={key: cells[key] for key in sorted(cells)},
-        provenance=dict(doc.get("provenance", {})),
+        provenance={**provenance, "numerics": sim.read_numerics(provenance, "provenance.")},
     )
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import sim
 from .circuits import ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector
@@ -104,6 +103,9 @@ def optimize(
     x = x0
     gnorm = float(np.linalg.norm(g0))
     if gnorm > config.stop_tol and config.stage1_iters > 0:
+        # Imported here: scipy.optimize takes most of the package's import
+        # time, and only this branch needs it.
+        from scipy.optimize import minimize
 
         def neg_value_and_grad(xk: np.ndarray):
             p, grad = eval_at(xk)

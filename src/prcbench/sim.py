@@ -2,7 +2,25 @@
 sampling, and the analytic (adjoint reverse-sweep) gradient of the peak
 probability with respect to the peaking-half parameters.
 
-Qubit 0 is the least significant bit of every amplitude index.
+Qubit 0 is the least significant bit of every amplitude index, so a gate on
+(q, q + 1) sees the state as a stack of (4, 2**q) blocks.  The pair kernel
+picks a layout by position (after Haener & Steiger, arXiv:1704.01127, and
+qsim, arXiv:2111.02396):
+
+- q <= 3 on a state of at least 64 rows of 4 * 2**q amplitudes: the blocks
+  are too short for a matmul per block, so the state is read as those rows
+  and multiplied by kron(u, I_(2**q)).T in one GEMM;
+- anywhere else: np.matmul(u, blocks).
+
+The gradient's pair environment follows the same split: one
+(4 * 2**q)-square GEMM over the rows and a trace over the inner index, else
+a batched matmul summed over blocks, and one einsum on states below 2**10
+amplitudes.  Both write into buffers the caller owns where it can:
+``run`` ping-pongs between the zero state and one more vector, and
+``PeakObjective`` keeps two ket and two bra buffers across evaluations.
+Its working set is six state vectors, which sets MAX_QUBITS.  NUMERICS
+names these kernels' rounding; it changes whenever their results change
+in the last bit.
 """
 
 from __future__ import annotations
@@ -13,10 +31,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import BitString, Circuit, peaking_rows, peaking_vector
-from .errors import CapacityError
+from .errors import CapacityError, SchemaError
 from .gates import PARAMS_PER_GATE, gate_matrices
 
-MAX_QUBITS = 26  # memory guard: 2**26 complex amplitudes = 1 GiB
+# Version of the simulator's floating-point results.  1: every gate applied
+# by one einsum; 2: the position-aware kernels below.  Suite manifests and
+# matrix provenance record it; documents without it are numerics 1.
+NUMERICS = 2
+
+# Memory guard.  A gradient evaluation holds six state vectors (the random
+# half's output, two ket and two bra buffers, and the conjugated bra that
+# each environment makes): 6 * 2**24 * 16 B = 1.5 GiB.
+MAX_QUBITS = 24
+
+# Kernel cut-overs, measured per call on one BLAS thread.  The kron(u, I)
+# GEMM and the environment GEMM cost 4 * 2**qubit_low multiply-adds per
+# amplitude, which pays only for short blocks (qubit_low <= 3) on states
+# with at least 64 rows of 4 * 2**qubit_low amplitudes.  Below 2**10
+# amplitudes the environment's per-call overhead decides, where one einsum
+# is cheapest.
+_GEMM_MAX_QUBIT = 3
+_GEMM_MIN_ROWS = 64
+_EINSUM_MAX_AMPLITUDES = 1 << 10
+_EYES = [np.eye(1 << q) for q in range(_GEMM_MAX_QUBIT + 1)]
+
+
+def read_numerics(doc: dict, where: str) -> int:
+    """The numerics version a persisted document records, 1 if it has none;
+    a version this code does not know raises SchemaError."""
+    value = doc.get("numerics", 1)
+    if type(value) is not int or not 1 <= value <= NUMERICS:
+        raise SchemaError(f"{where}numerics: {value!r} is not a numerics version 1..{NUMERICS}")
+    return value
+
+
+def _use_gemm(size: int, qubit_low: int) -> bool:
+    return qubit_low <= _GEMM_MAX_QUBIT and size >= _GEMM_MIN_ROWS * (4 << qubit_low)
 
 
 @dataclass(frozen=True)
@@ -130,16 +180,30 @@ class _CountsView(Mapping):
         return len(self._hist.outcomes)
 
 
-def apply_gate_matrix(state: np.ndarray, u: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
-    """Apply a 4x4 unitary on (qubit_low, qubit_low + 1) to a flat state.
+def apply_gate_matrix(
+    state: np.ndarray, u: np.ndarray, qubit_low: int, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply a 4x4 unitary on (qubit_low, qubit_low + 1) to a flat state,
+    writing into ``out`` (a new array if None), which must not overlap
+    ``state``.
 
-    The pair's bits are contiguous in the index, so a single reshape exposes
-    them as one axis of length 4 with the low qubit least significant.
+    The pair's bits are contiguous in the index, so the state is a stack of
+    (4, 2**qubit_low) blocks with the low qubit least significant.  Near
+    the bottom of a large state those blocks are short, so the state is
+    read as rows of 4 * 2**qubit_low amplitudes and multiplied by
+    kron(u, I).T in one GEMM; elsewhere u multiplies every block.
     """
-    blocks = 1 << (n - qubit_low - 2)
     inner = 1 << qubit_low
-    psi = state.reshape(blocks, 4, inner)
-    return np.einsum("ij,ajb->aib", u, psi).reshape(-1)
+    if out is None:
+        out = np.empty_like(state)
+    if _use_gemm(state.size, qubit_low):
+        width = 4 * inner
+        # kron(u, I).T without np.kron: [(j, b'), (i, b)] = u[i, j] * (b == b').
+        kron_t = (u.T[:, None, :, None] * _EYES[qubit_low][None, :, None, :]).reshape(width, width)
+        np.matmul(state.reshape(-1, width), kron_t, out=out.reshape(-1, width))
+    else:
+        np.matmul(u, state.reshape(-1, 4, inner), out=out.reshape(-1, 4, inner))
+    return out
 
 
 def apply_single_qubit(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -161,10 +225,12 @@ def _zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
-    """Apply (4x4 unitary, qubit_low) pairs in order."""
-    for u, q in gates:
-        state = apply_gate_matrix(state, u, q, n)
+def _apply_gates(state: np.ndarray, gates, n: int, buffers) -> np.ndarray:
+    """Apply (4x4 unitary, qubit_low) pairs in order, gate i writing into
+    buffers[i % 2]; state must not be buffers[0].  Returns the final
+    state, which is state itself when there are no gates."""
+    for i, (u, q) in enumerate(gates):
+        state = apply_gate_matrix(state, u, q, n, out=buffers[i % 2])
     return state
 
 
@@ -175,6 +241,13 @@ def _placed_unitaries(placements) -> list[tuple[np.ndarray, int]]:
     return list(zip(gate_matrices(rows), (g.qubit_low for g in placements)))
 
 
+def _run_from_zero(gates, n: int) -> np.ndarray:
+    """The gates applied to |0^n>, ping-ponging between the zero state and
+    one more vector."""
+    zero = _zero_state(n)
+    return _apply_gates(zero, gates, n, (np.empty_like(zero), zero))
+
+
 def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
     for q in final_x:
         state = _apply_x(state, q)
@@ -183,8 +256,7 @@ def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
 
 def run(circuit: Circuit) -> Statevector:
     """C|0^n> with every gate applied as its 4x4 unitary, layers in order."""
-    gates = _placed_unitaries(circuit.placements())
-    state = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
+    state = _run_from_zero(_placed_unitaries(circuit.placements()), circuit.n)
     return Statevector(_apply_final_x(state, circuit.final_x), circuit.n)
 
 
@@ -211,11 +283,17 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
 def _pair_environment(b: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
     """env[i, j] = sum_rest conj(b)_(rest, i) k_(rest, j) over the gate pair,
     so <b|A|k> = sum_ij A[i, j] env[i, j] for any pair operator A."""
-    blocks = 1 << (n - qubit_low - 2)
     inner = 1 << qubit_low
-    bm = b.reshape(blocks, 4, inner)
-    km = k.reshape(blocks, 4, inner)
-    return np.einsum("aib,ajb->ij", bm.conj(), km)
+    if b.size < _EINSUM_MAX_AMPLITUDES:
+        return np.einsum("aib,ajb->ij", b.reshape(-1, 4, inner).conj(), k.reshape(-1, 4, inner))
+    bc = b.conj()
+    if _use_gemm(b.size, qubit_low):
+        # One (4 * inner)-square GEMM over the rows, then the trace over the
+        # inner index pairs up b and k at equal positions.
+        width = 4 * inner
+        m = bc.reshape(-1, width).T @ k.reshape(-1, width)
+        return np.trace(m.reshape(4, inner, 4, inner), axis1=1, axis2=3)
+    return np.matmul(bc.reshape(-1, 4, inner), k.reshape(-1, 4, inner).transpose(0, 2, 1)).sum(0)
 
 
 class PeakObjective:
@@ -223,27 +301,30 @@ class PeakObjective:
     peaking-parameter vector.
 
     The random half never changes during optimization, so its output state
-    is computed once; each evaluation replays only the peaking half forward
-    and runs the adjoint reverse sweep over it (one bra and one ket vector,
-    two gate applications and a 4x4 environment contraction per gate).
+    is computed once and kept read-only; each evaluation replays only the
+    peaking half forward and runs the adjoint reverse sweep over it (one
+    bra and one ket vector, two gate applications and a 4x4 environment
+    contraction per gate).  The kets and bras ping-pong between buffers the
+    objective owns, so one object must not evaluate in two threads at once.
     """
 
     def __init__(self, circuit: Circuit):
         self.n = circuit.n
-        self.target_index = circuit.target.index
-        self.final_x = circuit.final_x
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
         random_half = (g for layer in circuit.layers[: circuit.random_depth] for g in layer)
-        gates = _placed_unitaries(random_half)
-        self._psi_random = _apply_gates(_zero_state(circuit.n), gates, circuit.n)
+        self._psi_random = _run_from_zero(_placed_unitaries(random_half), circuit.n)
+        self._psi_random.flags.writeable = False
+        # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
+        self._pre_x_index = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
+        self._kets = np.empty((2, 1 << self.n), dtype=complex)
+        self._bras = np.empty((2, 1 << self.n), dtype=complex)
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
         rows = peaking_rows(vec, len(self.positions))
         mats, derivs = gate_matrices(rows, derivatives=True)
-        k = _apply_gates(self._psi_random, zip(mats, self.positions), self.n)
-        psi = _apply_final_x(k, self.final_x)
-        amp = psi[self.target_index]
+        k = _apply_gates(self._psi_random, zip(mats, self.positions), self.n, self._kets)
+        amp = k[self._pre_x_index]
         p_val = float(np.abs(amp) ** 2)
         if not self.positions:
             return p_val, np.zeros(0)
@@ -251,9 +332,10 @@ class PeakObjective:
         # Bra side starts from |s><s| psi with the trailing NOTs peeled off
         # (they commute, so order does not matter); the ket is already the
         # pre-NOT state.
-        b = np.zeros_like(psi)
-        b[self.target_index] = amp
-        b = _apply_final_x(b, self.final_x)
+        b, spare_b = self._bras
+        b.fill(0)
+        b[self._pre_x_index] = amp
+        spare_k = self._kets[len(self.positions) % 2]
 
         # The sweep only moves the bra and the ket back through each gate
         # and records the pair environment there; dp/dtheta = 2 Re <b|dU|k>
@@ -262,9 +344,9 @@ class PeakObjective:
         for idx in range(len(self.positions) - 1, -1, -1):
             q = self.positions[idx]
             ud = mats[idx].conj().T
-            k = apply_gate_matrix(k, ud, q, self.n)
+            k, spare_k = apply_gate_matrix(k, ud, q, self.n, out=spare_k), k
             envs[idx] = _pair_environment(b, k, q, self.n)
-            b = apply_gate_matrix(b, ud, q, self.n)
+            b, spare_b = apply_gate_matrix(b, ud, q, self.n, out=spare_b), b
         return p_val, 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
 
 

@@ -28,6 +28,7 @@ from .optimize import (
     profile_from_dict,
     profile_to_dict,
 )
+from .sim import NUMERICS, read_numerics
 
 SUITE_SCHEMA = "prc-suite/1"
 _CELL_KEY = re.compile(r"([0-9]+)x([0-9]+)")
@@ -46,6 +47,7 @@ class Suite:
     qubits: tuple[int, ...]
     depths: tuple[int, ...]
     cells: dict[tuple[int, int], SuiteCell]
+    numerics: int = NUMERICS  # simulator numerics the cells were optimized under
 
     def as_mapping(self) -> dict[tuple[int, int], tuple[Circuit, PeakProfile]]:
         return {key: (c.circuit, c.profile) for key, c in self.cells.items()}
@@ -112,6 +114,7 @@ def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) 
         "qubits": list(suite.qubits),
         "depths": list(suite.depths),
         "circuits": files,
+        "numerics": suite.numerics,
     }
     if optimizer is not None:
         manifest["optimizer"] = {
@@ -132,6 +135,7 @@ def load_suite(manifest_path) -> Suite:
         raise SchemaError(
             f"unsupported suite schema {doc.get('schema')!r}; expected {SUITE_SCHEMA!r}"
         )
+    numerics = read_numerics(doc, f"{manifest_path}: ")
     cells: dict[tuple[int, int], SuiteCell] = {}
     for key, name in doc["circuits"].items():
         match = _CELL_KEY.fullmatch(key)
@@ -162,6 +166,7 @@ def load_suite(manifest_path) -> Suite:
         qubits=tuple(int(q) for q in doc["qubits"]),
         depths=tuple(int(d) for d in doc["depths"]),
         cells=dict(sorted(cells.items())),
+        numerics=numerics,
     )
 
 

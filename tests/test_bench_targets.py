@@ -54,3 +54,33 @@ def test_decompose_gate_result_fits_the_cnot_hook(bench_modules):
         spans.HOOKS["qasm.decompose_gate"](counters, (params,), {}, ops)
     assert counters["qasm.cnots_emitted"] == 3
     assert len(counters.decomposed) == 2
+
+
+def test_pair_kernel_calls_count_gates(monkeypatch):
+    # The benchmark counts sim.apply_gate_matrix calls as pair-kernel work
+    # through the module attribute: one call per gate in run and in the
+    # random half PeakObjective replays once, three per peaking gate in
+    # each value_and_gradient (forward, ket and bra in the reverse sweep).
+    from prcbench import sim
+    from prcbench.circuits import build_reference_circuit, derive_subcircuit
+    from prcbench.optimize import peaking_vector
+
+    calls = []
+    original = sim.apply_gate_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "apply_gate_matrix", counting)
+    circ = derive_subcircuit(build_reference_circuit(12, 8, seed=1), 12, 8)
+    gates = sum(len(layer) for layer in circ.layers)
+    peaking = len(list(circ.peaking_placements()))
+    engine = sim.PeakObjective(circ)
+    assert len(calls) == gates - peaking
+    calls.clear()
+    engine.value_and_gradient(peaking_vector(circ))
+    assert len(calls) == 3 * peaking
+    calls.clear()
+    sim.run(circ)
+    assert len(calls) == gates

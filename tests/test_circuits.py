@@ -260,6 +260,14 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"layers\[0\]\[0\]\.role"):
             self._load_edited(edit)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gate_parameter(self, value):
+        def edit(doc):
+            doc["layers"][2][0]["params"][0] = value
+
+        with pytest.raises(SchemaError, match=r"layers\[2\]\[0\]\.params\[0\]: .* is not finite"):
+            self._load_edited(edit)
+
     def test_random_depth_disagreeing_with_roles(self):
         with pytest.raises(SchemaError, match=r"layers\[2\]\[0\]\.role"):
             self._load_edited(lambda doc: doc.update(random_depth=3))

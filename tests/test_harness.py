@@ -353,6 +353,20 @@ class TestPersistence:
         with pytest.raises(SchemaError, match=r"extra \[\(4, "):
             self._load_edited(scripted_suite, tmp_path, edit)
 
+    def test_provenance_records_numerics(self, scripted_suite, tmp_path):
+        matrix = self._load_edited(scripted_suite, tmp_path, lambda doc: None)
+        assert matrix.provenance == {"numerics": 2}
+        older = self._load_edited(scripted_suite, tmp_path, lambda doc: doc["provenance"].clear())
+        assert older.provenance == {"numerics": 1}
+
+    @pytest.mark.parametrize("value", [0, 3, "2", True])
+    def test_unknown_numerics_names_field(self, scripted_suite, tmp_path, value):
+        def edit(doc):
+            doc["provenance"]["numerics"] = value
+
+        with pytest.raises(SchemaError, match=r"provenance\.numerics: .* is not a numerics version"):
+            self._load_edited(scripted_suite, tmp_path, edit)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{{{{")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_state
 from gate_reference import reference_derivatives, reference_matrix, same_bits
+from kernel_reference import reference_apply_gate_matrix, reference_pair_environment
 from prcbench import sim
 from prcbench.circuits import (
     ROLE_PEAKING,
@@ -15,7 +18,7 @@ from prcbench.circuits import (
     peaking_params,
 )
 from prcbench.errors import CapacityError
-from prcbench.gates import kak_decompose
+from prcbench.gates import haar_random_unitary, kak_decompose
 from prcbench.optimize import peaking_vector, with_peaking_vector
 
 
@@ -230,3 +233,76 @@ class TestPeakGradient:
         p, grad = engine.value_and_gradient(vec)
         assert p == p_ref
         assert same_bits(grad, ref)
+
+
+def _random_state(rng, n):
+    state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return state / np.linalg.norm(state)
+
+
+class TestPairKernels:
+    # n = 10..12 puts qubit_low 0..3 on both sides of the GEMM cut-over.
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(n=st.sampled_from([10, 11, 12]), seed=st.integers(0, 2**32 - 1))
+    def test_match_einsum_reference_at_every_position(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u = haar_random_unitary(rng)
+        state, bra = _random_state(rng, n), _random_state(rng, n)
+        before = state.copy()
+        for q in range(n - 1):
+            expected = reference_apply_gate_matrix(state, u, q, n)
+            out = np.full_like(state, np.nan)
+            assert sim.apply_gate_matrix(state, u, q, n, out=out) is out
+            assert np.max(np.abs(out - expected)) <= 1e-13
+            fresh = sim.apply_gate_matrix(state, u, q, n)
+            assert not np.shares_memory(fresh, state)
+            assert np.max(np.abs(fresh - expected)) <= 1e-13
+            env = sim._pair_environment(bra, state, q, n)
+            assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
+        assert np.array_equal(state, before)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_small_states_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        u = haar_random_unitary(rng)
+        state, bra = _random_state(rng, n), _random_state(rng, n)
+        for q in range(n - 1):
+            got = sim.apply_gate_matrix(state, u, q, n)
+            assert np.max(np.abs(got - reference_apply_gate_matrix(state, u, q, n))) <= 1e-13
+            env = sim._pair_environment(bra, state, q, n)
+            assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
+
+
+class TestPeakObjectiveBuffers:
+    def test_repeated_evaluations_agree(self):
+        # An odd register leaves a qubit uncovered by the last layer, so
+        # the retargeted circuit keeps a standalone NOT.
+        from prcbench.circuits import retarget
+
+        circ = derive_subcircuit(build_reference_circuit(11, 6, seed=2), 11, 6)
+        circ = retarget(circ, BitString.from_index(0b10000000001, 11))
+        assert circ.final_x
+        engine = sim.PeakObjective(circ)
+        random_out = engine._psi_random.copy()
+        x0 = peaking_vector(circ)
+        points = (x0, x0 + np.random.default_rng(1).uniform(-0.1, 0.1, len(x0)))
+        first = [engine.value_and_gradient(x) for x in points]
+        again = [engine.value_and_gradient(x) for x in points]
+        for (p, grad), (p_again, grad_again) in zip(first, again):
+            assert p == p_again and same_bits(grad, grad_again)
+        assert np.array_equal(engine._psi_random, random_out)
+        assert abs(first[0][0] - abs(sim.peak_amplitude(circ)) ** 2) <= 1e-15
+
+    def test_gradient_matches_central_finite_differences_at_12_6(self):
+        circ = derive_subcircuit(build_reference_circuit(12, 6, seed=5), 12, 6)
+        engine = sim.PeakObjective(circ)
+        vec = peaking_vector(circ)
+        _, grad = engine.value_and_gradient(vec)
+        h = 1e-5
+        for j in range(0, len(vec), 3):
+            up = vec.copy()
+            up[j] += h
+            down = vec.copy()
+            down[j] -= h
+            fd = (engine.value_and_gradient(up)[0] - engine.value_and_gradient(down)[0]) / (2 * h)
+            assert abs(grad[j] - fd) <= 1e-6 * max(abs(fd), 1e-2)

@@ -6,6 +6,7 @@ import pytest
 from prcbench.circuits import circuit_to_json
 from prcbench.errors import SchemaError
 from prcbench.optimize import objective
+from prcbench.sim import NUMERICS
 from prcbench.suite import generate_suite, load_suite, save_suite
 
 
@@ -125,3 +126,23 @@ def test_peak_probability_rounded_above_one_loads(saved_suite):
     doc["profile"].update(p_peak=1.000000000000003, p_second=0.0, r_p=None, c_max=1.0)
     cell_path.write_text(json.dumps(doc))
     assert load_suite(manifest).cells[(2, 4)].profile.p_peak == 1.000000000000003
+
+
+def test_manifest_records_numerics_and_older_manifests_load_as_numerics_1(saved_suite):
+    suite, manifest = saved_suite
+    doc = json.loads(manifest.read_text())
+    assert doc["numerics"] == NUMERICS == suite.numerics == 2
+    assert load_suite(manifest).numerics == 2
+    del doc["numerics"]
+    manifest.write_text(json.dumps(doc))
+    assert load_suite(manifest).numerics == 1
+
+
+@pytest.mark.parametrize("value", [0, 3, "2", 2.0, True, None])
+def test_unknown_numerics_names_manifest(saved_suite, value):
+    _, manifest = saved_suite
+    doc = json.loads(manifest.read_text())
+    doc["numerics"] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"suite\.json: numerics: .* is not a numerics version 1\.\.2"):
+        load_suite(manifest)
