@@ -109,9 +109,9 @@ def _fold(a: float, b: float, c: float):
     a conjugation by the matching _SWAPS Clifford on both slots.  A shift
     by pi is the global phase -1 alone.
     """
-    x = [a, b, c]
     if math.pi / 4 >= a >= b >= abs(c):
         return (a, b, c), [], []
+    x = [a, b, c]
     eye = np.eye(2, dtype=complex)
     before, after = [eye, eye], [eye, eye]  # (high, low) layers
     for i in range(3):
