@@ -9,11 +9,11 @@ index, and the text form of a bitstring lists qubit 0 first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidDimensionError, SchemaError
+from .errors import InvalidDimensionError, SchemaError, read_fields, read_tagged, read_value
 from .gates import PARAMS_PER_GATE, GateParams, haar_random_unitary, kak_decompose
 
 ROLE_RANDOM = "random-half"
@@ -72,14 +72,14 @@ class BitString:
 class GatePlacement:
     """A two-qubit gate at (qubit_low, qubit_low + 1) in one layer."""
 
-    layer_index: int
+    layer_index: int = field(metadata={"key": "layer"})
     qubit_low: int
     params: GateParams
     role: str
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_RANDOM, ROLE_PEAKING):
-            raise ValueError(f"unknown gate role {self.role!r}")
+            raise ValueError(f"role: unknown gate role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,18 @@ class Circuit:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise InvalidDimensionError("need at least 2 qubits")
+            raise InvalidDimensionError(f"n: need at least 2 qubits, got {self.n}")
         if len(self.layers) != self.d:
-            raise ValueError("layer count does not match depth")
+            raise ValueError(f"layers: {len(self.layers)} layers do not match depth {self.d}")
         if len(self.target) != self.n:
-            raise ValueError("target length does not match qubit count")
-        for layer in self.layers:
+            raise ValueError(f"target: {len(self.target)} bits do not match {self.n} qubits")
+        for t, layer in enumerate(self.layers):
             used: set[int] = set()
-            for g in layer:
+            for i, g in enumerate(layer):
                 if g.qubit_low < 0 or g.qubit_low + 1 >= self.n:
-                    raise ValueError("gate crosses the register boundary")
+                    raise ValueError(f"layers[{t}][{i}].qubit_low: gate leaves the register")
                 if g.qubit_low in used or g.qubit_low + 1 in used:
-                    raise ValueError("overlapping gates within a layer")
+                    raise ValueError(f"layers[{t}][{i}].qubit_low: gate overlaps another")
                 used.update((g.qubit_low, g.qubit_low + 1))
 
     @property
@@ -371,63 +371,62 @@ def circuit_to_json(circuit: Circuit, profile: dict | None = None) -> str:
     return json.dumps(circuit_to_dict(circuit, profile), indent=2, sort_keys=True)
 
 
-def circuit_from_dict(doc: dict) -> Circuit:
-    if not isinstance(doc, dict) or doc.get("schema") != CIRCUIT_SCHEMA:
-        raise SchemaError(
-            f"unsupported circuit schema {doc.get('schema')!r}; expected {CIRCUIT_SCHEMA!r}"
+def read_bitstring(value, path: str) -> BitString:
+    """A bitstring field, stored as its text."""
+    if type(value) is not str or not set(value) <= {"0", "1"}:
+        raise SchemaError(f"{path}: expected a bitstring, got {value!r}")
+    return BitString.from_text(value)
+
+
+def _read_params(value, path: str) -> GateParams:
+    vector = read_value(tuple[float, ...], value, path)
+    if len(vector) != PARAMS_PER_GATE:
+        raise SchemaError(f"{path}: expected {PARAMS_PER_GATE} numbers, got {len(vector)}")
+    return GateParams.from_vector(vector)
+
+
+def _read_layers(value, path: str) -> tuple[tuple[GatePlacement, ...], ...]:
+    return tuple(
+        tuple(
+            read_fields(GatePlacement, g, f"{path}[{t}][{i}].", params=_read_params)
+            for i, g in enumerate(layer)
         )
-    try:
-        layers = tuple(
-            tuple(
-                GatePlacement(
-                    layer_index=int(g["layer"]),
-                    qubit_low=int(g["qubit_low"]),
-                    params=GateParams.from_vector(g["params"]),
-                    role=str(g["role"]),
-                )
-                for g in layer
-            )
-            for layer in doc["layers"]
-        )
-        circuit = Circuit(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            random_depth=int(doc["random_depth"]),
-            layers=layers,
-            target=BitString.from_text(doc["target"]),
-            final_x=tuple(int(q) for q in doc.get("final_x", [])),
-            seed=doc.get("seed"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed circuit document: {exc}") from exc
-    _check_loaded(circuit)
+        for t, layer in enumerate(read_value(tuple[tuple[dict, ...], ...], value, path))
+    )
+
+
+def circuit_from_dict(doc: dict, where: str = "") -> Circuit:
+    """Inverse of circuit_to_dict.  The embedded profile and a suite's
+    final_objective are left to suite.load_suite; ``where`` prefixes
+    every error's path."""
+    body = read_tagged(doc, CIRCUIT_SCHEMA, where)
+    ignore = {Circuit: ("profile", "final_objective")}
+    circuit = read_fields(Circuit, body, where, ignore, layers=_read_layers, target=read_bitstring)
+    _check_loaded(circuit, where)
     return circuit
 
 
-def _check_loaded(circuit: Circuit) -> None:
+def _check_loaded(circuit: Circuit, where: str) -> None:
     """What a circuit document must agree on beyond what Circuit checks:
-    each gate's parameters are finite, its layer field and role match its
-    position, and final_x lists distinct qubits of the register."""
+    each gate's layer field and role match its position, and final_x
+    lists distinct qubits of the register."""
     for t, layer in enumerate(circuit.layers):
         role = ROLE_RANDOM if t < circuit.random_depth else ROLE_PEAKING
         for i, g in enumerate(layer):
-            for j, value in enumerate(g.params.to_vector()):
-                if not np.isfinite(value):
-                    raise SchemaError(f"layers[{t}][{i}].params[{j}]: {value} is not finite")
             if g.layer_index != t:
                 raise SchemaError(
-                    f"layers[{t}][{i}].layer: {g.layer_index} differs from its position {t}"
+                    f"{where}layers[{t}][{i}].layer: {g.layer_index} differs from its position {t}"
                 )
             if g.role != role:
                 raise SchemaError(
-                    f"layers[{t}][{i}].role: {g.role!r}, but random_depth "
+                    f"{where}layers[{t}][{i}].role: {g.role!r}, but random_depth "
                     f"{circuit.random_depth} makes layer {t} {role!r}"
                 )
     for i, q in enumerate(circuit.final_x):
         if not 0 <= q < circuit.n:
-            raise SchemaError(f"final_x[{i}]: qubit {q} is outside 0..{circuit.n - 1}")
+            raise SchemaError(f"{where}final_x[{i}]: qubit {q} is outside 0..{circuit.n - 1}")
         if q in circuit.final_x[:i]:
-            raise SchemaError(f"final_x[{i}]: qubit {q} is listed twice")
+            raise SchemaError(f"{where}final_x[{i}]: qubit {q} is listed twice")
 
 
 def circuit_from_json(text: str) -> Circuit:

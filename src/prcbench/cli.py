@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness, metrics, qasm, report
 from .circuits import BitString
-from .errors import InvalidDimensionError, SchemaError
+from .errors import InvalidDimensionError, SchemaError, read_fields, read_json
 from .harness import BenchConfig
 from .optimize import OptimizerConfig
 from .sim import ShotHistogram
@@ -49,6 +49,14 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"cannot parse range {text!r}: {exc}") from exc
 
 
+def _jobs(text: str) -> int:
+    """--jobs: a worker count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_generate(args) -> int:
     qubits = _parse_range(args.qubits)
     depths = _parse_range(args.depths)
@@ -77,24 +85,19 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        config_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config_doc = read_json(args.config)
+        config = read_fields(BenchConfig, config_doc, f"{args.config}: ")
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"malformed config {args.config}: {exc}", file=sys.stderr)
+    except SchemaError as exc:
+        print(f"malformed config {exc}", file=sys.stderr)
         return 2
 
     suite = load_suite(args.suite)
-    if "qubits" not in config_doc:
-        config_doc["qubits"] = list(suite.qubits)
-    if "depths" not in config_doc:
-        config_doc["depths"] = list(suite.depths)
-    try:
-        config = BenchConfig.from_dict(config_doc)
-    except SchemaError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    # A config without a grid runs the suite's.
+    grid = {name: getattr(suite, name) for name in ("qubits", "depths") if name not in config_doc}
+    config = replace(config, **grid)
 
     provenance = {"suite": str(args.suite), "suite_hash": suite_hash(args.suite)}
     matrix = harness.run_matrix(
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--stage2-iters", type=int, default=10000)
     gen.add_argument("--adam-step", type=float, default=0.01)
     gen.add_argument("--stop-tol", type=float, default=1e-8)
-    gen.add_argument("--jobs", type=int, default=1)
+    gen.add_argument("--jobs", type=_jobs, default=1)
     gen.add_argument("--no-optimize", action="store_true", help="skip peaking optimization")
     gen.set_defaults(func=_cmd_generate)
 
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="benchmark config JSON")
     bench.add_argument("--out", required=True, help="matrix JSON output path")
     bench.add_argument("--csv", default=None, help="optional flat CSV output path")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_jobs, default=1)
     bench.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser("report", help="render SVG reports from matrix files")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import metrics as metrics_mod
 from . import noise as noise_mod
 from . import sim
 from .circuits import Circuit
-from .errors import SchemaError, read_json
+from .errors import read_fields, read_json, read_tagged
 from .metrics import RunMetrics
 from .noise import NoiseSpec
 from .optimize import PeakProfile
@@ -42,46 +42,35 @@ class BenchConfig:
     top_k: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("qubits", "depths"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if min(values) < 2:
+                raise ValueError(f"{name}: {min(values)} is below 2")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}: {values} lists a value twice")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if not 1 <= self.threshold <= self.reps:
             raise ValueError("threshold must lie in 1..reps")
         if self.skip_window < 1:
-            raise ValueError("skip window must be at least 1")
+            raise ValueError("skip_window must be at least 1")
+        if self.min_shots < 1:
+            raise ValueError("min_shots must be at least 1")
+        if self.max_shots < self.min_shots:
+            raise ValueError(f"max_shots: {self.max_shots} is below min_shots {self.min_shots}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.top_k < 0:
             raise ValueError("top_k must be non-negative")
-        if not self.qubits or not self.depths:
-            raise ValueError("qubit and depth lists must be non-empty")
 
     def to_dict(self) -> dict:
-        return {
-            "qubits": list(self.qubits),
-            "depths": list(self.depths),
-            "reps": self.reps,
-            "threshold": self.threshold,
-            "skip_window": self.skip_window,
-            "shot_base": self.shot_base,
-            "min_shots": self.min_shots,
-            "max_shots": self.max_shots,
-            "noise": self.noise.to_dict(),
-            "master_seed": self.master_seed,
-            "exact": self.exact,
-            "top_k": self.top_k,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
-        try:
-            kwargs = dict(doc)
-            if "qubits" in kwargs:
-                kwargs["qubits"] = tuple(int(q) for q in kwargs["qubits"])
-            if "depths" in kwargs:
-                kwargs["depths"] = tuple(int(d) for d in kwargs["depths"])
-            if "noise" in kwargs:
-                kwargs["noise"] = NoiseSpec.from_dict(kwargs["noise"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed benchmark config: {exc}") from exc
+        return read_fields(cls, doc, "")
 
 
 @dataclass(frozen=True)
@@ -103,6 +92,10 @@ class CellResult:
     mean_f: float | None  # mean clamped f over identified reps only
     identified_reps: int
 
+    def __post_init__(self) -> None:
+        if self.status not in _STATUSES:
+            raise ValueError(f"status: unknown status {self.status!r}; expected one of {_STATUSES}")
+
 
 @dataclass(frozen=True)
 class BenchmarkMatrix:
@@ -111,6 +104,40 @@ class BenchmarkMatrix:
     depths: tuple[int, ...]
     cells: dict[tuple[int, int], CellResult]
     provenance: dict
+
+
+@dataclass(frozen=True)
+class _StoredCell(CellResult):
+    """A cell as a matrix document stores it, with its grid position."""
+
+    n: int = field(kw_only=True)
+    d: int = field(kw_only=True)
+
+
+@dataclass(frozen=True)
+class _StoredMatrix:
+    """A matrix document's fields: cells cover qubits x depths, the config's grid, once each."""
+
+    config: BenchConfig
+    qubits: tuple[int, ...]
+    depths: tuple[int, ...]
+    provenance: dict
+    cells: tuple[_StoredCell, ...]
+
+    def __post_init__(self) -> None:
+        keys = [(c.n, c.d) for c in self.cells]
+        if len(set(keys)) != len(keys):
+            i = next(i for i, key in enumerate(keys) if key in keys[:i])
+            raise ValueError(f"cells[{i}]: duplicate cell {keys[i]}")
+        grid = {(n, d) for n in self.qubits for d in self.depths}
+        if set(keys) != grid:
+            raise ValueError(
+                f"cells: the grid is not qubits x depths; missing {sorted(grid - set(keys))}, "
+                f"extra {sorted(set(keys) - grid)}"
+            )
+        config_grid = (tuple(sorted(self.config.qubits)), tuple(sorted(self.config.depths)))
+        if config_grid != (self.qubits, self.depths):
+            raise ValueError(f"config: qubits x depths {config_grid} is not the matrix grid")
 
 
 def shot_policy(n: int, d: int, config: BenchConfig) -> int:
@@ -246,48 +273,14 @@ def run_matrix(
     )
 
 
-def _metrics_to_dict(m: RunMetrics) -> dict:
-    return {
-        "identified": m.identified,
-        "p_hat_peak": m.p_hat_peak,
-        "p_hat_second": m.p_hat_second,
-        "c_exp": m.c_exp,
-        "f": m.f,
-        "f_raw": m.f_raw,
-    }
-
-
-def _record_to_dict(r: RunRecord) -> dict:
-    return {
-        "n": r.n,
-        "d": r.d,
-        "rep": r.rep,
-        "seed": r.seed,
-        "shots": r.shots,
-        "target": r.target,
-        "metrics": _metrics_to_dict(r.metrics),
-        "top_counts": [[text, count] for text, count in r.top_counts],
-    }
-
-
 def matrix_to_dict(matrix: BenchmarkMatrix) -> dict:
     return {
         "schema": MATRIX_SCHEMA,
         "config": matrix.config.to_dict(),
-        "qubits": list(matrix.qubits),
-        "depths": list(matrix.depths),
+        "qubits": matrix.qubits,
+        "depths": matrix.depths,
         "provenance": matrix.provenance,
-        "cells": [
-            {
-                "n": n,
-                "d": d,
-                "status": cell.status,
-                "identified_reps": cell.identified_reps,
-                "mean_f": cell.mean_f,
-                "records": [_record_to_dict(r) for r in cell.records],
-            }
-            for (n, d), cell in matrix.cells.items()
-        ],
+        "cells": [{"n": n, "d": d, **asdict(cell)} for (n, d), cell in matrix.cells.items()],
     }
 
 
@@ -300,84 +293,17 @@ def persist_matrix(matrix: BenchmarkMatrix, path) -> None:
         fh.write(matrix_to_json(matrix))
 
 
-def _parse_metrics(doc: dict, path: str) -> RunMetrics:
-    try:
-        return RunMetrics(
-            identified=bool(doc["identified"]),
-            p_hat_peak=float(doc["p_hat_peak"]),
-            p_hat_second=float(doc["p_hat_second"]),
-            c_exp=float(doc["c_exp"]),
-            f=float(doc["f"]),
-            f_raw=float(doc["f_raw"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed matrix document at {path}: {exc}") from exc
-
-
 def matrix_from_dict(doc: dict) -> BenchmarkMatrix:
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise SchemaError("matrix document lacks a schema field")
-    if doc["schema"] != MATRIX_SCHEMA:
-        raise SchemaError(
-            f"unsupported matrix schema {doc['schema']!r}; expected {MATRIX_SCHEMA!r}"
-        )
-    # Older files carry the wall-clock switch `deterministic` here and
-    # `wall_time` in each record; both are dropped.
-    config_doc = doc.get("config", {})
-    if isinstance(config_doc, dict):
-        config_doc = {k: v for k, v in config_doc.items() if k != "deterministic"}
-    config = BenchConfig.from_dict(config_doc)
-    cells: dict[tuple[int, int], CellResult] = {}
-    for i, cd in enumerate(doc.get("cells", [])):
-        path = f"cells[{i}]"
-        try:
-            records = tuple(
-                RunRecord(
-                    n=int(rd["n"]),
-                    d=int(rd["d"]),
-                    rep=int(rd["rep"]),
-                    seed=int(rd["seed"]),
-                    shots=int(rd["shots"]),
-                    target=str(rd["target"]),
-                    metrics=_parse_metrics(rd["metrics"], f"{path}.records[{j}].metrics"),
-                    top_counts=tuple((str(t), int(c)) for t, c in rd.get("top_counts", [])),
-                )
-                for j, rd in enumerate(cd["records"])
-            )
-            cell = CellResult(
-                status=str(cd["status"]),
-                records=records,
-                mean_f=None if cd["mean_f"] is None else float(cd["mean_f"]),
-                identified_reps=int(cd["identified_reps"]),
-            )
-            key = (int(cd["n"]), int(cd["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed matrix document at {path}: {exc}") from exc
-        if cell.status not in _STATUSES:
-            raise SchemaError(
-                f"{path}.status: unknown status {cell.status!r}; expected one of {_STATUSES}"
-            )
-        if key in cells:
-            raise SchemaError(f"{path}: duplicate cell {key}")
-        cells[key] = cell
-    qubits = tuple(int(q) for q in doc.get("qubits", []))
-    depths = tuple(int(d) for d in doc.get("depths", []))
-    grid = {(n, d) for n in qubits for d in depths}
-    if set(cells) != grid:
-        raise SchemaError(
-            f"cells: the grid is not qubits x depths; missing {sorted(grid - set(cells))}, "
-            f"extra {sorted(set(cells) - grid)}"
-        )
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise SchemaError(f"provenance: expected an object, got {type(provenance).__name__}")
-    return BenchmarkMatrix(
-        config=config,
-        qubits=qubits,
-        depths=depths,
-        cells={key: cells[key] for key in sorted(cells)},
-        provenance={**provenance, "numerics": sim.read_numerics(provenance, "provenance.")},
-    )
+    # Older files carry the wall-clock switch `deterministic` in the config
+    # and `wall_time` in each record; both are dropped.
+    legacy = {BenchConfig: ("deterministic",), RunRecord: ("wall_time",)}
+    stored = read_fields(_StoredMatrix, read_tagged(doc, MATRIX_SCHEMA, ""), "", legacy)
+    cells = {(c.n, c.d): CellResult(c.status, c.records, c.mean_f, c.identified_reps)
+             for c in stored.cells}
+    numerics = sim.read_numerics(stored.provenance.get("numerics", 1), "provenance.numerics")
+    provenance = {**stored.provenance, "numerics": numerics}
+    return BenchmarkMatrix(stored.config, stored.qubits, stored.depths, dict(sorted(cells.items())),
+                           provenance)
 
 
 def load_matrix(path) -> BenchmarkMatrix:

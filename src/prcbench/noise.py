@@ -8,12 +8,12 @@ per-shot readout flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .circuits import Circuit
-from .errors import SchemaError
+from .errors import read_fields
 from .sim import ProbabilityDistribution, ShotHistogram
 
 _READOUT_CHUNK = 1 << 15  # shots per mask draw
@@ -39,22 +39,11 @@ class NoiseSpec:
             raise ValueError("coherent_delta must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "readout_eps": self.readout_eps,
-            "coherent_delta": self.coherent_delta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NoiseSpec":
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(doc) - set(names))
-        if unknown:
-            raise SchemaError(
-                f"unknown noise key(s) {', '.join(map(repr, unknown))}; expected {', '.join(names)}"
-            )
-        return cls(**{name: float(doc[name]) for name in names if name in doc})
+        return read_fields(cls, doc, "")
 
 
 def effective_fidelity(circuit: Circuit, p1: float, p2: float) -> float:

@@ -3,18 +3,19 @@ and circuit-intrinsic peak profiles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import sim
-from .circuits import ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector
-from .errors import CapacityError, NothingToOptimizeError, SchemaError
+from .circuits import (ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector,
+                       read_bitstring)
+from .errors import CapacityError, NothingToOptimizeError, read_fields, read_value
 from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
 # Peak probabilities are squared statevector amplitudes, which rounding can
-# push past 1 (1 + 3e-15 on mirror circuits), so loading allows this much.
+# push past 1 (1 + 3e-15 on mirror circuits), so a profile allows this much.
 _PROBABILITY_SLACK = 1e-9
 
 
@@ -31,7 +32,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.stage1_iters < 0 or self.stage2_iters < 0:
-            raise ValueError("iteration budgets must be non-negative")
+            raise ValueError("stage1_iters and stage2_iters must be non-negative")
         if self.adam_step <= 0:
             raise ValueError("adam_step must be positive")
 
@@ -168,6 +169,16 @@ class PeakProfile:
     argmax: BitString
     target_mismatch: bool
 
+    def __post_init__(self) -> None:
+        for name in ("p_peak", "p_second", "c_max"):
+            value = getattr(self, name)
+            if not -_PROBABILITY_SLACK <= value <= 1 + _PROBABILITY_SLACK:
+                raise ValueError(f"{name}: {value!r} is outside [0, 1]")
+        if self.p_second > self.p_peak:
+            raise ValueError(f"p_second: {self.p_second!r} exceeds p_peak {self.p_peak!r}")
+        if not self.r_p >= 1:
+            raise ValueError(f"r_p: {self.r_p!r} is below 1")
+
 
 def c_max_from_dominance(r_p: float) -> float:
     """Best-case contrast implied by a dominance ratio: (r - 1) / (r + 1)."""
@@ -206,61 +217,16 @@ def peak_profile(circuit: Circuit) -> PeakProfile:
 
 
 def profile_to_dict(profile: PeakProfile) -> dict:
-    return {
-        "target": profile.target.text,
-        "p_peak": profile.p_peak,
-        "p_second": profile.p_second,
-        "r_p": None if np.isinf(profile.r_p) else profile.r_p,
-        "c_max": profile.c_max,
-        "argmax": profile.argmax.text,
-        "target_mismatch": profile.target_mismatch,
-    }
+    doc = asdict(profile) | {"target": profile.target.text, "argmax": profile.argmax.text}
+    return doc | {"r_p": None if np.isinf(profile.r_p) else profile.r_p}
+
+
+def _read_dominance(value, path: str) -> float:
+    """r_p, which profile_to_dict stores as null when nothing competes."""
+    return float("inf") if value is None else read_value(float, value, path)
 
 
 def profile_from_dict(doc: dict, where: str = "profile") -> PeakProfile:
-    """Inverse of profile_to_dict.  A missing, ill-typed or out-of-range
-    field raises SchemaError naming its path, ``<where>.<field>``."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
-
-    def field(name: str, types: tuple, what: str):
-        if name not in doc:
-            raise SchemaError(f"{where}.{name}: missing")
-        value = doc[name]
-        # bool is an int subclass; only target_mismatch may be one.
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise SchemaError(f"{where}.{name}: expected {what}, got {value!r}")
-        return value
-
-    def number(name: str) -> float:
-        return float(field(name, (int, float), "a number"))
-
-    def bits(name: str) -> BitString:
-        text = field(name, (str,), "a bitstring")
-        try:
-            return BitString.from_text(text)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.{name}: expected a bitstring, got {text!r}") from exc
-
-    def unit(name: str) -> float:
-        value = number(name)
-        if not -_PROBABILITY_SLACK <= value <= 1 + _PROBABILITY_SLACK:
-            raise SchemaError(f"{where}.{name}: {value!r} is outside [0, 1]")
-        return value
-
-    target = bits("target")
-    p_peak, p_second = unit("p_peak"), unit("p_second")
-    if p_second > p_peak:
-        raise SchemaError(f"{where}.p_second: {p_second!r} exceeds p_peak {p_peak!r}")
-    r_p = field("r_p", (int, float, type(None)), "a number or null")
-    if r_p is not None and not r_p >= 1:
-        raise SchemaError(f"{where}.r_p: {r_p!r} is below 1")
-    return PeakProfile(
-        target=target,
-        p_peak=p_peak,
-        p_second=p_second,
-        r_p=float("inf") if r_p is None else float(r_p),
-        c_max=unit("c_max"),
-        argmax=bits("argmax"),
-        target_mismatch=field("target_mismatch", (bool,), "a boolean"),
-    )
+    """Inverse of profile_to_dict; errors name their path, ``<where>.<field>``."""
+    bits = read_bitstring
+    return read_fields(PeakProfile, doc, f"{where}.", target=bits, argmax=bits, r_p=_read_dominance)

@@ -56,12 +56,11 @@ _EINSUM_MAX_AMPLITUDES = 1 << 10
 _EYES = [np.eye(1 << q) for q in range(_GEMM_MAX_QUBIT + 1)]
 
 
-def read_numerics(doc: dict, where: str) -> int:
-    """The numerics version a persisted document records, 1 if it has none;
-    a version this code does not know raises SchemaError."""
-    value = doc.get("numerics", 1)
+def read_numerics(value, path: str) -> int:
+    """A persisted numerics version, read as a field; a version this code
+    does not know raises SchemaError naming ``path``."""
     if type(value) is not int or not 1 <= value <= NUMERICS:
-        raise SchemaError(f"{where}numerics: {value!r} is not a numerics version 1..{NUMERICS}")
+        raise SchemaError(f"{path}: {value!r} is not a numerics version 1..{NUMERICS}")
     return value
 
 

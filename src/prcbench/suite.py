@@ -18,7 +18,7 @@ from .circuits import (
     circuit_to_dict,
     derive_subcircuit,
 )
-from .errors import SchemaError, read_json
+from .errors import SchemaError, read_fields, read_json, read_tagged, read_value
 from .optimize import (
     OptimizerConfig,
     PeakProfile,
@@ -128,46 +128,59 @@ def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) 
     return path
 
 
+@dataclass(frozen=True)
+class _Manifest:
+    """A suite manifest's fields; ``circuits`` maps "<n>x<d>" to a cell file."""
+
+    seed: int
+    qubits: tuple[int, ...]
+    depths: tuple[int, ...]
+    circuits: dict
+    numerics: int = 1  # manifests written before numerics 2 carry none
+    optimizer: OptimizerConfig | None = None
+
+
+def _load_cell(path: Path, key: str, n: int, d: int) -> SuiteCell:
+    where = f"{path}: "
+    doc = read_json(path)
+    circuit = circuit_from_dict(doc, where)
+    if (circuit.n, circuit.d) != (n, d):
+        raise SchemaError(f"suite key {key!r} disagrees with {path}: n={circuit.n}, d={circuit.d}")
+    profile = profile_from_dict(doc.get("profile"), where=f"{where}profile")
+    if profile.target != circuit.target:
+        raise SchemaError(
+            f"{where}profile.target: {profile.target.text} differs from the circuit's "
+            f"target {circuit.target.text}"
+        )
+    final = read_value(float | None, doc.get("final_objective"), f"{where}final_objective")
+    return SuiteCell(circuit, profile, profile.p_peak if final is None else final)
+
+
 def load_suite(manifest_path) -> Suite:
     manifest_path = Path(manifest_path)
-    doc = read_json(manifest_path)
-    if not isinstance(doc, dict) or doc.get("schema") != SUITE_SCHEMA:
-        raise SchemaError(
-            f"unsupported suite schema {doc.get('schema')!r}; expected {SUITE_SCHEMA!r}"
-        )
-    numerics = read_numerics(doc, f"{manifest_path}: ")
+    where = f"{manifest_path}: "
+    body = read_tagged(read_json(manifest_path), SUITE_SCHEMA, where)
+    manifest = read_fields(_Manifest, body, where, numerics=read_numerics)
     cells: dict[tuple[int, int], SuiteCell] = {}
-    for key, name in doc["circuits"].items():
+    for key, name in manifest.circuits.items():
         match = _CELL_KEY.fullmatch(key)
         if match is None:
-            raise SchemaError(
-                f"{manifest_path}: suite key {key!r} is not <n>x<d> with integer n and d"
-            )
+            raise SchemaError(f"{where}suite key {key!r} is not <n>x<d> with integer n and d")
         n, d = int(match[1]), int(match[2])
-        cell_path = manifest_path.parent / name
+        if (n, d) in cells:
+            raise SchemaError(f"{where}suite key {key!r} repeats cell ({n}, {d})")
+        cell_path = manifest_path.parent / read_value(str, name, f"{where}circuits.{key}")
         if not cell_path.exists():
             raise FileNotFoundError(f"suite cell ({n}, {d}) missing: {cell_path}")
-        cell_doc = read_json(cell_path)
-        circuit = circuit_from_dict(cell_doc)
-        if (circuit.n, circuit.d) != (n, d):
-            raise SchemaError(
-                f"suite key {key!r} disagrees with {cell_path}: n={circuit.n}, d={circuit.d}"
-            )
-        if "profile" not in cell_doc:
-            raise SchemaError(f"{cell_path}: circuit file has no embedded profile")
-        profile = profile_from_dict(cell_doc["profile"], where=f"{cell_path}: profile")
-        cells[(n, d)] = SuiteCell(
-            circuit=circuit,
-            profile=profile,
-            final_objective=float(cell_doc.get("final_objective", profile.p_peak)),
+        cells[(n, d)] = _load_cell(cell_path, key, n, d)
+    grid = {(n, d) for n in manifest.qubits for d in manifest.depths}
+    if set(cells) != grid:
+        raise SchemaError(
+            f"{where}circuits: the cells are not qubits x depths; missing "
+            f"{sorted(grid - set(cells))}, extra {sorted(set(cells) - grid)}"
         )
-    return Suite(
-        seed=int(doc["seed"]),
-        qubits=tuple(int(q) for q in doc["qubits"]),
-        depths=tuple(int(d) for d in doc["depths"]),
-        cells=dict(sorted(cells.items())),
-        numerics=numerics,
-    )
+    cells = dict(sorted(cells.items()))
+    return Suite(manifest.seed, manifest.qubits, manifest.depths, cells, manifest.numerics)
 
 
 def suite_hash(manifest_path) -> str:

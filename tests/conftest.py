@@ -1,7 +1,16 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, as benchmarks/run.py uses: the pair kernels' GEMMs are
+# otherwise threaded, and a test's time then depends on what else runs on
+# the machine.  It only takes effect if numpy has not been imported yet.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS threads")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))

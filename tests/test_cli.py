@@ -245,3 +245,14 @@ def test_export_qasm_decomposes_each_gate_once(tiny_suite, tmp_path, monkeypatch
         _, _, name, two, single = row.split(",")
         assert (qdir / name).read_text() == qasm.emit_qasm(cell.circuit)
         assert qasm.gate_count(cell.circuit) == {"two_qubit": int(two), "single_qubit": int(single)}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tiny_suite, tmp_path, capsys, jobs):
+    assert main(["generate", "--qubits", "2", "--depths", "2", "--out-dir", str(tmp_path),
+                 "--jobs", jobs]) == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert main(["bench", "--suite", str(tiny_suite / "suite.json"), "--config", "unused.json",
+                 "--out", str(tmp_path / "m.json"), "--jobs", jobs]) == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,0 +1,357 @@
+"""Strict loading of every persisted document: the value rules the
+dataclasses enforce, the checks across documents, inputs that once loaded
+or crashed, and a fuzz property over single-field mutations."""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prcbench.circuits import (
+    BitString,
+    build_reference_circuit,
+    circuit_from_dict,
+    circuit_to_dict,
+    derive_subcircuit,
+    retarget,
+)
+from prcbench.errors import SchemaError
+from prcbench.harness import BenchConfig, matrix_from_dict, matrix_to_json, run_matrix
+from prcbench.noise import NoiseSpec
+from prcbench.optimize import OptimizerConfig, profile_from_dict, profile_to_dict
+from prcbench.suite import generate_suite, load_suite, save_suite
+
+UNKNOWN = "zz_unknown"
+REPLACEMENTS = ["text", 0.5, True, None, [1], math.nan]
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    suite = generate_suite((2, 3), (2, 4), seed=3, optimize_cells=False)
+    optimizer = OptimizerConfig(stage1_iters=10, stage2_iters=5)
+    return suite, save_suite(suite, tmp_path_factory.mktemp("suite"), optimizer=optimizer)
+
+
+@pytest.fixture(scope="module")
+def matrices(saved):
+    suite, _ = saved
+    noise = NoiseSpec(p2=0.05, readout_eps=0.02, coherent_delta=0.01)
+    grid = dict(qubits=(3, 2), depths=(2, 4), reps=2, threshold=1, top_k=2, noise=noise)
+    return [run_matrix(suite.as_mapping(), BenchConfig(**grid, exact=exact)) for exact in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def circuit_doc():
+    circuit = derive_subcircuit(build_reference_circuit(3, 5, seed=2), 3, 5)
+    return circuit_to_dict(retarget(circuit, BitString.from_text("101")))
+
+
+def _edited(doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
+class TestBenchConfigRules:
+    @pytest.mark.parametrize(
+        "values,path",
+        [
+            ({"min_shots": 500, "max_shots": 100}, "max_shots: 100 is below min_shots 500"),
+            ({"min_shots": 0}, "min_shots must be at least 1"),
+            ({"master_seed": -1}, "master_seed must be non-negative"),
+            ({"qubits": [1, 3]}, r"qubits: 1 is below 2"),
+            ({"depths": [4, 1]}, r"depths: 1 is below 2"),
+            ({"qubits": [3, 2, 3]}, r"qubits: \(3, 2, 3\) lists a value twice"),
+            ({"depths": [2, 2]}, r"depths: \(2, 2\) lists a value twice"),
+        ],
+        ids=["min_above_max", "min_below_1", "negative_seed", "qubit_below_2", "depth_below_2",
+             "duplicate_qubit", "duplicate_depth"],
+    )
+    def test_programmatic_and_loaded_configs_agree(self, values, path):
+        with pytest.raises(ValueError, match=f"^{path}"):
+            BenchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+        with pytest.raises(SchemaError, match=f"^{path}"):
+            BenchConfig.from_dict(values)
+
+
+class TestRejectedInputs:
+    """Inputs that loaded, or failed with another exception, before every
+    loader went through one reader; each now names its path."""
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"exact": "false"}, "exact: expected a boolean"),
+            ({"threshold": True}, "threshold: expected an integer"),
+            ({"qubits": [2.7]}, r"qubits\[0\]: expected an integer"),
+            ({"shot_base": "250"}, "shot_base: expected a number"),
+            ({"noise": {"p1": "0.1"}}, r"noise\.p1: expected a number"),
+            ({"noise": {"p1": True}}, r"noise\.p1: expected a number"),
+            ({"noise": {"coherent_delta": math.nan}}, r"noise\.coherent_delta: nan is not finite"),
+            ({"noise": {"coherent_delta": math.inf}}, r"noise\.coherent_delta: inf is not finite"),
+            ({"shot_base": 10**400}, r"shot_base: .* is not finite"),
+        ],
+    )
+    def test_bench_config(self, doc, message):
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            BenchConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d["cells"][0]["records"][0]["metrics"].update(identified="false"),
+             r"cells\[0\]\.records\[0\]\.metrics\.identified: expected a boolean"),
+            (lambda d: d["cells"][0]["records"][0].update(shots="12"),
+             r"cells\[0\]\.records\[0\]\.shots: expected an integer"),
+            (lambda d: d["cells"][1].update(identified_reps=1.7),
+             r"cells\[1\]\.identified_reps: expected an integer"),
+            (lambda d: d["cells"][0]["records"][1].update(target=101),
+             r"cells\[0\]\.records\[1\]\.target: expected a string"),
+            (lambda d: d["cells"][0]["records"][0]["metrics"].update(f=math.nan),
+             r"cells\[0\]\.records\[0\]\.metrics\.f: nan is not finite"),
+            (lambda d: d.update(extra=1), r"document: unknown key\(s\) 'extra'"),
+            (lambda d: d["cells"][2].update(extra=1), r"cells\[2\]: unknown key\(s\) 'extra'"),
+        ],
+        ids=["identified_str", "shots_str", "identified_reps_float", "target_int", "f_nan",
+             "unknown_top_level_key", "unknown_cell_key"],
+    )
+    def test_matrix(self, matrices, edit, message):
+        doc = _edited(json.loads(matrix_to_json(matrices[0])), edit)
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            matrix_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(n=2.9), "n: expected an integer"),
+            (lambda d: d.update(final_x=[True]), r"final_x\[0\]: expected an integer"),
+            (lambda d: d["layers"][1][0]["params"].__setitem__(3, "0.5"),
+             r"layers\[1\]\[0\]\.params\[3\]: expected a number"),
+            (lambda d: d["layers"][0][0]["params"].pop(), r"layers\[0\]\[0\]\.params: expected 16"),
+            (lambda d: d.update(extra=1), r"document: unknown key\(s\) 'extra'"),
+            (lambda d: d["layers"][2][0].update(extra=1), r"layers\[2\]\[0\]: unknown key\(s\)"),
+            (lambda d: d.update(seed="1"), "seed: expected an integer"),
+        ],
+        ids=["n_float", "final_x_bool", "param_str", "params_short", "unknown_key",
+             "unknown_gate_key", "seed_str"],
+    )
+    def test_circuit(self, circuit_doc, edit, message):
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            circuit_from_dict(_edited(circuit_doc, edit))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(seed="1"), "seed: expected an integer"),
+            (lambda d: d.update(seed=1.5), "seed: expected an integer"),
+            (lambda d: d.update(qubits=[2]), r"circuits: the cells are not qubits x depths; "
+                                             r"missing \[\], extra \[\(3, 2\), \(3, 4\)\]"),
+            (lambda d: d["circuits"].update({"2x2": 7}), r"circuits\.2x2: expected a string"),
+            (lambda d: d["optimizer"].update(stage1_iters=1.0),
+             r"optimizer\.stage1_iters: expected an integer"),
+        ],
+        ids=["seed_str", "seed_float", "qubits_disagree_with_circuits", "file_name_int",
+             "optimizer_float"],
+    )
+    def test_suite_manifest(self, saved, edit, message):
+        _, manifest = saved
+        mutant = manifest.parent / "mutant.json"
+        mutant.write_text(json.dumps(_edited(json.loads(manifest.read_text()), edit)))
+        with pytest.raises(SchemaError, match=rf"mutant\.json: {message}"):
+            load_suite(mutant)
+
+
+class TestCrossDocumentChecks:
+    def test_profile_target_differs_from_circuit(self, saved, tmp_path):
+        _, manifest = saved
+        for path in manifest.parent.glob("prc_*.json"):
+            doc = json.loads(path.read_text())
+            if path.name == "prc_n3_d4.json":
+                doc["profile"]["target"] = "110"
+            (tmp_path / path.name).write_text(json.dumps(doc))
+        (tmp_path / "suite.json").write_text(manifest.read_text())
+        with pytest.raises(SchemaError, match=r"prc_n3_d4\.json: profile\.target: 110 differs from "
+                                              r"the circuit's target 000"):
+            load_suite(tmp_path / "suite.json")
+
+    def test_manifest_grid_differs_from_circuits(self, saved):
+        _, manifest = saved
+        mutant = manifest.parent / "mutant.json"
+        doc = json.loads(manifest.read_text())
+        del doc["circuits"]["3x4"]
+        mutant.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"mutant\.json: circuits: .* missing \[\(3, 4\)\]"):
+            load_suite(mutant)
+
+    def test_matrix_config_grid_differs_from_matrix_grid(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        doc["config"]["depths"] = [2, 6]
+        with pytest.raises(SchemaError, match=r"^config: qubits x depths .* is not the matrix grid"):
+            matrix_from_dict(doc)
+
+
+class TestErrorPathCrashes:
+    """Malformed documents whose error path itself raised AttributeError,
+    KeyError or ValueError; each must raise SchemaError."""
+
+    def test_circuit_document_that_is_a_list(self):
+        with pytest.raises(SchemaError, match=r"^document: expected a prc-circuit/1 object"):
+            circuit_from_dict([1])
+
+    def test_manifest_that_is_a_list(self, saved):
+        _, manifest = saved
+        mutant = manifest.parent / "mutant.json"
+        mutant.write_text(json.dumps([json.loads(manifest.read_text())]))
+        with pytest.raises(SchemaError, match=r"mutant\.json: expected a prc-suite/1 object"):
+            load_suite(mutant)
+
+    def test_manifest_without_circuits(self, saved):
+        _, manifest = saved
+        mutant = manifest.parent / "mutant.json"
+        mutant.write_text(json.dumps(_edited(json.loads(manifest.read_text()),
+                                             lambda d: d.pop("circuits"))))
+        with pytest.raises(SchemaError, match=r"mutant\.json: circuits: missing"):
+            load_suite(mutant)
+
+    def test_final_objective_not_a_number(self, saved, tmp_path):
+        _, manifest = saved
+        for path in manifest.parent.glob("prc_*.json"):
+            doc = json.loads(path.read_text())
+            if path.name == "prc_n2_d4.json":
+                doc["final_objective"] = "x"
+            (tmp_path / path.name).write_text(json.dumps(doc))
+        (tmp_path / "suite.json").write_text(manifest.read_text())
+        with pytest.raises(SchemaError, match=r"prc_n2_d4\.json: final_objective: expected a number"):
+            load_suite(tmp_path / "suite.json")
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutant(data, doc):
+    """doc with one field deleted or replaced, or one unknown key added."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    ops = [("replace", value) for value in REPLACEMENTS] if path else []
+    ops += [("delete", None)] if isinstance(parent, dict) else []
+    ops += [("add", None)] if isinstance(node, dict) else []
+    op, value = data.draw(st.sampled_from(ops))
+    if op == "replace":
+        parent[path[-1]] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    else:
+        node[UNKNOWN] = 1
+    return doc
+
+
+def _agrees(doc, written) -> bool:
+    """Every value in doc is in written, the same in JSON; written may add
+    keys (defaults for deleted fields)."""
+    if isinstance(doc, dict):
+        return isinstance(written, dict) and all(k in written and _agrees(v, written[k])
+                                                 for k, v in doc.items())
+    if isinstance(doc, list):
+        return (isinstance(written, list) and len(doc) == len(written)
+                and all(_agrees(a, b) for a, b in zip(doc, written)))
+    numbers = {type(doc), type(written)} <= {int, float}
+    return doc == written and (type(doc) is type(written) or numbers and type(doc) is int)
+
+
+def _check_faithful(load, write, doc):
+    """A mutated document raises SchemaError or loads to what it says."""
+    try:
+        loaded = load(doc)
+    except SchemaError:
+        return
+    written = json.loads(json.dumps(write(loaded)))
+    assert _agrees(doc, written), (doc, written)
+    assert load(written) == loaded
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_circuit_loads_faithfully_or_raises_schema_error(circuit_doc, data):
+    _check_faithful(circuit_from_dict, circuit_to_dict, _mutant(data, circuit_doc))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_profile_loads_faithfully_or_raises_schema_error(saved, data):
+    _, manifest = saved
+    doc = json.loads((manifest.parent / "prc_n3_d4.json").read_text())["profile"]
+    _check_faithful(profile_from_dict, profile_to_dict, _mutant(data, doc))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_bench_config_loads_faithfully_or_raises_schema_error(matrices, data):
+    doc = json.loads(matrix_to_json(matrices[0]))["config"]
+    _check_faithful(BenchConfig.from_dict, BenchConfig.to_dict, _mutant(data, doc))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_matrix_loads_faithfully_or_raises_schema_error(matrices, data):
+    doc = json.loads(matrix_to_json(matrices[data.draw(st.sampled_from([0, 1]))]))
+    _check_faithful(matrix_from_dict, lambda m: json.loads(matrix_to_json(m)), _mutant(data, doc))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_suite_manifest_loads_faithfully_or_raises_schema_error(saved, data):
+    suite, manifest = saved
+    doc = _mutant(data, json.loads(manifest.read_text()))
+    mutant = manifest.parent / "mutant.json"
+    mutant.write_text(json.dumps(doc))
+    try:
+        loaded = load_suite(mutant)
+    except SchemaError:
+        return
+    except FileNotFoundError:  # a file name replaced by one that names no file
+        assert not all((manifest.parent / str(name)).exists() for name in doc["circuits"].values())
+        return
+    assert (loaded.seed, list(loaded.qubits), list(loaded.depths)) == (doc["seed"], doc["qubits"],
+                                                                       doc["depths"])
+    assert loaded.numerics == doc.get("numerics", 1)
+    assert loaded.cells == suite.cells
+
+
+_CONFIGS = st.builds(
+    lambda grid, reps, threshold, shots, noise, **rest: BenchConfig(
+        qubits=grid[0], depths=grid[1], reps=reps, threshold=min(threshold, reps),
+        min_shots=min(shots), max_shots=max(shots), noise=noise, **rest),
+    grid=st.tuples(*[st.lists(st.integers(2, 40), min_size=1, max_size=4, unique=True).map(tuple)] * 2),
+    reps=st.integers(1, 9),
+    threshold=st.integers(1, 9),
+    shots=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+    noise=st.builds(NoiseSpec, *[st.floats(0, 1)] * 3, st.floats(0, 10)),
+    skip_window=st.integers(1, 99),
+    shot_base=st.floats(0, 1e9),
+    master_seed=st.integers(0, 2**64),
+    exact=st.booleans(),
+    top_k=st.integers(0, 50),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(config=_CONFIGS)
+def test_bench_config_json_round_trip(config):
+    assert BenchConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_matrix_json_round_trip(matrices):
+    for matrix in matrices:
+        text = matrix_to_json(matrix)
+        assert matrix_from_dict(json.loads(text)) == matrix
+        assert matrix_to_json(matrix_from_dict(json.loads(text))) == text
