@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidDimensionError, SchemaError, read_fields, read_tagged, read_value
-from .gates import PARAMS_PER_GATE, GateParams, haar_random_unitary, kak_decompose
+from .gates import PARAMS_PER_GATE, GateParams, gate_matrices, haar_random_unitary, kak_decompose
 
 ROLE_RANDOM = "random-half"
 ROLE_PEAKING = "peaking-half"
@@ -205,14 +205,17 @@ def build_reference_circuit(n_max: int, d_max: int, seed: int) -> Circuit:
         raise InvalidDimensionError(f"need n >= 2 and d >= 2, got n={n_max}, d={d_max}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     rd = random_depth_for(d_max)
-    layers = []
-    for t, row in enumerate(brickwall_layout(n_max, d_max)):
-        role = ROLE_RANDOM if t < rd else ROLE_PEAKING
-        layer = tuple(
-            GatePlacement(t, q, kak_decompose(haar_random_unitary(rng)), role)
+    layout = brickwall_layout(n_max, d_max)
+    # Every Haar gate is drawn in layout order, then all are decomposed at once.
+    unitaries = np.stack([haar_random_unitary(rng) for row in layout for _ in row])
+    params = iter(kak_decompose(unitaries))
+    layers = [
+        tuple(
+            GatePlacement(t, q, next(params), ROLE_RANDOM if t < rd else ROLE_PEAKING)
             for q in row
         )
-        layers.append(layer)
+        for t, row in enumerate(layout)
+    ]
     return Circuit(
         n=n_max,
         d=d_max,
@@ -245,7 +248,7 @@ def derive_subcircuit(reference: Circuit, n: int, d: int) -> Circuit:
         (g.layer_index, g.qubit_low): g.params for g in reference.placements()
     }
 
-    layers = []
+    slots, fills = [], []
     for t, row in enumerate(brickwall_layout(n, d)):
         if t < rd:
             role, tag, j = ROLE_RANDOM, 0, t
@@ -253,20 +256,20 @@ def derive_subcircuit(reference: Circuit, n: int, d: int) -> Circuit:
         else:
             role, tag, j = ROLE_PEAKING, 1, t - rd
             src_layer = rd_ref + j
-        layer = []
         for q in row:
             params = by_slot.get((src_layer, q))
             if params is None:
-                params = kak_decompose(
-                    haar_random_unitary(_fill_rng(fill_seed, tag, j, q))
-                )
-            layer.append(GatePlacement(t, q, params, role))
-        layers.append(tuple(layer))
+                fills.append(haar_random_unitary(_fill_rng(fill_seed, tag, j, q)))
+            slots.append((t, q, role, params))
+    filled = iter(kak_decompose(np.stack(fills)) if fills else ())
+    layers = [[] for _ in range(d)]
+    for t, q, role, params in slots:
+        layers[t].append(GatePlacement(t, q, params if params is not None else next(filled), role))
     return Circuit(
         n=n,
         d=d,
         random_depth=rd,
-        layers=tuple(layers),
+        layers=tuple(map(tuple, layers)),
         target=BitString.zeros(n),
         seed=reference.seed,
     )
@@ -283,24 +286,25 @@ def build_exact_inverse_peaking(circuit: Circuit) -> Circuit:
         for layer in circuit.layers[:rd]
         for g in layer
     }
-    layers = list(circuit.layers[:rd])
+    slots = []
     for j in range(rd):
         t = rd + j
         src = rd - 1 - j
-        layer = []
         for g in circuit.layers[t]:
             params = by_slot.get((src, g.qubit_low))
             if params is None:
                 raise InvalidDimensionError(
                     "peaking layer alignment does not mirror the random half"
                 )
-            layer.append(
-                GatePlacement(t, g.qubit_low, kak_decompose(params.matrix().conj().T), ROLE_PEAKING)
-            )
-        layers.append(tuple(layer))
+            slots.append((t, g.qubit_low, params))
+    forward = gate_matrices(np.stack([params.to_vector() for _, _, params in slots]))
+    inverses = iter(kak_decompose(np.swapaxes(forward.conj(), 1, 2)))
+    layers = list(circuit.layers[:rd]) + [[] for _ in range(rd)]
+    for t, q, _ in slots:
+        layers[t].append(GatePlacement(t, q, next(inverses), ROLE_PEAKING))
     return replace(
         circuit,
-        layers=tuple(layers),
+        layers=tuple(map(tuple, layers)),
         target=BitString.zeros(circuit.n),
         final_x=(),
     )
@@ -318,21 +322,26 @@ def retarget(circuit: Circuit, s: BitString) -> Circuit:
         return circuit.with_target(s)
 
     last = circuit.layers[-1]
-    new_last = []
-    for g in last:
+    fused, ops = [], []
+    for i, g in enumerate(last):
         lo, hi = g.qubit_low, g.qubit_low + 1
         fuse_lo, fuse_hi = lo in flips, hi in flips
         flips.discard(lo)
         flips.discard(hi)
         if not (fuse_lo or fuse_hi):
-            new_last.append(g)
             continue
         op = np.eye(4, dtype=complex)
         if fuse_lo:
             op = np.kron(np.eye(2), _X2) @ op
         if fuse_hi:
             op = np.kron(_X2, np.eye(2)) @ op
-        new_last.append(replace(g, params=kak_decompose(op @ g.params.matrix())))
+        fused.append(i)
+        ops.append(op)
+    new_last = list(last)
+    if fused:
+        rows = np.stack([last[i].params.to_vector() for i in fused])
+        for i, params in zip(fused, kak_decompose(np.stack(ops) @ gate_matrices(rows))):
+            new_last[i] = replace(last[i], params=params)
     layers = circuit.layers[:-1] + (tuple(new_last),)
 
     # Unfused flips toggle the standalone NOT set (X is self-inverse).

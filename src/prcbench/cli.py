@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import replace
@@ -49,12 +50,29 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"cannot parse range {text!r}: {exc}") from exc
 
 
-def _jobs(text: str) -> int:
-    """--jobs: a worker count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def _int_at_least(lowest: int):
+    """An argparse type for integers of at least ``lowest``, so a value
+    below it is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type for finite numbers above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
+
+
+_positive_float.__name__ = "float"
 
 
 def _cmd_generate(args) -> int:
@@ -197,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--depths", required=True, help="range like 2..10 or list 2,6,10")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", default=_default_out_dir())
-    gen.add_argument("--stage1-iters", type=int, default=5000)
-    gen.add_argument("--stage2-iters", type=int, default=10000)
-    gen.add_argument("--adam-step", type=float, default=0.01)
+    gen.add_argument("--stage1-iters", type=_int_at_least(0), default=5000)
+    gen.add_argument("--stage2-iters", type=_int_at_least(0), default=10000)
+    gen.add_argument("--adam-step", type=_positive_float, default=0.01)
     gen.add_argument("--stop-tol", type=float, default=1e-8)
-    gen.add_argument("--jobs", type=_jobs, default=1)
+    gen.add_argument("--jobs", type=_int_at_least(1), default=1)
     gen.add_argument("--no-optimize", action="store_true", help="skip peaking optimization")
     gen.set_defaults(func=_cmd_generate)
 
@@ -210,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="benchmark config JSON")
     bench.add_argument("--out", required=True, help="matrix JSON output path")
     bench.add_argument("--csv", default=None, help="optional flat CSV output path")
-    bench.add_argument("--jobs", type=_jobs, default=1)
+    bench.add_argument("--jobs", type=_int_at_least(1), default=1)
     bench.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser("report", help="render SVG reports from matrix files")
@@ -218,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("inputs", nargs="+", help="matrix JSON file(s)")
     rep.add_argument("--out", required=True, help="SVG output path")
     rep.add_argument("--cell", default=None, help="histogram mode: cell as n,d")
-    rep.add_argument("--rep", type=int, default=0, help="histogram mode: repetition index")
-    rep.add_argument("--top-k", type=int, default=10)
+    rep.add_argument("--rep", type=_int_at_least(0), default=0,
+                     help="histogram mode: repetition index")
+    rep.add_argument("--top-k", type=_int_at_least(1), default=10,
+                     help="histogram mode: bars to draw")
     rep.set_defaults(func=_cmd_report)
 
     exp = sub.add_parser("export-qasm", help="emit OpenQASM 2.0 files plus gate counts")

@@ -14,7 +14,11 @@ Conventions used throughout the package:
 One batched constructor, ``gate_matrices``, builds every gate matrix in the
 package (and, for the optimizer, every parameter derivative) from a
 ``(G, 16)`` array of ``GateParams.to_vector()`` rows; ``GateParams.matrix``
-is its one-row case.
+is its one-row case.  One batched decomposition, ``kak_decompose``, turns a
+``(G, 4, 4)`` stack of unitaries into G GateParams, and a single 4x4
+matrix is its one-element stack.  Both give each gate the bits of a
+one-gate call, so circuit builders decompose all their gates at once
+without changing artifacts.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max absolute deviation of u^dag u from the identity."""
+    """Max absolute deviation of u^dag u from the identity, over every
+    matrix of a stack."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
 def su2_from_zyz(triple) -> np.ndarray:
@@ -156,7 +161,9 @@ class GateParams:
 
 PARAMS_PER_GATE = 16
 
+_EYE2 = np.eye(2)
 _EYE4 = np.eye(4, dtype=complex)
+_DIAG = np.arange(4)
 _PAULI_PAIRS = np.stack((XX, YY, ZZ))
 _MHY = -0.5j * _Y  # d/dtheta generator of Ry
 _MHZ = -0.5j * _Z  # d/dtheta generator of Rz
@@ -185,6 +192,20 @@ def _ry_stack(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """kron(high, low) over stacks of 2x2 matrices, as np.kron forms it."""
+    prod = high[..., :, None, :, None] * low[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (4, 4))
+
+
+def _core(angles: np.ndarray) -> np.ndarray:
+    """entangling_core over the last axis (a, b, c) of an array of angles,
+    shape angles.shape[:-1] + (4, 4)."""
+    ent = angles[..., None, None]
+    terms = np.cos(ent) * _EYE4 + (1j * np.sin(ent)) * _PAULI_PAIRS
+    return terms[..., 0, :, :] @ terms[..., 1, :, :] @ terms[..., 2, :, :]
+
+
 def gate_matrices(params: np.ndarray, derivatives: bool = False):
     """Unitaries of G gates from their (G, 16) parameter rows, each in
     to_vector() order, as a (G, 4, 4) stack.
@@ -206,13 +227,10 @@ def gate_matrices(params: np.ndarray, derivatives: bool = False):
     rz2 = _rz_stack(angles[..., 2])
     su2 = rz2 @ ry1 @ rz0  # (G, 4, 2, 2): pre low, pre high, post low, post high
     high, low = su2[:, 1::2], su2[:, 0::2]
-    # kron(high, low), as np.kron forms it.
-    local = (high[..., :, None, :, None] * low[..., None, :, None, :]).reshape(g, 2, 4, 4)
+    local = _kron(high, low)
     pre, post = local[:, 0], local[:, 1]
 
-    ent = params[:, 6:9, None, None]
-    terms = np.cos(ent) * _EYE4 + (1j * np.sin(ent)) * _PAULI_PAIRS
-    core = terms[:, 0] @ terms[:, 1] @ terms[:, 2]
+    core = _core(params[:, 6:9])
     phase = np.exp(1j * params[:, 15])[:, None, None]
     post_core = post @ core
     unitaries = phase * (post_core @ pre)
@@ -273,28 +291,63 @@ def _diagonalize_complex_symmetric(m2: np.ndarray, atol: float = 1e-11):
     raise DecompositionError("failed to diagonalize the symmetric magic-basis product")
 
 
+def _diagonalize_stack(m2: np.ndarray, atol: float = 1e-11):
+    """_diagonalize_complex_symmetric over a (G, 4, 4) stack: its first
+    mix for every gate at once, and its whole retry loop for each gate
+    whose residual fails."""
+    mix = 1.0 * m2.real + 0.0 * m2.imag
+    _, p = np.linalg.eigh(mix)
+    d = np.swapaxes(p, 1, 2) @ m2 @ p
+    diag = np.diagonal(d, axis1=1, axis2=2).copy()
+    d[:, _DIAG, _DIAG] = 0.0
+    for g in np.flatnonzero(np.max(np.abs(d), axis=(1, 2)) > atol):
+        p[g], diag[g] = _diagonalize_complex_symmetric(m2[g], atol)
+    return p, diag
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays of one shape, each part rounded as numpy's
+    complex scalars round it, whatever vector path the array product takes."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a (G, 2, 2) stack, with scalar rounding (_cmul)."""
+    return _cmul(m[:, 0, 0], m[:, 1, 1]) - _cmul(m[:, 0, 1], m[:, 1, 0])
+
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| as abs() of a numpy complex scalar computes it."""
+    return np.hypot(z.real, z.imag)
+
+
 def split_product_gate(m: np.ndarray):
-    """Split m ~ kron(L, R) with m in SU(4) into SU(2) factors plus the
-    residual phase, so m = exp(i*phase) * kron(L, R)."""
-    m = np.asarray(m, dtype=complex)
-    r = m[:2, :2].copy()
-    det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
-        r = m[2:, :2].copy()
-        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
+    """Split each m ~ kron(L, R) of a (G, 4, 4) stack in SU(4) into SU(2)
+    factors plus the residual phase, so m = exp(i*phase) * kron(L, R).
+    Returns the (G, 2, 2) stacks L and R and the (G,) phases."""
+    r = m[:, :2, :2].copy()
+    det_r = _det2(r)
+    lower = _cabs(det_r) < 0.1
+    if lower.any():
+        r[lower] = m[lower, 2:, :2]
+        det_r[lower] = _det2(r[lower])
+    if (_cabs(det_r) < 0.1).any():
         raise DecompositionError("gate is not a tensor product of single-qubit gates")
-    r /= np.sqrt(det_r)
+    r /= np.sqrt(det_r)[:, None, None]
 
-    temp = m @ np.kron(np.eye(2), r.conj().T)
-    left = temp[::2, ::2].copy()
-    det_l = left[0, 0] * left[1, 1] - left[0, 1] * left[1, 0]
-    if abs(det_l) < 0.9:
+    temp = m @ _kron(_EYE2, np.swapaxes(r.conj(), 1, 2))
+    left = temp[:, ::2, ::2].copy()
+    det_l = _det2(left)
+    if (_cabs(det_l) < 0.9).any():
         raise DecompositionError("gate is not a tensor product of single-qubit gates")
-    left /= np.sqrt(det_l)
-    phase = float(np.angle(det_l)) / 2.0
+    left /= np.sqrt(det_l)[:, None, None]
+    phase = np.angle(det_l) / 2.0
 
-    deviation = abs(abs(np.trace(np.kron(left, r).conj().T @ m)) - 4.0)
+    overlap = np.trace(np.swapaxes(_kron(left, r).conj(), 1, 2) @ m, axis1=1, axis2=2)
+    deviation = np.max(np.abs(np.abs(overlap) - 4.0))
     if deviation > 1e-11:
         raise DecompositionError(f"tensor-product split failed (deviation {deviation:.2e})")
     return left, r, phase
@@ -303,153 +356,163 @@ def split_product_gate(m: np.ndarray):
 @dataclass(frozen=True)
 class WeylDecomposition:
     """u = exp(i*global_phase) * kron(k1l, k1r) @ core(a, b, c) @ kron(k2l, k2r)
-    with pi/4 >= a >= b >= |c|.  The ``l`` factors act on the high qubit."""
+    with pi/4 >= a >= b >= |c|.  The ``l`` factors act on the high qubit.
+    For a stack of G gates every field gains a leading axis of length G."""
 
     k1l: np.ndarray
     k1r: np.ndarray
-    a: float
-    b: float
-    c: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
     k2l: np.ndarray
     k2r: np.ndarray
-    global_phase: float
+    global_phase: float | np.ndarray
 
     def matrix(self) -> np.ndarray:
-        core = entangling_core(self.a, self.b, self.c)
-        m = np.kron(self.k1l, self.k1r) @ core @ np.kron(self.k2l, self.k2r)
-        return np.exp(1j * self.global_phase) * m
+        core = _core(np.stack((self.a, self.b, self.c), axis=-1))
+        m = _kron(self.k1l, self.k1r) @ core @ _kron(self.k2l, self.k2r)
+        return np.exp(1j * np.asarray(self.global_phase))[..., None, None] * m
+
+
+def _as_stack(u) -> tuple[np.ndarray, bool]:
+    """A (4, 4) matrix or (G, 4, 4) stack as a stack, and whether it was
+    one matrix."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
+        raise DecompositionError("expected a 4x4 matrix or a (G, 4, 4) stack")
+    return (u[None], True) if u.ndim == 2 else (u, False)
 
 
 def weyl_decompose(u: np.ndarray, atol: float = 1e-10) -> WeylDecomposition:
-    """Cartan decomposition of a 4x4 unitary with Weyl-chamber canonical
-    interaction angles.
+    """Cartan decomposition of a 4x4 unitary, or of each of a (G, 4, 4)
+    stack, with Weyl-chamber canonical interaction angles.
 
     Follows the magic-basis construction: bring u into SU(4), diagonalize
     the complex-symmetric product M^T M of its magic-basis image over SO(4),
     read the interaction angles off the eigenvalue phases, then fold the
     angles into the chamber pi/4 >= a >= b >= |c| while pushing the
     compensating sign flips into the local factors and the global phase.
+
+    Every gate of a stack goes through the floating-point operations a
+    one-matrix call makes, so its result does not depend on the stack.
+    Complex scalar steps stay per gate or are formed in real arithmetic
+    (_cmul), and each chamber move is applied under a mask.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise DecompositionError("expected a 4x4 matrix")
+    u, single = _as_stack(u)
     if unitarity_defect(u) > 1e-10:
         raise DecompositionError("input matrix is not unitary")
 
     pi, pi2, pi4 = np.pi, np.pi / 2, np.pi / 4
 
-    det_u = complex(np.linalg.det(u))
-    su = u * det_u ** (-0.25)
-    phase = float(np.angle(det_u)) / 4.0
+    det_u = np.linalg.det(u)
+    scale = np.array([complex(z) ** (-0.25) for z in det_u])
+    su = u * scale[:, None, None]
+    phase = np.angle(det_u) / 4.0
 
     up = MAGIC_DAG @ su @ MAGIC
-    m2 = up.T @ up
+    m2 = np.swapaxes(up, 1, 2) @ up
 
-    p, d_diag = _diagonalize_complex_symmetric(m2)
+    p, d_diag = _diagonalize_stack(m2)
     d = -np.angle(d_diag) / 2.0
-    d[3] = -d[0] - d[1] - d[2]
-    cs = np.mod((d[:3] + d[3]) / 2.0, 2.0 * pi)
+    d[:, 3] = -d[:, 0] - d[:, 1] - d[:, 2]
+    cs = np.mod((d[:, :3] + d[:, 3:]) / 2.0, 2.0 * pi)
 
     # Reorder the eigenvalues so the angles land near the Weyl chamber.
     cstemp = np.mod(cs, pi2)
     np.minimum(cstemp, pi2 - cstemp, out=cstemp)
-    order = np.argsort(cstemp)[[1, 2, 0]]
-    cs = cs[order]
-    d[:3] = d[order]
-    p[:, :3] = p[:, order]
-    if np.real(np.linalg.det(p)) < 0:
-        p[:, -1] = -p[:, -1]
+    order = np.argsort(cstemp, axis=1)[:, [1, 2, 0]]
+    cs = np.take_along_axis(cs, order, axis=1)
+    d[:, :3] = np.take_along_axis(d[:, :3], order, axis=1)
+    p[:, :, :3] = np.take_along_axis(p[:, :, :3], order[:, None, :], axis=2)
+    flip = np.real(np.linalg.det(p)) < 0
+    p[flip, :, -1] = -p[flip, :, -1]
 
-    k1 = MAGIC @ (up @ p @ np.diag(np.exp(1j * d))) @ MAGIC_DAG
-    k2 = MAGIC @ p.T @ MAGIC_DAG
+    phases = np.zeros(d.shape + (4,), dtype=complex)
+    phases[:, _DIAG, _DIAG] = np.exp(1j * d)
+    k1 = MAGIC @ (up @ p @ phases) @ MAGIC_DAG
+    k2 = MAGIC @ np.swapaxes(p, 1, 2) @ MAGIC_DAG
 
     k1l, k1r, phase_l = split_product_gate(k1)
     k2l, k2r, phase_r = split_product_gate(k2)
-    phase += phase_l + phase_r
+    phase = phase + (phase_l + phase_r)
 
     # Fold into the chamber; each move is a local operation plus a phase.
-    if cs[0] > pi2:
-        cs[0] -= 3 * pi2
-        k1l = k1l @ _ipy
-        k1r = k1r @ _ipy
-        phase += pi2
-    if cs[1] > pi2:
-        cs[1] -= 3 * pi2
-        k1l = k1l @ _ipx
-        k1r = k1r @ _ipx
-        phase += pi2
-    conjs = 0
-    if cs[0] > pi4:
-        cs[0] = pi2 - cs[0]
-        k1l = k1l @ _ipy
-        k2r = _ipy @ k2r
-        conjs += 1
-        phase -= pi2
-    if cs[1] > pi4:
-        cs[1] = pi2 - cs[1]
-        k1l = k1l @ _ipx
-        k2r = _ipx @ k2r
-        conjs += 1
-        phase += pi2
-        if conjs == 1:
-            phase -= pi
-    if cs[2] > pi2:
-        cs[2] -= 3 * pi2
-        k1l = k1l @ _ipz
-        k1r = k1r @ _ipz
-        phase += pi2
-        if conjs == 1:
-            phase -= pi
-    if conjs == 1:
-        cs[2] = pi2 - cs[2]
-        k1l = k1l @ _ipz
-        k2r = _ipz @ k2r
-        phase += pi2
-    if cs[2] > pi4:
-        cs[2] -= pi2
-        k1l = k1l @ _ipz
-        k1r = k1r @ _ipz
-        phase -= pi2
+    # A move at column col sets cs[:, col] to value, right-multiplies k1l
+    # and either right-multiplies k1r or left-multiplies k2r by a flipper,
+    # and adds dphase, in the gates whose mask is set.
+    def move(mask, col, value, flipper, on_k1r, dphase):
+        if not mask.any():
+            return
+        cs[mask, col] = value[mask]
+        k1l[mask] = k1l[mask] @ flipper
+        if on_k1r:
+            k1r[mask] = k1r[mask] @ flipper
+        else:
+            k2r[mask] = flipper @ k2r[mask]
+        phase[mask] += dphase
+
+    move(cs[:, 0] > pi2, 0, cs[:, 0] - 3 * pi2, _ipy, True, pi2)
+    move(cs[:, 1] > pi2, 1, cs[:, 1] - 3 * pi2, _ipx, True, pi2)
+    conjs = np.zeros(len(u), dtype=int)
+    mask = cs[:, 0] > pi4
+    move(mask, 0, pi2 - cs[:, 0], _ipy, False, -pi2)
+    conjs += mask
+    mask = cs[:, 1] > pi4
+    move(mask, 1, pi2 - cs[:, 1], _ipx, False, pi2)
+    conjs += mask
+    phase[mask & (conjs == 1)] -= pi
+    mask = cs[:, 2] > pi2
+    move(mask, 2, cs[:, 2] - 3 * pi2, _ipz, True, pi2)
+    phase[mask & (conjs == 1)] -= pi
+    move(conjs == 1, 2, pi2 - cs[:, 2], _ipz, False, pi2)
+    move(cs[:, 2] > pi4, 2, cs[:, 2] - pi2, _ipz, True, -pi2)
 
     result = WeylDecomposition(
-        k1l=k1l,
-        k1r=k1r,
-        a=float(cs[1]),
-        b=float(cs[0]),
-        c=float(cs[2]),
-        k2l=k2l,
-        k2r=k2r,
-        global_phase=phase,
+        k1l=k1l, k1r=k1r, a=cs[:, 1], b=cs[:, 0], c=cs[:, 2], k2l=k2l, k2r=k2r, global_phase=phase
     )
     if np.max(np.abs(result.matrix() - u)) > atol:
         raise DecompositionError("Weyl decomposition failed to reconstruct the input")
+    if single:
+        return WeylDecomposition(
+            k1l=k1l[0], k1r=k1r[0], a=float(cs[0, 1]), b=float(cs[0, 0]), c=float(cs[0, 2]),
+            k2l=k2l[0], k2r=k2r[0], global_phase=float(phase[0]),
+        )
     return result
 
 
-def kak_decompose(u: np.ndarray, atol: float = 1e-10) -> GateParams:
-    """Express a 4x4 unitary as GateParams with canonical entangling angles.
+def kak_decompose(u: np.ndarray, atol: float = 1e-10):
+    """Express a 4x4 unitary as GateParams with canonical entangling angles,
+    or a (G, 4, 4) stack as a tuple of G GateParams.
 
-    The reconstruction ``kak_decompose(u).matrix()`` matches ``u`` exactly
-    (including global phase) to within ``atol``.
+    A matrix is the one-element stack, and each gate's parameters are bit
+    for bit those of its own one-matrix call.  The reconstruction
+    ``kak_decompose(u).matrix()`` matches ``u`` exactly (including global
+    phase) to within ``atol``.
     """
-    w = weyl_decompose(u, atol=atol)
-    pre_low = zyz_angles(w.k2r)
-    pre_high = zyz_angles(w.k2l)
-    post_low = zyz_angles(w.k1r)
-    post_high = zyz_angles(w.k1l)
-    phase = (
-        w.global_phase
-        + pre_low[3]
-        + pre_high[3]
-        + post_low[3]
-        + post_high[3]
-    )
-    params = GateParams(
-        pre=(*pre_low[:3], *pre_high[:3]),
-        entangling=(w.a, w.b, w.c),
-        post=(*post_low[:3], *post_high[:3]),
-        phase=phase,
-    )
-    if np.max(np.abs(params.matrix() - u)) > atol:
-        raise DecompositionError("KAK parameter extraction failed to reconstruct the input")
-    return params
+    stack, single = _as_stack(u)
+    if not len(stack):
+        return ()
+    w = weyl_decompose(stack, atol=atol)
+    out = []
+    for g, ug in enumerate(stack):
+        pre_low = zyz_angles(w.k2r[g])
+        pre_high = zyz_angles(w.k2l[g])
+        post_low = zyz_angles(w.k1r[g])
+        post_high = zyz_angles(w.k1l[g])
+        phase = (
+            float(w.global_phase[g])
+            + pre_low[3]
+            + pre_high[3]
+            + post_low[3]
+            + post_high[3]
+        )
+        params = GateParams(
+            pre=(*pre_low[:3], *pre_high[:3]),
+            entangling=(float(w.a[g]), float(w.b[g]), float(w.c[g])),
+            post=(*post_low[:3], *post_high[:3]),
+            phase=phase,
+        )
+        if np.max(np.abs(params.matrix() - ug)) > atol:
+            raise DecompositionError("KAK parameter extraction failed to reconstruct the input")
+        out.append(params)
+    return out[0] if single else tuple(out)

@@ -114,9 +114,38 @@ class _StoredCell(CellResult):
     d: int = field(kw_only=True)
 
 
+def _is_bits(text: str, n: int) -> bool:
+    return len(text) == n and set(text) <= {"0", "1"}
+
+
+def _record_problem(r: RunRecord, j: int, cell: _StoredCell, exact: bool) -> str | None:
+    """What is wrong with record j of a stored cell, as "field: reason".  A
+    record belongs to its cell, reps count 0, 1, ... in order, sampled
+    records draw at least one shot and exact-mode ones none, and bitstrings
+    are n characters of 0 and 1 with counts that are not negative."""
+    if (r.n, r.d) != (cell.n, cell.d):
+        name, value, want = ("n", r.n, cell.n) if r.n != cell.n else ("d", r.d, cell.d)
+        return f"{name}: {value} is not the cell's {name} {want}"
+    if r.rep != j:
+        return f"rep: {r.rep}, but record {j} holds rep {j}"
+    if exact and r.shots != 0:
+        return f"shots: {r.shots}, but an exact-mode matrix draws no shots"
+    if not exact and r.shots < 1:
+        return f"shots: {r.shots} is below 1"
+    if not _is_bits(r.target, cell.n):
+        return f"target: {r.target!r} is not {cell.n} characters of 0 and 1"
+    for k, (text, count) in enumerate(r.top_counts):
+        if not _is_bits(text, cell.n):
+            return f"top_counts[{k}][0]: {text!r} is not {cell.n} characters of 0 and 1"
+        if count < 0:
+            return f"top_counts[{k}][1]: count {count} is negative"
+    return None
+
+
 @dataclass(frozen=True)
 class _StoredMatrix:
-    """A matrix document's fields: cells cover qubits x depths, the config's grid, once each."""
+    """A matrix document's fields: cells cover qubits x depths, the config's
+    grid, once each, and each cell's records fit it (_record_problem)."""
 
     config: BenchConfig
     qubits: tuple[int, ...]
@@ -138,6 +167,11 @@ class _StoredMatrix:
         config_grid = (tuple(sorted(self.config.qubits)), tuple(sorted(self.config.depths)))
         if config_grid != (self.qubits, self.depths):
             raise ValueError(f"config: qubits x depths {config_grid} is not the matrix grid")
+        for i, cell in enumerate(self.cells):
+            for j, record in enumerate(cell.records):
+                problem = _record_problem(record, j, cell, self.config.exact)
+                if problem:
+                    raise ValueError(f"cells[{i}].records[{j}].{problem}")
 
 
 def shot_policy(n: int, d: int, config: BenchConfig) -> int:

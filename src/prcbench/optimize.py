@@ -3,6 +3,7 @@ and circuit-intrinsic peak profiles."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.stage1_iters < 0 or self.stage2_iters < 0:
             raise ValueError("stage1_iters and stage2_iters must be non-negative")
-        if self.adam_step <= 0:
-            raise ValueError("adam_step must be positive")
+        if not 0.0 < self.adam_step < math.inf:
+            raise ValueError(f"adam_step must be positive and finite, got {self.adam_step}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The benchmark's tracer names prcbench functions by module and attribute
-path.  These checks make a rename of a traced function fail the test suite
-instead of a traced benchmark run."""
+path.  These checks make a rename of a traced function, or a set-up span
+that stops firing, fail the test suite instead of a traced benchmark run."""
 
 import importlib
 import sys
@@ -84,3 +84,22 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
     calls.clear()
     sim.run(circ)
     assert len(calls) == gates
+
+
+@pytest.mark.parametrize("name", ["wide_readout", "deep_gradient"])
+def test_setup_spans_fire(bench_modules, tmp_path, name):
+    # Each set-up span the workload expects (gate decomposition and
+    # construction, circuit building) is still called when it builds its
+    # inputs, so batching cannot silence one.
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS[name](BENCH_DIR.parent)
+    expected = [s for s in workload.expected_spans if s.split(".")[0] in ("gates", "circuits")]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        workload.setup(7, tmp_path)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summarize([0])
+    assert "gates.kak_decompose" in expected and "gates.GateParams.matrix" in expected
+    assert [s for s in expected if not calls[f"{s}.calls"]] == []

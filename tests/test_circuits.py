@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prcbench.circuits import (
     BitString,
@@ -197,6 +199,25 @@ class TestRetarget:
         circ = build_reference_circuit(4, 4, seed=1)
         with pytest.raises(ValueError):
             retarget(circ, BitString.from_text("011"))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 6), d=st.integers(2, 6), seed=st.integers(0, 2**16),
+           s_bits=st.integers(0, 63))
+    @example(n=2, d=2, seed=0, s_bits=0b11)  # both qubits of the one pair fuse
+    @example(n=4, d=4, seed=1, s_bits=0b1111)  # both qubits of every pair fuse
+    @example(n=3, d=4, seed=8, s_bits=0b100)  # qubit 2 needs a standalone NOT
+    @example(n=5, d=3, seed=2, s_bits=0b10011)  # fused pairs and a standalone NOT
+    def test_xor_permutation_and_involution(self, n, d, seed, s_bits):
+        circ = derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d)
+        s = BitString.from_index(s_bits % (1 << n), n)
+        base = sim.full_distribution(circ).probs
+        moved = retarget(circ, s)
+        covered = {q for g in circ.layers[-1] for q in (g.qubit_low, g.qubit_low + 1)}
+        assert set(moved.final_x) == {q for q in range(n) if s.bits[q]} - covered
+        perm = np.arange(1 << n) ^ s.index
+        assert np.max(np.abs(sim.full_distribution(moved).probs[perm] - base)) < 1e-12
+        twice = sim.full_distribution(retarget(moved, s)).probs
+        assert np.max(np.abs(twice - base)) < 1e-12
 
 
 class TestSerialization:

@@ -256,3 +256,35 @@ def test_jobs_below_one_is_a_usage_error(tiny_suite, tmp_path, capsys, jobs):
                  "--out", str(tmp_path / "m.json"), "--jobs", jobs]) == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--qubits", "2", "--depths", "2", "--stage1-iters", "-1"],
+         "--stage1-iters: must be at least 0"),
+        (["generate", "--qubits", "2", "--depths", "2", "--stage2-iters", "-1"],
+         "--stage2-iters: must be at least 0"),
+        (["generate", "--qubits", "2", "--depths", "2", "--adam-step", "0"],
+         "--adam-step: must be a positive finite number"),
+        (["generate", "--qubits", "2", "--depths", "2", "--adam-step", "nan"],
+         "--adam-step: must be a positive finite number"),
+        (["generate", "--qubits", "2", "--depths", "2", "--adam-step", "inf"],
+         "--adam-step: must be a positive finite number"),
+        (["report", "--mode", "heatmap", "m.json", "--top-k", "-2"], "--top-k: must be at least 1"),
+        (["report", "--mode", "histogram", "m.json", "--cell", "2,2", "--top-k", "0"],
+         "--top-k: must be at least 1"),
+        (["report", "--mode", "histogram", "m.json", "--cell", "2,2", "--rep", "-1"],
+         "--rep: must be at least 0"),
+    ],
+    ids=["stage1_iters", "stage2_iters", "adam_step_0", "adam_step_nan", "adam_step_inf", "top_k",
+         "top_k_0", "rep"],
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    if argv[0] == "generate":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    else:
+        argv = argv + ["--out", str(tmp_path / "r.svg")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

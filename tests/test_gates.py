@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gate_reference import reference_derivatives, reference_matrix, same_bits
+from gate_reference import (
+    reference_derivatives,
+    reference_kak_decompose,
+    reference_matrix,
+    same_bits,
+)
+from prcbench import gates
 from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
@@ -18,6 +24,7 @@ from prcbench.gates import (
 )
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def test_haar_unitarity_and_determinism():
@@ -140,3 +147,113 @@ def test_batched_identity_gate():
 def test_batched_gate_algebra_rejects_bad_shape(shape):
     with pytest.raises(ValueError, match=r"\(G, 16\)"):
         gate_matrices(np.zeros(shape))
+
+
+# Degenerate gates for the stacked decomposition: named gates, products of
+# single-qubit gates, cores on the Weyl chamber's faces and edges (the
+# CNOT-class ones, dressed or not, fail the first diagonalizing mix and go
+# through the retry loop), and small perturbations of all of these.
+_NAMED = {"I": np.eye(4, dtype=complex), "CNOT": CNOT, "SWAP": SWAP}
+_BOUNDARY_CORES = [
+    (0.0, 0.0, 0.0), (np.pi / 4, 0.0, 0.0), (np.pi / 4, np.pi / 4, 0.0),
+    (np.pi / 4, np.pi / 4, np.pi / 4), (np.pi / 4, np.pi / 4, -np.pi / 4),
+    (np.pi / 2, np.pi / 4, 0.0), (0.3, 0.3, 0.0), (np.pi / 4, 0.2, 0.2), (0.4, 0.1, 0.1),
+]
+
+
+def _local(rng) -> np.ndarray:
+    high, low = (su2_from_zyz(rng.uniform(-np.pi, np.pi, 3)) for _ in range(2))
+    return np.kron(high, low)
+
+
+@st.composite
+def _gate(draw) -> np.ndarray:
+    kind = draw(st.sampled_from(["haar", "named", "kron", "core", "dressed", "perturbed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return haar_random_unitary(rng)
+    if kind == "kron":
+        return _local(rng)
+    if kind == "named" or (kind == "perturbed" and draw(st.booleans())):
+        base = _NAMED[draw(st.sampled_from(sorted(_NAMED)))]
+    else:
+        base = entangling_core(*draw(st.sampled_from(_BOUNDARY_CORES)))
+    if kind in ("named", "core"):
+        return base
+    if kind == "dressed" or draw(st.booleans()):
+        base = _local(rng) @ base @ _local(rng)
+    if kind == "dressed":
+        return base
+    # exp(i * eps * H) for a random Hermitian H, eps in 1e-12..1e-6.
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    eps = 10.0 ** -draw(st.floats(6, 12))
+    return base @ ((v * np.exp(1j * eps * w)) @ v.conj().T)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.lists(_gate(), min_size=1, max_size=8))
+def test_stacked_kak_matches_per_gate_reference_bit_for_bit(mats):
+    stack = np.stack(mats)
+    try:
+        expected = [reference_kak_decompose(u) for u in stack]
+    except DecompositionError:
+        with pytest.raises(DecompositionError):
+            kak_decompose(stack)
+        return
+    got = kak_decompose(stack)
+    assert isinstance(got, tuple) and len(got) == len(stack)
+    for u, p, want in zip(stack, got, expected):
+        # Byte equality: also tells 0.0 from -0.0.
+        assert same_bits(p.to_vector(), want.to_vector())
+        assert same_bits(kak_decompose(u).to_vector(), want.to_vector())
+
+
+def test_stack_reaches_the_retry_loop_and_stays_bit_exact(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = np.stack([
+        haar_random_unitary(rng), CNOT, entangling_core(np.pi / 2, np.pi / 4, 0.0),
+        _local(rng) @ CNOT @ _local(rng), np.kron(su2_from_zyz((0.1, 0.2, 0.3)), np.eye(2)),
+        haar_random_unitary(rng),
+    ])
+    retried = []
+    original = gates._diagonalize_complex_symmetric
+
+    def counting(m2, atol=1e-11):
+        retried.append(m2)
+        return original(m2, atol)
+
+    monkeypatch.setattr(gates, "_diagonalize_complex_symmetric", counting)
+    got = kak_decompose(stack)
+    assert len(retried) == 3  # the three CNOT-class gates
+    for u, p in zip(stack, got):
+        assert same_bits(p.to_vector(), reference_kak_decompose(u).to_vector())
+
+
+def test_kak_stack_shapes():
+    u = haar_random_unitary(np.random.default_rng(3))
+    assert isinstance(kak_decompose(u), GateParams)
+    assert kak_decompose(u[None]) == (kak_decompose(u),)
+    assert kak_decompose(np.zeros((0, 4, 4))) == ()
+    for shape in [(4,), (3, 4), (2, 4, 3), (1, 1, 4, 4)]:
+        with pytest.raises(DecompositionError, match="4x4"):
+            kak_decompose(np.zeros(shape))
+
+
+def test_kak_stack_rejects_one_non_unitary_gate():
+    rng = np.random.default_rng(4)
+    stack = np.stack([haar_random_unitary(rng), np.ones((4, 4)), haar_random_unitary(rng)])
+    with pytest.raises(DecompositionError, match="not unitary"):
+        kak_decompose(stack)
+
+
+def test_weyl_stack_matches_one_matrix_calls(rng):
+    stack = np.stack([haar_random_unitary(rng) for _ in range(3)])
+    w = weyl_decompose(stack)
+    assert w.matrix().shape == (3, 4, 4)
+    assert np.max(np.abs(w.matrix() - stack)) <= 1e-10
+    for g, u in enumerate(stack):
+        one = weyl_decompose(u)
+        assert (one.a, one.b, one.c) == (w.a[g], w.b[g], w.c[g])
+        assert one.global_phase == w.global_phase[g]
+        assert same_bits(one.k1l, w.k1l[g]) and same_bits(one.k2r, w.k2r[g])

@@ -164,6 +164,46 @@ class TestRejectedInputs:
             load_suite(mutant)
 
 
+class TestRecordRules:
+    """A matrix record belongs to its cell: its n and d are the cell's, reps
+    count 0, 1, ... in order, sampled records draw at least one shot, and
+    its bitstrings are n characters of 0 and 1 with counts that are not
+    negative.  Each rule names the record's field."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.update(n=99), r"records\[1\]\.n: 99 is not the cell's n 2"),
+            (lambda r: r.update(d=9), r"records\[1\]\.d: 9 is not the cell's d 4"),
+            (lambda r: r.update(rep=0), r"records\[1\]\.rep: 0, but record 1 holds rep 1"),
+            (lambda r: r.update(shots=-5), r"records\[1\]\.shots: -5 is below 1"),
+            (lambda r: r.update(shots=0), r"records\[1\]\.shots: 0 is below 1"),
+            (lambda r: r.update(target="2x"),
+             r"records\[1\]\.target: '2x' is not 2 characters of 0 and 1"),
+            (lambda r: r.update(target="001"), r"records\[1\]\.target: '001' is not 2 characters"),
+            (lambda r: r["top_counts"][0].__setitem__(0, "1"),
+             r"records\[1\]\.top_counts\[0\]\[0\]: '1' is not 2 characters of 0 and 1"),
+            (lambda r: r["top_counts"][0].__setitem__(1, -3),
+             r"records\[1\]\.top_counts\[0\]\[1\]: count -3 is negative"),
+        ],
+        ids=["n", "d", "rep", "negative_shots", "zero_shots", "target_chars", "target_length",
+             "top_counts_key", "top_counts_count"],
+    )
+    def test_sampled_record(self, matrices, edit, message):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        assert (doc["cells"][1]["n"], doc["cells"][1]["d"]) == (2, 4)
+        edit(doc["cells"][1]["records"][1])
+        with pytest.raises(SchemaError, match=rf"^cells\[1\]\.{message}"):
+            matrix_from_dict(doc)
+
+    def test_exact_record_draws_no_shots(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[1]))
+        doc["cells"][0]["records"][0]["shots"] = 5
+        message = r"^cells\[0\]\.records\[0\]\.shots: 5, but an exact-mode matrix"
+        with pytest.raises(SchemaError, match=message):
+            matrix_from_dict(doc)
+
+
 class TestCrossDocumentChecks:
     def test_profile_target_differs_from_circuit(self, saved, tmp_path):
         _, manifest = saved

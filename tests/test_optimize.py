@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(stage1_iters=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(adam_step=0.0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="adam_step must be positive and finite"):
+            OptimizerConfig(adam_step=step)
 
 
 @pytest.mark.slow
