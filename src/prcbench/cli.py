@@ -257,16 +257,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidDimensionError) as exc:  # ahead of ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, SchemaError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

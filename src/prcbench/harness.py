@@ -4,8 +4,9 @@ policy, adaptive row skipping, aggregation, and matrix persistence."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -142,10 +143,30 @@ def _record_problem(r: RunRecord, j: int, cell: _StoredCell, exact: bool) -> str
     return None
 
 
+def _cell_problem(cell: _StoredCell, config: BenchConfig) -> str | None:
+    """What is wrong with a stored cell's summary, as "field: reason".  A
+    skipped cell holds no records, 0 identified reps and no mean f; an
+    executed one holds `reps` records and the summary they give (_aggregate)."""
+    if cell.status == STATUS_SKIPPED:
+        if cell.records:
+            return f"records: {len(cell.records)} records, but a skipped cell holds none"
+        want, source = CellResult(STATUS_SKIPPED, (), None, 0), "a skipped cell has"
+    elif len(cell.records) != config.reps:
+        return f"records: {len(cell.records)} records, but config.reps is {config.reps}"
+    else:
+        want, source = _aggregate(cell.records, config.threshold), "its records give"
+    for name in ("identified_reps", "mean_f", "status"):
+        if getattr(cell, name) != getattr(want, name):
+            return f"{name}: {getattr(cell, name)!r}, but {source} {getattr(want, name)!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class _StoredMatrix:
     """A matrix document's fields: cells cover qubits x depths, the config's
-    grid, once each, and each cell's records fit it (_record_problem)."""
+    grid, once each; each cell's records fit it (_record_problem) and its
+    summary fits them (_cell_problem); and no row executes a cell after
+    skipping one, as report.skip_boundary assumes."""
 
     config: BenchConfig
     qubits: tuple[int, ...]
@@ -172,6 +193,19 @@ class _StoredMatrix:
                 problem = _record_problem(record, j, cell, self.config.exact)
                 if problem:
                     raise ValueError(f"cells[{i}].records[{j}].{problem}")
+            problem = _cell_problem(cell, self.config)
+            if problem:
+                raise ValueError(f"cells[{i}].{problem}")
+        index = {key: i for i, key in enumerate(keys)}
+        for n in self.qubits:
+            skipped = False
+            for d in self.depths:
+                i = index[(n, d)]
+                if self.cells[i].status == STATUS_SKIPPED:
+                    skipped = True
+                elif skipped:
+                    raise ValueError(f"cells[{i}].status: {self.cells[i].status!r} at depth {d}, "
+                                     f"but an earlier depth of row n={n} is skipped")
 
 
 def shot_policy(n: int, d: int, config: BenchConfig) -> int:
@@ -248,11 +282,51 @@ def run_cell(circuit: Circuit, profile: PeakProfile, config: BenchConfig) -> Cel
     records = tuple(
         _run_rep(circuit, profile, config, rep, shots, base_dist) for rep in range(config.reps)
     )
+    return _aggregate(records, config.threshold)
+
+
+def _aggregate(records: tuple[RunRecord, ...], threshold: int) -> CellResult:
+    """The executed cell its records give: identified reps, mean clamped f
+    over them, and identified when at least `threshold` reps are."""
     identified = sum(1 for r in records if r.metrics.identified)
     f_values = [r.metrics.f for r in records if r.metrics.identified]
     mean_f = sum(f_values) / len(f_values) if f_values else None
-    status = STATUS_IDENTIFIED if identified >= config.threshold else STATUS_NON_IDENTIFIED
+    status = STATUS_IDENTIFIED if identified >= threshold else STATUS_NON_IDENTIFIED
     return CellResult(status=status, records=records, mean_f=mean_f, identified_reps=identified)
+
+
+def map_cells(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on min(jobs, CPU count, len(items)) worker
+    processes when that is above 1, so ``fn`` and the items must pickle."""
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    from unittest import mock
+
+    # Spawn, not fork: forking a process that runs BLAS threads can deadlock.
+    # A spawned worker reads these variables when it imports numpy; the
+    # workers fill the CPUs, so more than one BLAS thread each oversubscribes.
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    with mock.patch.dict(os.environ, dict.fromkeys(blas_vars, "1")):
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(fn, items))
+
+
+def _run_row(config: BenchConfig, runner, row) -> list[CellResult]:
+    """A qubit row's cells from its (circuit, profile) pairs, depths ascending:
+    after `skip_window` consecutive non-identified cells (an identified one
+    resets the count) the rest of the row is skipped without execution."""
+    out: list[CellResult] = []
+    misses = 0
+    for circuit, profile in row:
+        if misses >= config.skip_window:
+            out.append(CellResult(STATUS_SKIPPED, (), None, 0))
+        else:
+            out.append(runner(circuit, profile, config))
+            misses = 0 if out[-1].status == STATUS_IDENTIFIED else misses + 1
+    return out
 
 
 def run_matrix(
@@ -262,42 +336,18 @@ def run_matrix(
     cell_runner=None,
     provenance: dict | None = None,
 ) -> BenchmarkMatrix:
-    """Run the whole grid.  Within a qubit row, depths ascend and after
-    `skip_window` consecutive non-identified cells the remainder of the row
-    is marked skipped without execution (an identified cell resets the
-    counter).  Rows are independent, so they may run in parallel; every
-    record's randomness comes from its own derived seed, making the output
-    invariant to scheduling.
-    """
+    """Run the whole grid row by row (_run_row).  Rows are independent, so
+    with `jobs` > 1 they run on worker processes (map_cells), and then
+    `cell_runner` must be picklable.  Every record draws from its own
+    derived seed, so the output is the same for any `jobs`."""
     qubits = tuple(sorted(config.qubits))
     depths = tuple(sorted(config.depths))
     missing = [(n, d) for n in qubits for d in depths if (n, d) not in suite_cells]
     if missing:
         raise KeyError(f"suite is missing circuits for cells {missing[:5]}")
-    runner = cell_runner if cell_runner is not None else run_cell
-
-    def run_row(n: int) -> dict[tuple[int, int], CellResult]:
-        out: dict[tuple[int, int], CellResult] = {}
-        misses = 0
-        for d in depths:
-            if misses >= config.skip_window:
-                out[(n, d)] = CellResult(STATUS_SKIPPED, (), None, 0)
-                continue
-            circuit, profile = suite_cells[(n, d)]
-            cell = runner(circuit, profile, config)
-            out[(n, d)] = cell
-            misses = 0 if cell.status == STATUS_IDENTIFIED else misses + 1
-        return out
-
-    cells: dict[tuple[int, int], CellResult] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for row in pool.map(run_row, qubits):
-                cells.update(row)
-    else:
-        for n in qubits:
-            cells.update(run_row(n))
-    cells = {key: cells[key] for key in sorted(cells)}
+    rows = [[suite_cells[(n, d)] for d in depths] for n in qubits]
+    results = map_cells(partial(_run_row, config, cell_runner or run_cell), rows, jobs)
+    cells = {(n, d): cell for n, row in zip(qubits, results) for d, cell in zip(depths, row)}
     return BenchmarkMatrix(
         config=config,
         qubits=qubits,

@@ -7,8 +7,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .circuits import (
@@ -19,6 +19,7 @@ from .circuits import (
     derive_subcircuit,
 )
 from .errors import SchemaError, read_fields, read_json, read_tagged, read_value
+from .harness import map_cells
 from .optimize import (
     OptimizerConfig,
     PeakProfile,
@@ -53,6 +54,17 @@ class Suite:
         return {key: (c.circuit, c.profile) for key, c in self.cells.items()}
 
 
+def _build_cell(reference: Circuit, optimizer: OptimizerConfig | None, key) -> SuiteCell:
+    """Cell `key` = (n, d) of the reference, optimized unless `optimizer` is None."""
+    circuit = derive_subcircuit(reference, *key)
+    if optimizer is not None:
+        circuit, trace = optimize(circuit, optimizer)
+        final = trace.final_objective
+    else:
+        final = objective(circuit)
+    return SuiteCell(circuit=circuit, profile=peak_profile(circuit), final_objective=final)
+
+
 def generate_suite(
     qubits,
     depths,
@@ -68,27 +80,9 @@ def generate_suite(
     depths = tuple(sorted(set(int(d) for d in depths)))
     optimizer = optimizer or OptimizerConfig()
     reference = build_reference_circuit(max(qubits), max(depths), seed)
-
-    def build_cell(key: tuple[int, int]) -> tuple[tuple[int, int], SuiteCell]:
-        n, d = key
-        circuit = derive_subcircuit(reference, n, d)
-        if optimize_cells:
-            circuit, trace = optimize(circuit, optimizer)
-            final = trace.final_objective
-        else:
-            final = objective(circuit)
-        return key, SuiteCell(circuit=circuit, profile=peak_profile(circuit), final_objective=final)
-
     keys = [(n, d) for n in qubits for d in depths]
-    cells: dict[tuple[int, int], SuiteCell] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, cell in pool.map(build_cell, keys):
-                cells[key] = cell
-    else:
-        for key in keys:
-            cells[key] = build_cell(key)[1]
-    return Suite(seed=int(seed), qubits=qubits, depths=depths, cells=dict(sorted(cells.items())))
+    build = partial(_build_cell, reference, optimizer if optimize_cells else None)
+    return Suite(int(seed), qubits, depths, dict(zip(keys, map_cells(build, keys, jobs))))
 
 
 def _cell_filename(n: int, d: int) -> str:

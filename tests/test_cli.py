@@ -175,6 +175,24 @@ def test_report_delta_wrong_arity_exit_2(tiny_suite, tmp_path):
     assert main(["report", "--mode", "delta", "whatever.json", "--out", str(out)]) == 2
 
 
+def test_report_on_cell_summary_its_records_contradict_exit_1(tiny_suite, tmp_path, capsys):
+    # A null mean_f on an identified cell once reached report's delta
+    # arithmetic and died with a TypeError.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reps": 2, "threshold": 1, "master_seed": 9}))
+    matrix = tmp_path / "m.json"
+    assert main(["bench", "--suite", str(tiny_suite / "suite.json"), "--config", str(config),
+                 "--out", str(matrix)]) == 0
+    doc = json.loads(matrix.read_text())
+    i = next(i for i, cell in enumerate(doc["cells"]) if cell["status"] == "identified")
+    doc["cells"][i]["mean_f"] = None
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    out = tmp_path / "d.svg"
+    assert main(["report", "--mode", "delta", str(edited), str(matrix), "--out", str(out)]) == 1
+    assert f"cells[{i}].mean_f: None, but its records give" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exit_2():
     assert main([]) == 2
 

@@ -1,7 +1,11 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from prcbench.circuits import build_exact_inverse_peaking, build_reference_circuit
 from prcbench.errors import SchemaError
@@ -13,6 +17,7 @@ from prcbench.harness import (
     CellResult,
     derived_seed,
     load_matrix,
+    map_cells,
     matrix_to_csv,
     matrix_to_json,
     persist_matrix,
@@ -21,7 +26,8 @@ from prcbench.harness import (
     shot_policy,
 )
 from prcbench.noise import NoiseSpec
-from prcbench.optimize import peak_profile
+from prcbench.optimize import OptimizerConfig, peak_profile
+from prcbench.suite import generate_suite
 
 
 def small_config(**kw):
@@ -182,6 +188,12 @@ def scripted_suite():
     return cells
 
 
+@pytest.fixture(scope="module")
+def grid_suite():
+    optimizer = OptimizerConfig(stage1_iters=30, stage2_iters=20)
+    return generate_suite((2, 3, 4), (2, 4, 6), seed=13, optimizer=optimizer).as_mapping()
+
+
 class TestSkipProtocol:
     def test_forced_failures_yield_window_then_skip(self, scripted_suite):
         depths = tuple(sorted(d for _, d in scripted_suite))
@@ -247,6 +259,27 @@ class TestMatrixDeterminism:
         m1 = run_matrix(scripted_suite, config, jobs=1)
         m2 = run_matrix(scripted_suite, config, jobs=4)
         assert matrix_to_json(m1) == matrix_to_json(m2)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    # No shrinking: each example starts two process pools, so shrinking a
+    # failure would take minutes, and the examples are small already.
+    @settings(max_examples=3, deadline=None, database=None, phases=[Phase.generate])
+    @given(
+        qubits=st.lists(st.sampled_from((2, 3, 4)), min_size=2, max_size=3, unique=True),
+        reps_threshold=st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r))),
+        skip_window=st.integers(1, 2),
+        noise=st.builds(NoiseSpec, *[st.floats(1e-3, 0.1)] * 4),
+        master_seed=st.integers(0, 2**32),
+    )
+    def test_bytes_do_not_depend_on_jobs(self, grid_suite, exact, qubits, reps_threshold,
+                                         skip_window, noise, master_seed):
+        # With two or more rows, jobs 2 and 3 run the rows on worker processes.
+        reps, threshold = reps_threshold
+        config = BenchConfig(qubits=tuple(qubits), depths=(2, 4, 6), reps=reps, threshold=threshold,
+                             skip_window=skip_window, noise=noise, master_seed=master_seed,
+                             exact=exact)
+        texts = [matrix_to_json(run_matrix(grid_suite, config, jobs=jobs)) for jobs in (1, 2, 3)]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
 
     def test_seed_isolation(self, scripted_suite):
         # Rerunning a single cell reproduces the records of the full run.
@@ -381,3 +414,44 @@ class TestPersistence:
         lines = csv.strip().splitlines()
         assert lines[0] == "n,d,status,identified_reps,mean_f,shots"
         assert len(lines) == 1 + len(depths)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Two CPUs, two BLAS threads, and a process pool that records its
+    worker count and the BLAS threads its workers would start with, and
+    maps inline, so no process starts."""
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers, **_):
+            workers.append(max_workers)
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return workers
+
+
+class TestMapCells:
+    def test_workers_are_capped_and_start_with_one_blas_thread(self, inline_pools):
+        assert map_cells(abs, [-1, 2, -3], jobs=10**6) == [1, 2, 3]
+        assert map_cells(abs, [-4, 5], jobs=10**6) == [4, 5]
+        assert inline_pools == [2, 2]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_one_job_or_one_item_starts_no_pool(self, inline_pools):
+        assert map_cells(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
+        assert map_cells(abs, [-4], jobs=10**6) == [4]
+        assert map_cells(abs, [], jobs=10**6) == []
+        assert inline_pools == []

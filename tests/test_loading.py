@@ -204,6 +204,64 @@ class TestRecordRules:
             matrix_from_dict(doc)
 
 
+def _skip(cell):
+    cell.update(status="skipped", records=[], identified_reps=0, mean_f=None)
+
+
+class TestCellSummaryRules:
+    """A stored cell's summary is what its records give: an executed cell
+    holds `reps` records, and its identified reps, mean f and status follow
+    from them by the threshold rule; a skipped cell holds no records, 0
+    identified reps and no mean f; and no row executes a cell after a
+    skipped one.  Each rule names the cell's field."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: c.update(identified_reps=0), r"identified_reps: 0, but its records give 2"),
+            (lambda c: c.update(mean_f=None), r"mean_f: None, but its records give 0\.09"),
+            (lambda c: c.update(mean_f=7.5), r"mean_f: 7\.5, but its records give 0\.09"),
+            (lambda c: c.update(status="non_identified"),
+             r"status: 'non_identified', but its records give 'identified'"),
+            (lambda c: c["records"].pop(), r"records: 1 records, but config\.reps is 2"),
+        ],
+        ids=["identified_reps", "mean_f_null", "mean_f_out_of_range", "status", "records"],
+    )
+    def test_executed_cell(self, matrices, edit, message):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        assert doc["cells"][0]["identified_reps"] == 2
+        edit(doc["cells"][0])
+        with pytest.raises(SchemaError, match=rf"^cells\[0\]\.{message}"):
+            matrix_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c, _: c.update(identified_reps=1), r"identified_reps: 1, but a skipped cell has 0"),
+            (lambda c, _: c.update(mean_f=0.5), r"mean_f: 0\.5, but a skipped cell has None"),
+            (lambda c, records: c.update(records=records),
+             r"records: 2 records, but a skipped cell holds none"),
+        ],
+        ids=["identified_reps", "mean_f", "records"],
+    )
+    def test_skipped_cell(self, matrices, edit, message):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        cell = doc["cells"][1]
+        records = cell["records"]
+        _skip(cell)
+        assert matrix_from_dict(doc).cells[(2, 4)].status == "skipped"
+        edit(cell, records)
+        with pytest.raises(SchemaError, match=rf"^cells\[1\]\.{message}"):
+            matrix_from_dict(doc)
+
+    def test_executed_cell_after_a_skipped_one(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        _skip(doc["cells"][0])
+        message = r"^cells\[1\]\.status: 'non_identified' at depth 4, but an earlier depth of row n=2"
+        with pytest.raises(SchemaError, match=message):
+            matrix_from_dict(doc)
+
+
 class TestCrossDocumentChecks:
     def test_profile_target_differs_from_circuit(self, saved, tmp_path):
         _, manifest = saved

@@ -5,7 +5,7 @@ import pytest
 
 from prcbench.circuits import circuit_to_json
 from prcbench.errors import SchemaError
-from prcbench.optimize import objective
+from prcbench.optimize import OptimizerConfig, objective
 from prcbench.sim import NUMERICS
 from prcbench.suite import generate_suite, load_suite, save_suite
 
@@ -146,3 +146,16 @@ def test_unknown_numerics_names_manifest(saved_suite, value):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=r"suite\.json: numerics: .* is not a numerics version 1\.\.2"):
         load_suite(manifest)
+
+
+def test_saved_bytes_do_not_depend_on_jobs(tmp_path):
+    # jobs=2 builds the cells on two worker processes.
+    optimizer = OptimizerConfig(stage1_iters=30, stage2_iters=20)
+    dirs = []
+    for jobs in (1, 2):
+        suite = generate_suite((2, 3), (2, 5), seed=8, optimizer=optimizer, jobs=jobs)
+        dirs.append(save_suite(suite, tmp_path / f"jobs{jobs}", optimizer=optimizer).parent)
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[1] / name).read_bytes() == (dirs[0] / name).read_bytes()
