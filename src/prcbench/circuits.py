@@ -70,16 +70,11 @@ class BitString:
 
 @dataclass(frozen=True)
 class GatePlacement:
-    """A two-qubit gate at (qubit_low, qubit_low + 1) in one layer."""
+    """A two-qubit gate at (qubit_low, qubit_low + 1).  Its layer is where
+    the circuit holds it, and that layer's half is Circuit.role."""
 
-    layer_index: int = field(metadata={"key": "layer"})
     qubit_low: int
     params: GateParams
-    role: str
-
-    def __post_init__(self) -> None:
-        if self.role not in (ROLE_RANDOM, ROLE_PEAKING):
-            raise ValueError(f"role: unknown gate role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +114,10 @@ class Circuit:
     @property
     def peaking_depth(self) -> int:
         return self.d - self.random_depth
+
+    def role(self, t: int) -> str:
+        """The half layer t belongs to."""
+        return ROLE_RANDOM if t < self.random_depth else ROLE_PEAKING
 
     def placements(self):
         for layer in self.layers:
@@ -167,15 +166,15 @@ def _row_pairs(n: int, even: bool) -> list[int]:
     return list(range(start, n - 1, 2))
 
 
-def _layer_even(layer_index: int, random_depth: int) -> bool:
-    """Alignment of a layer: the random half alternates starting even at
+def _layer_even(t: int, random_depth: int) -> bool:
+    """Alignment of layer t: the random half alternates starting even at
     layer 0; the peaking half mirrors the sequence at the midpoint, i.e.
     layer random_depth + j matches layer random_depth - 1 - j (extended by
     parity for the odd-depth overhang)."""
-    if layer_index < random_depth:
-        m = layer_index
+    if t < random_depth:
+        m = t
     else:
-        m = random_depth - 1 - (layer_index - random_depth)
+        m = random_depth - 1 - (t - random_depth)
     return m % 2 == 0
 
 
@@ -190,6 +189,23 @@ def brickwall_layout(n: int, d: int) -> list[list[int]]:
     if n == 2:
         return [[0] for _ in range(d)]
     return [_row_pairs(n, _layer_even(t, rd)) for t in range(d)]
+
+
+def _place(layout, params) -> tuple[tuple[GatePlacement, ...], ...]:
+    """Layers with a gate at each qubit_low of ``layout`` (one list per
+    layer), taking ``params`` in layout order."""
+    params = iter(params)
+    return tuple(tuple(GatePlacement(q, next(params)) for q in row) for row in layout)
+
+
+def _layout(layers) -> list[list[int]]:
+    """Per-layer qubit_low positions of ``layers``, the inverse of _place."""
+    return [[g.qubit_low for g in layer] for layer in layers]
+
+
+def _by_slot(layers) -> dict[tuple[int, int], GateParams]:
+    """Each gate's parameters keyed by its (layer, qubit_low) slot."""
+    return {(t, g.qubit_low): g.params for t, layer in enumerate(layers) for g in layer}
 
 
 def _fill_rng(seed: int, role_tag: int, layer_in_half: int, qubit_low: int) -> np.random.Generator:
@@ -208,19 +224,11 @@ def build_reference_circuit(n_max: int, d_max: int, seed: int) -> Circuit:
     layout = brickwall_layout(n_max, d_max)
     # Every Haar gate is drawn in layout order, then all are decomposed at once.
     unitaries = np.stack([haar_random_unitary(rng) for row in layout for _ in row])
-    params = iter(kak_decompose(unitaries))
-    layers = [
-        tuple(
-            GatePlacement(t, q, next(params), ROLE_RANDOM if t < rd else ROLE_PEAKING)
-            for q in row
-        )
-        for t, row in enumerate(layout)
-    ]
     return Circuit(
         n=n_max,
         d=d_max,
         random_depth=rd,
-        layers=tuple(layers),
+        layers=_place(layout, kak_decompose(unitaries)),
         target=BitString.zeros(n_max),
         seed=int(seed),
     )
@@ -244,32 +252,24 @@ def derive_subcircuit(reference: Circuit, n: int, d: int) -> Circuit:
     rd_ref = reference.random_depth
     fill_seed = reference.seed if reference.seed is not None else 0
 
-    by_slot: dict[tuple[int, int], GateParams] = {
-        (g.layer_index, g.qubit_low): g.params for g in reference.placements()
-    }
-
+    by_slot = _by_slot(reference.layers)
+    layout = brickwall_layout(n, d)
     slots, fills = [], []
-    for t, row in enumerate(brickwall_layout(n, d)):
-        if t < rd:
-            role, tag, j = ROLE_RANDOM, 0, t
-            src_layer = j
-        else:
-            role, tag, j = ROLE_PEAKING, 1, t - rd
-            src_layer = rd_ref + j
+    for t, row in enumerate(layout):
+        tag, j = (0, t) if t < rd else (1, t - rd)
+        src_layer = j if t < rd else rd_ref + j
         for q in row:
             params = by_slot.get((src_layer, q))
             if params is None:
                 fills.append(haar_random_unitary(_fill_rng(fill_seed, tag, j, q)))
-            slots.append((t, q, role, params))
+            slots.append(params)
+    # Empty slots take the fills in the order they were drawn.
     filled = iter(kak_decompose(np.stack(fills)) if fills else ())
-    layers = [[] for _ in range(d)]
-    for t, q, role, params in slots:
-        layers[t].append(GatePlacement(t, q, params if params is not None else next(filled), role))
     return Circuit(
         n=n,
         d=d,
         random_depth=rd,
-        layers=tuple(map(tuple, layers)),
+        layers=_place(layout, (p if p is not None else next(filled) for p in slots)),
         target=BitString.zeros(n),
         seed=reference.seed,
     )
@@ -281,30 +281,23 @@ def build_exact_inverse_peaking(circuit: Circuit) -> Circuit:
     if circuit.d % 2 != 0 or circuit.random_depth != circuit.d // 2:
         raise InvalidDimensionError("mirror inverse requires even depth with equal halves")
     rd = circuit.random_depth
-    by_slot = {
-        (g.layer_index, g.qubit_low): g.params
-        for layer in circuit.layers[:rd]
-        for g in layer
-    }
-    slots = []
-    for j in range(rd):
-        t = rd + j
-        src = rd - 1 - j
-        for g in circuit.layers[t]:
-            params = by_slot.get((src, g.qubit_low))
+    by_slot = _by_slot(circuit.layers[:rd])
+    layout = _layout(circuit.layers[rd:])
+    sources = []
+    # Peaking layer rd + j inverts random layer rd - 1 - j.
+    for j, row in enumerate(layout):
+        for q in row:
+            params = by_slot.get((rd - 1 - j, q))
             if params is None:
                 raise InvalidDimensionError(
                     "peaking layer alignment does not mirror the random half"
                 )
-            slots.append((t, g.qubit_low, params))
-    forward = gate_matrices(np.stack([params.to_vector() for _, _, params in slots]))
-    inverses = iter(kak_decompose(np.swapaxes(forward.conj(), 1, 2)))
-    layers = list(circuit.layers[:rd]) + [[] for _ in range(rd)]
-    for t, q, _ in slots:
-        layers[t].append(GatePlacement(t, q, next(inverses), ROLE_PEAKING))
+            sources.append(params.to_vector())
+    forward = gate_matrices(np.stack(sources))
+    inverses = kak_decompose(np.swapaxes(forward.conj(), 1, 2))
     return replace(
         circuit,
-        layers=tuple(map(tuple, layers)),
+        layers=circuit.layers[:rd] + _place(layout, inverses),
         target=BitString.zeros(circuit.n),
         final_x=(),
     )
@@ -349,11 +342,12 @@ def retarget(circuit: Circuit, s: BitString) -> Circuit:
     return replace(circuit, layers=layers, target=s, final_x=tuple(sorted(final_x)))
 
 
-def _placement_to_json(g: GatePlacement) -> dict:
+def _placement_to_json(g: GatePlacement, t: int, role: str) -> dict:
+    """A gate as circuit documents store it, with its layer t and role."""
     return {
-        "layer": g.layer_index,
+        "layer": t,
         "qubit_low": g.qubit_low,
-        "role": g.role,
+        "role": role,
         "params": [float(v) for v in g.params.to_vector()],
     }
 
@@ -368,7 +362,8 @@ def circuit_to_dict(circuit: Circuit, profile: dict | None = None) -> dict:
         "final_x": list(circuit.final_x),
         "seed": circuit.seed,
         "layers": [
-            [_placement_to_json(g) for g in layer] for layer in circuit.layers
+            [_placement_to_json(g, t, circuit.role(t)) for g in layer]
+            for t, layer in enumerate(circuit.layers)
         ],
     }
     if profile is not None:
@@ -394,10 +389,18 @@ def _read_params(value, path: str) -> GateParams:
     return GateParams.from_vector(vector)
 
 
-def _read_layers(value, path: str) -> tuple[tuple[GatePlacement, ...], ...]:
+@dataclass(frozen=True)
+class _StoredPlacement(GatePlacement):
+    """A gate as a circuit document stores it, with its layer and role."""
+
+    layer: int = field(kw_only=True)
+    role: str = field(kw_only=True)
+
+
+def _read_layers(value, path: str) -> tuple[tuple[_StoredPlacement, ...], ...]:
     return tuple(
         tuple(
-            read_fields(GatePlacement, g, f"{path}[{t}][{i}].", params=_read_params)
+            read_fields(_StoredPlacement, g, f"{path}[{t}][{i}].", params=_read_params)
             for i, g in enumerate(layer)
         )
         for t, layer in enumerate(read_value(tuple[tuple[dict, ...], ...], value, path))
@@ -411,20 +414,20 @@ def circuit_from_dict(doc: dict, where: str = "") -> Circuit:
     body = read_tagged(doc, CIRCUIT_SCHEMA, where)
     ignore = {Circuit: ("profile", "final_objective")}
     circuit = read_fields(Circuit, body, where, ignore, layers=_read_layers, target=read_bitstring)
-    _check_loaded(circuit, where)
-    return circuit
+    return _check_loaded(circuit, where)
 
 
-def _check_loaded(circuit: Circuit, where: str) -> None:
+def _check_loaded(circuit: Circuit, where: str) -> Circuit:
     """What a circuit document must agree on beyond what Circuit checks:
     each gate's layer field and role match its position, and final_x
-    lists distinct qubits of the register."""
+    lists distinct qubits of the register.  Returns the circuit with plain
+    GatePlacements, which hold neither field."""
     for t, layer in enumerate(circuit.layers):
-        role = ROLE_RANDOM if t < circuit.random_depth else ROLE_PEAKING
+        role = circuit.role(t)
         for i, g in enumerate(layer):
-            if g.layer_index != t:
+            if g.layer != t:
                 raise SchemaError(
-                    f"{where}layers[{t}][{i}].layer: {g.layer_index} differs from its position {t}"
+                    f"{where}layers[{t}][{i}].layer: {g.layer} differs from its position {t}"
                 )
             if g.role != role:
                 raise SchemaError(
@@ -436,6 +439,8 @@ def _check_loaded(circuit: Circuit, where: str) -> None:
             raise SchemaError(f"{where}final_x[{i}]: qubit {q} is outside 0..{circuit.n - 1}")
         if q in circuit.final_x[:i]:
             raise SchemaError(f"{where}final_x[{i}]: qubit {q} is listed twice")
+    params = (g.params for g in circuit.placements())
+    return replace(circuit, layers=_place(_layout(circuit.layers), params))
 
 
 def circuit_from_json(text: str) -> Circuit:

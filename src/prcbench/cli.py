@@ -75,6 +75,17 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type for finite numbers (0 and below included)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"
+
+
 def _cmd_generate(args) -> int:
     qubits = _parse_range(args.qubits)
     depths = _parse_range(args.depths)
@@ -94,7 +105,8 @@ def _cmd_generate(args) -> int:
         jobs=args.jobs,
         optimize_cells=not args.no_optimize,
     )
-    manifest = save_suite(suite, args.out_dir, optimizer=optimizer)
+    # A suite that was not optimized records no optimizer.
+    manifest = save_suite(suite, args.out_dir, optimizer=None if args.no_optimize else optimizer)
     for (n, d), cell in suite.cells.items():
         print(f"n={n:2d} d={d:2d}  p_peak={cell.profile.p_peak:.6f}  r_p={cell.profile.r_p:.1f}")
     print(f"wrote {len(suite.cells)} circuits and manifest {manifest}")
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--stage1-iters", type=_int_at_least(0), default=5000)
     gen.add_argument("--stage2-iters", type=_int_at_least(0), default=10000)
     gen.add_argument("--adam-step", type=_positive_float, default=0.01)
-    gen.add_argument("--stop-tol", type=float, default=1e-8)
+    gen.add_argument("--stop-tol", type=_finite_float, default=1e-8)
     gen.add_argument("--jobs", type=_int_at_least(1), default=1)
     gen.add_argument("--no-optimize", action="store_true", help="skip peaking optimization")
     gen.set_defaults(func=_cmd_generate)

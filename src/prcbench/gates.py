@@ -67,9 +67,10 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max absolute deviation of u^dag u from the identity, over every
-    matrix of a stack."""
+    matrix of a stack; NaN when an entry is not finite."""
     u = np.asarray(u)
-    return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product: the NaN is the answer
+        return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
 def su2_from_zyz(triple) -> np.ndarray:
@@ -265,44 +266,35 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _diagonalize_complex_symmetric(m2: np.ndarray, atol: float = 1e-11):
-    """Real orthogonal P with P.T @ m2 @ P diagonal, for complex-symmetric
-    unitary m2.
-
-    Re(m2) and Im(m2) commute, so a real linear mix of the two separates
-    degenerate eigenspaces; a few deterministic mixes followed by seeded
-    random ones cover the pathological cases.
-    """
-    rng = np.random.default_rng(2020)
-    for attempt in range(40):
-        if attempt == 0:
-            wr, wi = 1.0, 0.0
-        elif attempt == 1:
-            wr, wi = 0.0, 1.0
-        elif attempt == 2:
-            wr, wi = 1.0, 1.0
-        else:
-            wr, wi = rng.normal(), rng.normal()
-        mix = wr * m2.real + wi * m2.imag
-        _, p = np.linalg.eigh(mix)
-        d = p.T @ m2 @ p
-        if np.max(np.abs(d - np.diag(np.diagonal(d)))) <= atol:
-            return p, np.diagonal(d).copy()
-    raise DecompositionError("failed to diagonalize the symmetric magic-basis product")
+def _mixes():
+    """The real mixes wr * Re(m2) + wi * Im(m2) that _diagonalize_stack
+    tries in turn: three fixed ones, then seeded random ones for the
+    pathological cases, drawn only once those are reached."""
+    yield from ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+    yield from np.random.default_rng(2020).normal(size=(37, 2))
 
 
 def _diagonalize_stack(m2: np.ndarray, atol: float = 1e-11):
-    """_diagonalize_complex_symmetric over a (G, 4, 4) stack: its first
-    mix for every gate at once, and its whole retry loop for each gate
-    whose residual fails."""
-    mix = 1.0 * m2.real + 0.0 * m2.imag
-    _, p = np.linalg.eigh(mix)
-    d = np.swapaxes(p, 1, 2) @ m2 @ p
-    diag = np.diagonal(d, axis1=1, axis2=2).copy()
-    d[:, _DIAG, _DIAG] = 0.0
-    for g in np.flatnonzero(np.max(np.abs(d), axis=(1, 2)) > atol):
-        p[g], diag[g] = _diagonalize_complex_symmetric(m2[g], atol)
-    return p, diag
+    """Real orthogonal P with P.T @ m2 @ P diagonal, and that diagonal, for
+    each complex-symmetric unitary m2 of a (G, 4, 4) stack.
+
+    Re(m2) and Im(m2) commute, so a real linear mix of the two separates
+    degenerate eigenspaces.  Each mix of _mixes runs once, over the gates
+    whose residual every earlier mix left above atol.
+    """
+    p = np.empty(m2.shape)
+    diag = np.empty(m2.shape[:2], dtype=complex)
+    todo = np.arange(len(m2))
+    for wr, wi in _mixes():
+        sub = m2[todo]
+        _, q = np.linalg.eigh(wr * sub.real + wi * sub.imag)
+        d = np.swapaxes(q, 1, 2) @ sub @ q
+        p[todo], diag[todo] = q, np.diagonal(d, axis1=1, axis2=2)
+        d[:, _DIAG, _DIAG] = 0.0
+        todo = todo[np.max(np.abs(d), axis=(1, 2)) > atol]
+        if not len(todo):
+            return p, diag
+    raise DecompositionError("failed to diagonalize the symmetric magic-basis product")
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -399,7 +391,7 @@ def weyl_decompose(u: np.ndarray, atol: float = 1e-10) -> WeylDecomposition:
     (_cmul), and each chamber move is applied under a mask.
     """
     u, single = _as_stack(u)
-    if unitarity_defect(u) > 1e-10:
+    if not unitarity_defect(u) <= 1e-10:  # also catches NaN from non-finite input
         raise DecompositionError("input matrix is not unitary")
 
     pi, pi2, pi4 = np.pi, np.pi / 2, np.pi / 4

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sim
-from .circuits import (ROLE_PEAKING, BitString, Circuit, peaking_params, peaking_vector,
+from .circuits import (BitString, Circuit, _layout, _place, peaking_params, peaking_vector,
                        read_bitstring)
 from .errors import CapacityError, NothingToOptimizeError, read_fields, read_value
 from .metrics import contrast_from_probabilities
@@ -18,6 +18,10 @@ PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
 # Peak probabilities are squared statevector amplitudes, which rounding can
 # push past 1 (1 + 3e-15 on mirror circuits), so a profile allows this much.
 _PROBABILITY_SLACK = 1e-9
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -25,17 +29,17 @@ class OptimizerConfig:
     stage1_iters: int = 5000
     stage2_iters: int = 10000
     adam_step: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     stop_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.stage1_iters < 0 or self.stage2_iters < 0:
             raise ValueError("stage1_iters and stage2_iters must be non-negative")
         if not 0.0 < self.adam_step < math.inf:
             raise ValueError(f"adam_step must be positive and finite, got {self.adam_step}")
+        # A NaN tolerance would stop both stages before they start.  Zero or
+        # below is valid: it turns the gradient test off.
+        if not math.isfinite(self.stop_tol):
+            raise ValueError(f"stop_tol must be finite, got {self.stop_tol}")
 
 
 @dataclass(frozen=True)
@@ -50,20 +54,10 @@ class OptimizationTrace:
 
 def with_peaking_vector(circuit: Circuit, vec: np.ndarray) -> Circuit:
     """Circuit with peaking-half parameters replaced; random half untouched."""
-    gates = list(circuit.peaking_placements())
-    new_params = {
-        (g.layer_index, g.qubit_low): p for g, p in zip(gates, peaking_params(vec, len(gates)))
-    }
-    layers = tuple(
-        tuple(
-            replace(g, params=new_params[(g.layer_index, g.qubit_low)])
-            if g.role == ROLE_PEAKING
-            else g
-            for g in layer
-        )
-        for layer in circuit.layers
-    )
-    return replace(circuit, layers=layers)
+    rd = circuit.random_depth
+    layout = _layout(circuit.layers[rd:])
+    params = peaking_params(vec, sum(map(len, layout)))
+    return replace(circuit, layers=circuit.layers[:rd] + _place(layout, params))
 
 
 def objective(circuit: Circuit) -> float:
@@ -135,13 +129,13 @@ def optimize(
         if float(np.linalg.norm(grad)) > config.stop_tol:
             m = np.zeros_like(x)
             v = np.zeros_like(x)
-            b1, b2 = config.adam_beta1, config.adam_beta2
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
             for step in range(1, config.stage2_iters + 1):
                 m = b1 * m + (1 - b1) * grad
                 v = b2 * v + (1 - b2) * grad * grad
                 m_hat = m / (1 - b1**step)
                 v_hat = v / (1 - b2**step)
-                x = x + config.adam_step * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                x = x + config.adam_step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 iterations_stage2 = step
                 p, grad = eval_at(x)
                 trace_vals.append(best_p)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -111,12 +111,7 @@ def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) 
         "numerics": suite.numerics,
     }
     if optimizer is not None:
-        manifest["optimizer"] = {
-            "stage1_iters": optimizer.stage1_iters,
-            "stage2_iters": optimizer.stage2_iters,
-            "adam_step": optimizer.adam_step,
-            "stop_tol": optimizer.stop_tol,
-        }
+        manifest["optimizer"] = asdict(optimizer)
     path = out / "suite.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     return path

@@ -6,17 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prcbench.circuits import (
+    ROLE_PEAKING,
+    ROLE_RANDOM,
     BitString,
+    GatePlacement,
     brickwall_layout,
     build_exact_inverse_peaking,
     build_reference_circuit,
+    circuit_from_dict,
     circuit_from_json,
+    circuit_to_dict,
     circuit_to_json,
     derive_subcircuit,
+    peaking_vector,
     random_depth_for,
     retarget,
 )
 from prcbench.errors import InvalidDimensionError, SchemaError
+from prcbench.noise import perturb_coherent
+from prcbench.optimize import with_peaking_vector
 from prcbench import sim
 
 
@@ -106,15 +114,18 @@ class TestDeriveSubcircuit:
     def test_restriction_matches_reference_slots(self):
         ref = build_reference_circuit(8, 10, seed=11)
         sub = derive_subcircuit(ref, 5, 10)
-        ref_slots = {(g.layer_index, g.qubit_low): g.params for g in ref.placements()}
-        for g in sub.placements():
-            if g.layer_index < sub.random_depth:
-                src = g.layer_index
+        ref_slots = {
+            (t, g.qubit_low): g.params for t, layer in enumerate(ref.layers) for g in layer
+        }
+        for t, layer in enumerate(sub.layers):
+            if t < sub.random_depth:
+                src = t
             else:
-                src = ref.random_depth + (g.layer_index - sub.random_depth)
-            expected = ref_slots.get((src, g.qubit_low))
-            if expected is not None:
-                assert np.array_equal(expected.to_vector(), g.params.to_vector())
+                src = ref.random_depth + (t - sub.random_depth)
+            for g in layer:
+                expected = ref_slots.get((src, g.qubit_low))
+                if expected is not None:
+                    assert np.array_equal(expected.to_vector(), g.params.to_vector())
 
     def test_monotone_in_depth(self):
         ref = build_reference_circuit(6, 12, seed=5)
@@ -220,7 +231,35 @@ class TestRetarget:
         assert np.max(np.abs(twice - base)) < 1e-12
 
 
+def _built_circuits() -> dict:
+    """One output of every circuit builder, by builder."""
+    ref = build_reference_circuit(5, 7, seed=4)
+    sub = derive_subcircuit(ref, 4, 6)
+    return {
+        "reference": ref,
+        "subcircuit": sub,
+        "exact_inverse": build_exact_inverse_peaking(sub),
+        # Sub's last layer covers all four qubits; ref's misses qubit 0.
+        "retarget_fused": retarget(sub, BitString.from_text("1111")),
+        "retarget_standalone": retarget(ref, BitString.from_text("10001")),
+        "peaking_vector": with_peaking_vector(sub, peaking_vector(sub) + 0.25),
+        "perturb_coherent": perturb_coherent(sub, 0.1, np.random.default_rng(0)),
+    }
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("builder", sorted(_built_circuits()))
+    def test_every_builder_round_trips_by_position(self, builder):
+        circ = _built_circuits()[builder]
+        doc = circuit_to_dict(circ)
+        loaded = circuit_from_dict(doc)
+        assert loaded == circ
+        for c in (circ, loaded):
+            assert all(type(g) is GatePlacement for g in c.placements())
+        for t, layer in enumerate(doc["layers"]):
+            role = ROLE_RANDOM if t < circ.random_depth else ROLE_PEAKING
+            assert [(g["layer"], g["role"]) for g in layer] == [(t, role)] * len(layer)
+
     def test_roundtrip_bytes(self):
         circ = retarget(
             build_reference_circuit(3, 4, seed=8), BitString.from_text("101")

@@ -289,14 +289,18 @@ def test_jobs_below_one_is_a_usage_error(tiny_suite, tmp_path, capsys, jobs):
          "--adam-step: must be a positive finite number"),
         (["generate", "--qubits", "2", "--depths", "2", "--adam-step", "inf"],
          "--adam-step: must be a positive finite number"),
+        (["generate", "--qubits", "2", "--depths", "2", "--stop-tol", "nan"],
+         "--stop-tol: must be a finite number"),
+        (["generate", "--qubits", "2", "--depths", "2", "--stop-tol", "inf"],
+         "--stop-tol: must be a finite number"),
         (["report", "--mode", "heatmap", "m.json", "--top-k", "-2"], "--top-k: must be at least 1"),
         (["report", "--mode", "histogram", "m.json", "--cell", "2,2", "--top-k", "0"],
          "--top-k: must be at least 1"),
         (["report", "--mode", "histogram", "m.json", "--cell", "2,2", "--rep", "-1"],
          "--rep: must be at least 0"),
     ],
-    ids=["stage1_iters", "stage2_iters", "adam_step_0", "adam_step_nan", "adam_step_inf", "top_k",
-         "top_k_0", "rep"],
+    ids=["stage1_iters", "stage2_iters", "adam_step_0", "adam_step_nan", "adam_step_inf",
+         "stop_tol_nan", "stop_tol_inf", "top_k", "top_k_0", "rep"],
 )
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "generate":
@@ -306,3 +310,22 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_generate_without_optimizing_records_no_optimizer(tmp_path):
+    argv = ["generate", "--qubits", "2..3", "--depths", "4", "--seed", "1", "--no-optimize"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert "optimizer" not in json.loads((tmp_path / "suite.json").read_text())
+    assert main(["export-qasm", "--suite", str(tmp_path / "suite.json"),
+                 "--out-dir", str(tmp_path / "qasm")]) == 0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3"])
+def test_stop_tol_zero_or_below_is_valid(tmp_path, tol):
+    argv = ["generate", "--qubits", "2", "--depths", "4", "--stage1-iters", "3",
+            "--stage2-iters", "2", f"--stop-tol={tol}", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "suite.json").read_text())
+    assert manifest["optimizer"]["stop_tol"] == float(tol)
+    assert main(["export-qasm", "--suite", str(tmp_path / "suite.json"),
+                 "--out-dir", str(tmp_path / "qasm")]) == 0

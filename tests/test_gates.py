@@ -9,7 +9,6 @@ from gate_reference import (
     reference_matrix,
     same_bits,
 )
-from prcbench import gates
 from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
@@ -216,16 +215,20 @@ def test_stack_reaches_the_retry_loop_and_stays_bit_exact(monkeypatch):
         _local(rng) @ CNOT @ _local(rng), np.kron(su2_from_zyz((0.1, 0.2, 0.3)), np.eye(2)),
         haar_random_unitary(rng),
     ])
-    retried = []
-    original = gates._diagonalize_complex_symmetric
+    mixed = []  # gates per eigh call, one call per mix
+    original = np.linalg.eigh
 
-    def counting(m2, atol=1e-11):
-        retried.append(m2)
-        return original(m2, atol)
+    def counting(a):
+        mixed.append(len(a))
+        return original(a)
 
-    monkeypatch.setattr(gates, "_diagonalize_complex_symmetric", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     got = kak_decompose(stack)
-    assert len(retried) == 3  # the three CNOT-class gates
+    assert mixed[:2] == [6, 3]  # the second mix runs on three gates
+    mixed.clear()
+    kak_decompose(stack[[0, 4, 5]])
+    assert mixed == [3]  # the others pass the first, so those three are the CNOT-class gates
+    monkeypatch.undo()
     for u, p in zip(stack, got):
         assert same_bits(p.to_vector(), reference_kak_decompose(u).to_vector())
 
@@ -243,6 +246,22 @@ def test_kak_stack_shapes():
 def test_kak_stack_rejects_one_non_unitary_gate():
     rng = np.random.default_rng(4)
     stack = np.stack([haar_random_unitary(rng), np.ones((4, 4)), haar_random_unitary(rng)])
+    with pytest.raises(DecompositionError, match="not unitary"):
+        kak_decompose(stack)
+
+
+@pytest.mark.parametrize("kind", ["nan", "nan_diagonal", "inf"])
+def test_kak_rejects_non_finite_input(kind):
+    # A NaN unitarity defect must fail the check, not slip past it into eigh.
+    rng = np.random.default_rng(6)
+    u = {
+        "nan": np.full((4, 4), np.nan),
+        "nan_diagonal": haar_random_unitary(rng) + np.diag(np.full(4, np.nan)),
+        "inf": np.full((4, 4), np.inf),
+    }[kind]
+    with pytest.raises(DecompositionError, match="not unitary"):
+        kak_decompose(u)
+    stack = np.stack([haar_random_unitary(rng), u, haar_random_unitary(rng)])
     with pytest.raises(DecompositionError, match="not unitary"):
         kak_decompose(stack)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def test_optimizer_config_validation():
     for step in (math.nan, math.inf):
         with pytest.raises(ValueError, match="adam_step must be positive and finite"):
             OptimizerConfig(adam_step=step)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="stop_tol must be finite"):
+            OptimizerConfig(stop_tol=tol)
+    # Zero or below runs every iteration; a manifest may record either.
+    assert OptimizerConfig(stop_tol=0.0).stop_tol == 0.0
+    assert OptimizerConfig(stop_tol=-1.0).stop_tol == -1.0
+    assert [f.name for f in fields(OptimizerConfig)] == [
+        "stage1_iters", "stage2_iters", "adam_step", "stop_tol"]
 
 
 @pytest.mark.slow

@@ -16,6 +16,7 @@ from prcbench.circuits import (
     derive_subcircuit,
     retarget,
 )
+from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
     entangling_core,
@@ -118,6 +119,11 @@ def test_num_cnots_matches_known_gates():
     assert num_cnots_required(CNOT_HL) == 1
     assert num_cnots_required(swap) == 3
     assert num_cnots_required(haar_random_unitary(np.random.default_rng(0))) == 3
+
+
+def test_num_cnots_rejects_non_finite_input():
+    with pytest.raises(DecompositionError, match="not unitary"):
+        num_cnots_required(np.full((4, 4), np.nan))
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

@@ -8,7 +8,6 @@ from gate_reference import reference_derivatives, reference_matrix, same_bits
 from kernel_reference import reference_apply_gate_matrix, reference_pair_environment
 from prcbench import sim
 from prcbench.circuits import (
-    ROLE_PEAKING,
     BitString,
     Circuit,
     GatePlacement,
@@ -73,7 +72,7 @@ def test_balanced_gate_hand_computation():
         n=2,
         d=2,
         random_depth=1,
-        layers=((), (GatePlacement(1, 0, params, ROLE_PEAKING),)),
+        layers=((), (GatePlacement(0, params),)),
         target=BitString.zeros(2),
     )
     dist = sim.full_distribution(circ)
