@@ -111,10 +111,6 @@ class Circuit:
                     raise ValueError(f"layers[{t}][{i}].qubit_low: gate overlaps another")
                 used.update((g.qubit_low, g.qubit_low + 1))
 
-    @property
-    def peaking_depth(self) -> int:
-        return self.d - self.random_depth
-
     def role(self, t: int) -> str:
         """The half layer t belongs to."""
         return ROLE_RANDOM if t < self.random_depth else ROLE_PEAKING

@@ -105,8 +105,7 @@ def _cmd_generate(args) -> int:
         jobs=args.jobs,
         optimize_cells=not args.no_optimize,
     )
-    # A suite that was not optimized records no optimizer.
-    manifest = save_suite(suite, args.out_dir, optimizer=None if args.no_optimize else optimizer)
+    manifest = save_suite(suite, args.out_dir)
     for (n, d), cell in suite.cells.items():
         print(f"n={n:2d} d={d:2d}  p_peak={cell.profile.p_peak:.6f}  r_p={cell.profile.r_p:.1f}")
     print(f"wrote {len(suite.cells)} circuits and manifest {manifest}")
@@ -263,6 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative number in exponent form, such as -1e-3, as an
+    # option, so --stop-tol, the one flag that takes negative values, gets
+    # the next argument attached; so does each abbreviation argparse accepts.
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) > len("--st") and "--stop-tol".startswith(argv[i]):
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

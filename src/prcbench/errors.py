@@ -62,25 +62,25 @@ def read_tagged(doc, schema: str, where: str) -> dict:
 
 def read_fields(cls, doc, where: str, ignore=None, **parsers):
     """The dataclass ``cls`` read from the JSON object ``doc`` at path
-    ``where`` ("" or ending in "." or ": "): each field from its name (or
-    ``metadata["key"]``) by ``parsers[name](value, path)`` or read_value,
-    an absent one by its default.  ``ignore`` maps classes to keys that
-    are dropped.  Unknown keys, missing fields and ValueErrors from
-    ``cls`` (phrased from the field on) raise SchemaError with the path."""
+    ``where`` ("" or ending in "." or ": "): each field from its name by
+    ``parsers[name](value, path)`` or read_value, an absent one by its
+    default.  ``ignore`` maps classes to keys that are dropped.  Unknown
+    keys, missing fields and ValueErrors from ``cls`` (phrased from the
+    field on) raise SchemaError with the path."""
     _expect(type(doc) is dict, _label(where), "an object", doc)
     specs = _field_specs(cls)
-    unknown = sorted(set(doc) - {key for _, key, _ in specs} - set((ignore or {}).get(cls, ())))
+    unknown = sorted(set(doc) - {f.name for f, _ in specs} - set((ignore or {}).get(cls, ())))
     if unknown:
         raise SchemaError(f"{_label(where)}: unknown key(s) {', '.join(map(repr, unknown))}")
     kwargs = {}
-    for f, key, hint in specs:
-        if key not in doc:
+    for f, hint in specs:
+        if f.name not in doc:
             if f.default is f.default_factory is MISSING:
-                raise SchemaError(f"{where}{key}: missing")
+                raise SchemaError(f"{where}{f.name}: missing")
         elif f.name in parsers:
-            kwargs[f.name] = parsers[f.name](doc[key], where + key)
+            kwargs[f.name] = parsers[f.name](doc[f.name], where + f.name)
         else:
-            kwargs[f.name] = read_value(hint, doc[key], where + key, ignore)
+            kwargs[f.name] = read_value(hint, doc[f.name], where + f.name, ignore)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -127,9 +127,9 @@ def _shape(hint) -> tuple:
 
 @functools.cache
 def _field_specs(cls) -> tuple:
-    """(field, stored key, resolved annotation) for each field of cls."""
+    """(field, resolved annotation) for each field of cls."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, f.metadata.get("key", f.name), hints[f.name]) for f in fields(cls))
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 def _expect(ok: bool, path: str, what: str, value) -> None:

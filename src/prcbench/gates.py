@@ -18,7 +18,9 @@ is its one-row case.  One batched decomposition, ``kak_decompose``, turns a
 ``(G, 4, 4)`` stack of unitaries into G GateParams, and a single 4x4
 matrix is its one-element stack.  Both give each gate the bits of a
 one-gate call, so circuit builders decompose all their gates at once
-without changing artifacts.
+without changing artifacts.  ``kak_decompose`` checks its input's
+unitarity and its own reconstruction entry-wise to within ``ATOL``, the
+one tolerance that QASM synthesis verifies against too.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
+
+ATOL = 1e-10
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -274,13 +278,13 @@ def _mixes():
     yield from np.random.default_rng(2020).normal(size=(37, 2))
 
 
-def _diagonalize_stack(m2: np.ndarray, atol: float = 1e-11):
+def _diagonalize_stack(m2: np.ndarray):
     """Real orthogonal P with P.T @ m2 @ P diagonal, and that diagonal, for
     each complex-symmetric unitary m2 of a (G, 4, 4) stack.
 
     Re(m2) and Im(m2) commute, so a real linear mix of the two separates
     degenerate eigenspaces.  Each mix of _mixes runs once, over the gates
-    whose residual every earlier mix left above atol.
+    whose off-diagonal residual every earlier mix left above 1e-11.
     """
     p = np.empty(m2.shape)
     diag = np.empty(m2.shape[:2], dtype=complex)
@@ -291,7 +295,7 @@ def _diagonalize_stack(m2: np.ndarray, atol: float = 1e-11):
         d = np.swapaxes(q, 1, 2) @ sub @ q
         p[todo], diag[todo] = q, np.diagonal(d, axis1=1, axis2=2)
         d[:, _DIAG, _DIAG] = 0.0
-        todo = todo[np.max(np.abs(d), axis=(1, 2)) > atol]
+        todo = todo[np.max(np.abs(d), axis=(1, 2)) > 1e-11]
         if not len(todo):
             return p, diag
     raise DecompositionError("failed to diagonalize the symmetric magic-basis product")
@@ -345,53 +349,25 @@ def split_product_gate(m: np.ndarray):
     return left, r, phase
 
 
-@dataclass(frozen=True)
-class WeylDecomposition:
-    """u = exp(i*global_phase) * kron(k1l, k1r) @ core(a, b, c) @ kron(k2l, k2r)
-    with pi/4 >= a >= b >= |c|.  The ``l`` factors act on the high qubit.
-    For a stack of G gates every field gains a leading axis of length G."""
-
-    k1l: np.ndarray
-    k1r: np.ndarray
-    a: float | np.ndarray
-    b: float | np.ndarray
-    c: float | np.ndarray
-    k2l: np.ndarray
-    k2r: np.ndarray
-    global_phase: float | np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        core = _core(np.stack((self.a, self.b, self.c), axis=-1))
-        m = _kron(self.k1l, self.k1r) @ core @ _kron(self.k2l, self.k2r)
-        return np.exp(1j * np.asarray(self.global_phase))[..., None, None] * m
-
-
-def _as_stack(u) -> tuple[np.ndarray, bool]:
-    """A (4, 4) matrix or (G, 4, 4) stack as a stack, and whether it was
-    one matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
-        raise DecompositionError("expected a 4x4 matrix or a (G, 4, 4) stack")
-    return (u[None], True) if u.ndim == 2 else (u, False)
-
-
-def weyl_decompose(u: np.ndarray, atol: float = 1e-10) -> WeylDecomposition:
-    """Cartan decomposition of a 4x4 unitary, or of each of a (G, 4, 4)
-    stack, with Weyl-chamber canonical interaction angles.
+def _weyl_stack(u: np.ndarray):
+    """Cartan decomposition of each unitary of a (G, 4, 4) stack,
+    u = exp(i*phase) * kron(k1l, k1r) @ core(a, b, c) @ kron(k2l, k2r) with
+    pi/4 >= a >= b >= |c|, where the ``l`` factors act on the high qubit.
+    Returns the (G, 2, 2) stacks k1l, k1r, k2l, k2r, the (G, 3) angles
+    (a, b, c) and the (G,) phases.
 
     Follows the magic-basis construction: bring u into SU(4), diagonalize
     the complex-symmetric product M^T M of its magic-basis image over SO(4),
     read the interaction angles off the eigenvalue phases, then fold the
-    angles into the chamber pi/4 >= a >= b >= |c| while pushing the
-    compensating sign flips into the local factors and the global phase.
+    angles into the chamber while pushing the compensating sign flips into
+    the local factors and the global phase.
 
-    Every gate of a stack goes through the floating-point operations a
-    one-matrix call makes, so its result does not depend on the stack.
-    Complex scalar steps stay per gate or are formed in real arithmetic
-    (_cmul), and each chamber move is applied under a mask.
+    Every gate goes through the floating-point operations a one-gate stack
+    does, so its result does not depend on the stack.  Complex scalar steps
+    stay per gate or are formed in real arithmetic (_cmul), and each chamber
+    move is applied under a mask.
     """
-    u, single = _as_stack(u)
-    if not unitarity_defect(u) <= 1e-10:  # also catches NaN from non-finite input
+    if not unitarity_defect(u) <= ATOL:  # also catches NaN from non-finite input
         raise DecompositionError("input matrix is not unitary")
 
     pi, pi2, pi4 = np.pi, np.pi / 2, np.pi / 4
@@ -459,40 +435,39 @@ def weyl_decompose(u: np.ndarray, atol: float = 1e-10) -> WeylDecomposition:
     move(conjs == 1, 2, pi2 - cs[:, 2], _ipz, False, pi2)
     move(cs[:, 2] > pi4, 2, cs[:, 2] - pi2, _ipz, True, -pi2)
 
-    result = WeylDecomposition(
-        k1l=k1l, k1r=k1r, a=cs[:, 1], b=cs[:, 0], c=cs[:, 2], k2l=k2l, k2r=k2r, global_phase=phase
-    )
-    if np.max(np.abs(result.matrix() - u)) > atol:
+    angles = cs[:, [1, 0, 2]]
+    rebuilt = _kron(k1l, k1r) @ _core(angles) @ _kron(k2l, k2r)
+    if np.max(np.abs(np.exp(1j * phase)[:, None, None] * rebuilt - u)) > ATOL:
         raise DecompositionError("Weyl decomposition failed to reconstruct the input")
-    if single:
-        return WeylDecomposition(
-            k1l=k1l[0], k1r=k1r[0], a=float(cs[0, 1]), b=float(cs[0, 0]), c=float(cs[0, 2]),
-            k2l=k2l[0], k2r=k2r[0], global_phase=float(phase[0]),
-        )
-    return result
+    return k1l, k1r, k2l, k2r, angles, phase
 
 
-def kak_decompose(u: np.ndarray, atol: float = 1e-10):
+def kak_decompose(u: np.ndarray):
     """Express a 4x4 unitary as GateParams with canonical entangling angles,
     or a (G, 4, 4) stack as a tuple of G GateParams.
 
     A matrix is the one-element stack, and each gate's parameters are bit
     for bit those of its own one-matrix call.  The reconstruction
     ``kak_decompose(u).matrix()`` matches ``u`` exactly (including global
-    phase) to within ``atol``.
+    phase) to within ATOL.
     """
-    stack, single = _as_stack(u)
+    stack = np.asarray(u, dtype=complex)
+    if stack.ndim not in (2, 3) or stack.shape[-2:] != (4, 4):
+        raise DecompositionError("expected a 4x4 matrix or a (G, 4, 4) stack")
+    single = stack.ndim == 2
+    if single:
+        stack = stack[None]
     if not len(stack):
         return ()
-    w = weyl_decompose(stack, atol=atol)
+    k1l, k1r, k2l, k2r, angles, global_phase = _weyl_stack(stack)
     out = []
     for g, ug in enumerate(stack):
-        pre_low = zyz_angles(w.k2r[g])
-        pre_high = zyz_angles(w.k2l[g])
-        post_low = zyz_angles(w.k1r[g])
-        post_high = zyz_angles(w.k1l[g])
+        pre_low = zyz_angles(k2r[g])
+        pre_high = zyz_angles(k2l[g])
+        post_low = zyz_angles(k1r[g])
+        post_high = zyz_angles(k1l[g])
         phase = (
-            float(w.global_phase[g])
+            float(global_phase[g])
             + pre_low[3]
             + pre_high[3]
             + post_low[3]
@@ -500,11 +475,11 @@ def kak_decompose(u: np.ndarray, atol: float = 1e-10):
         )
         params = GateParams(
             pre=(*pre_low[:3], *pre_high[:3]),
-            entangling=(float(w.a[g]), float(w.b[g]), float(w.c[g])),
+            entangling=tuple(map(float, angles[g])),
             post=(*post_low[:3], *post_high[:3]),
             phase=phase,
         )
-        if np.max(np.abs(params.matrix() - ug)) > atol:
+        if np.max(np.abs(params.matrix() - ug)) > ATOL:
             raise DecompositionError("KAK parameter extraction failed to reconstruct the input")
         out.append(params)
     return out[0] if single else tuple(out)

@@ -14,8 +14,9 @@ degenerate gate) are folded back in by local Pauli and Clifford moves
 with a fixed-shape circuit whose angles are linear in (a, b, c) (Vatan &
 Williams, quant-ph/0308006), and the KAK layers become its outer local
 steps.  Every sequence is verified against the gate matrix before it is
-emitted; one that falls short raises DecompositionError, so the emitted
-CNOT count is always the classified one.
+emitted, to within ``gates.ATOL`` up to global phase; one that falls short
+raises DecompositionError, so the emitted CNOT count is always the
+classified one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .circuits import Circuit
 from .errors import DecompositionError
 from .gates import (
+    ATOL,
     GateParams,
     kak_decompose,
     ry_matrix,
@@ -135,12 +137,12 @@ def _fold(a: float, b: float, c: float):
     return tuple(x), _locals(before), _locals(after)
 
 
-def _cnot_class(a: float, b: float, c: float, atol: float) -> int:
+def _cnot_class(a: float, b: float, c: float) -> int:
     """CNOTs needed for core(a, b, c), read off its Weyl-chamber angles.  An
-    angle within atol / 8 of a class boundary counts as on it, which keeps
-    the template's error well inside the atol that synthesis verifies."""
+    angle within ATOL / 8 of a class boundary counts as on it, which keeps
+    the template's error well inside the ATOL that synthesis verifies."""
     (a, b, c), _, _ = _fold(a, b, c)
-    tol = atol / 8
+    tol = ATOL / 8
     if max(abs(a), abs(b), abs(c)) <= tol:
         return 0
     if max(abs(a - math.pi / 4), abs(b), abs(c)) <= tol:
@@ -150,9 +152,9 @@ def _cnot_class(a: float, b: float, c: float, atol: float) -> int:
     return 3
 
 
-def num_cnots_required(u: np.ndarray, atol: float = 1e-10) -> int:
+def num_cnots_required(u: np.ndarray) -> int:
     """Minimum CNOTs for a two-qubit unitary, from its Weyl-chamber angles."""
-    return _cnot_class(*kak_decompose(u).entangling, atol)
+    return _cnot_class(*kak_decompose(u).entangling)
 
 
 def _locals(layer) -> list:
@@ -236,9 +238,9 @@ def _emit_local(slot: int, mat: np.ndarray) -> list[NativeOp]:
     return ops
 
 
-def decompose_gate(params: GateParams, atol: float = 1e-10) -> list[NativeOp]:
+def decompose_gate(params: GateParams) -> list[NativeOp]:
     """Native-gate sequence (rz/ry/cx over two slots) whose product equals
-    the gate unitary up to global phase within atol, with
+    the gate unitary up to global phase within ATOL, with
     num_cnots_required CNOTs.
 
     The parameters already write the gate as local layers around a core, so
@@ -249,13 +251,13 @@ def decompose_gate(params: GateParams, atol: float = 1e-10) -> list[NativeOp]:
     steps = _merge_locals([
         *_locals(_layer(params.pre[3:], params.pre[:3])),
         *before,
-        *_core_steps(_cnot_class(*angles, atol), *angles),
+        *_core_steps(_cnot_class(*angles), *angles),
         *after,
         *_locals(_layer(params.post[3:], params.post[:3])),
     ])
     error = _phase_aligned_error(_steps_matrix(steps), params.matrix())
-    if not error <= atol:  # also catches NaN from non-finite parameters
-        raise DecompositionError(f"gate synthesis failed to verify: error {error:.2e} > {atol:.2e}")
+    if not error <= ATOL:  # also catches NaN from non-finite parameters
+        raise DecompositionError(f"gate synthesis failed to verify: error {error:.2e} > {ATOL:.2e}")
     ops: list[NativeOp] = []
     for kind, *rest in steps:
         if kind == "cx":

@@ -176,7 +176,7 @@ def _render_grid(qubits, depths, title, fill, overlay, legend_title, ramp, ramp_
     return "\n".join(parts) + "\n"
 
 
-def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identification") -> str:
+def render_matrix_heatmap(matrix: BenchmarkMatrix) -> str:
     """Grid with depth horizontal and qubit count vertical: identified cells
     colored by mean fidelity error, non-identified light gray, skipped
     white, and a black staircase between executed and skipped cells."""
@@ -193,7 +193,7 @@ def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identifica
     return _render_grid(
         list(matrix.qubits),
         list(matrix.depths),
-        title,
+        "Peak identification",
         fill,
         overlay=[f'<polyline points="{pts}" fill="none" stroke="#000000" stroke-width="2"/>'],
         legend_title="fidelity error",
@@ -203,7 +203,7 @@ def render_matrix_heatmap(matrix: BenchmarkMatrix, title: str = "Peak identifica
     )
 
 
-def render_delta_heatmap(delta: DeltaGrid, title: str = "Fidelity error difference") -> str:
+def render_delta_heatmap(delta: DeltaGrid) -> str:
     """Diverging map over [-1, 1], white at zero; cells absent from the
     comparison stay uncolored."""
     if not delta.values:
@@ -216,7 +216,7 @@ def render_delta_heatmap(delta: DeltaGrid, title: str = "Fidelity error differen
     return _render_grid(
         list(delta.qubits),
         list(delta.depths),
-        title,
+        "Fidelity error difference",
         fill,
         overlay=[],
         legend_title="&#916;F",

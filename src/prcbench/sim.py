@@ -205,11 +205,6 @@ def apply_gate_matrix(
     return out
 
 
-def apply_single_qubit(state: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = state.reshape(-1, 2, 1 << qubit)
-    return np.einsum("ij,ajb->aib", u, psi).reshape(-1)
-
-
 def _apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
     psi = state.reshape(-1, 2, 1 << qubit)
     return np.ascontiguousarray(psi[:, ::-1, :]).reshape(-1)

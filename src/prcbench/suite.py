@@ -48,6 +48,7 @@ class Suite:
     qubits: tuple[int, ...]
     depths: tuple[int, ...]
     cells: dict[tuple[int, int], SuiteCell]
+    optimizer: OptimizerConfig | None  # None when the cells were not optimized
     numerics: int = NUMERICS  # simulator numerics the cells were optimized under
 
     def as_mapping(self) -> dict[tuple[int, int], tuple[Circuit, PeakProfile]]:
@@ -78,21 +79,22 @@ def generate_suite(
     fixed seed regardless of job count."""
     qubits = tuple(sorted(set(int(q) for q in qubits)))
     depths = tuple(sorted(set(int(d) for d in depths)))
-    optimizer = optimizer or OptimizerConfig()
+    optimizer = (optimizer or OptimizerConfig()) if optimize_cells else None
     reference = build_reference_circuit(max(qubits), max(depths), seed)
     keys = [(n, d) for n in qubits for d in depths]
-    build = partial(_build_cell, reference, optimizer if optimize_cells else None)
-    return Suite(int(seed), qubits, depths, dict(zip(keys, map_cells(build, keys, jobs))))
+    build = partial(_build_cell, reference, optimizer)
+    return Suite(int(seed), qubits, depths, dict(zip(keys, map_cells(build, keys, jobs))), optimizer)
 
 
 def _cell_filename(n: int, d: int) -> str:
     return f"prc_n{n}_d{d}.json"
 
 
-def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) -> Path:
+def save_suite(suite: Suite, out_dir) -> Path:
     """Write one circuit+profile JSON per cell plus the manifest; returns
-    the manifest path.  Rerunning with identical inputs reproduces every
-    byte."""
+    the manifest path.  The manifest names the suite's optimizer, if any.
+    Rerunning with identical inputs reproduces every byte, and so does
+    saving a loaded suite."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -110,8 +112,8 @@ def save_suite(suite: Suite, out_dir, optimizer: OptimizerConfig | None = None) 
         "circuits": files,
         "numerics": suite.numerics,
     }
-    if optimizer is not None:
-        manifest["optimizer"] = asdict(optimizer)
+    if suite.optimizer is not None:
+        manifest["optimizer"] = asdict(suite.optimizer)
     path = out / "suite.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     return path
@@ -141,15 +143,19 @@ def _load_cell(path: Path, key: str, n: int, d: int) -> SuiteCell:
             f"{where}profile.target: {profile.target.text} differs from the circuit's "
             f"target {circuit.target.text}"
         )
-    final = read_value(float | None, doc.get("final_objective"), f"{where}final_objective")
-    return SuiteCell(circuit, profile, profile.p_peak if final is None else final)
+    if "final_objective" not in doc:
+        raise SchemaError(f"{where}final_objective: missing")
+    final = read_value(float, doc["final_objective"], f"{where}final_objective")
+    return SuiteCell(circuit, profile, final)
 
 
 def load_suite(manifest_path) -> Suite:
     manifest_path = Path(manifest_path)
     where = f"{manifest_path}: "
     body = read_tagged(read_json(manifest_path), SUITE_SCHEMA, where)
-    manifest = read_fields(_Manifest, body, where, numerics=read_numerics)
+    # A manifest names its optimizer or has no optimizer key; null is neither.
+    optimizer = partial(read_value, OptimizerConfig)
+    manifest = read_fields(_Manifest, body, where, numerics=read_numerics, optimizer=optimizer)
     cells: dict[tuple[int, int], SuiteCell] = {}
     for key, name in manifest.circuits.items():
         match = _CELL_KEY.fullmatch(key)
@@ -169,7 +175,9 @@ def load_suite(manifest_path) -> Suite:
             f"{sorted(grid - set(cells))}, extra {sorted(set(cells) - grid)}"
         )
     cells = dict(sorted(cells.items()))
-    return Suite(manifest.seed, manifest.qubits, manifest.depths, cells, manifest.numerics)
+    return Suite(
+        manifest.seed, manifest.qubits, manifest.depths, cells, manifest.optimizer, manifest.numerics
+    )
 
 
 def suite_hash(manifest_path) -> str:

@@ -6,7 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 from prcbench.gates import ry_matrix, rz_matrix
-from prcbench.sim import apply_single_qubit
+
+
+def _apply_single_qubit(state: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    psi = state.reshape(-1, 2, 1 << qubit)
+    return np.einsum("ij,ajb->aib", u, psi).reshape(-1)
 
 
 def _apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -44,7 +48,7 @@ def replay_statevector(qasm_text: str) -> np.ndarray:
             tail = line[line.index(")") :]
             q = int(tail[tail.index("[") + 1 : tail.index("]")])
             mat = rz_matrix(angle) if name == "rz" else ry_matrix(angle)
-            state = apply_single_qubit(state, mat, q, n)
+            state = _apply_single_qubit(state, mat, q)
         else:
             raise ValueError(f"unsupported qasm line: {line!r}")
     if state is None:

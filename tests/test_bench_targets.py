@@ -103,3 +103,21 @@ def test_setup_spans_fire(bench_modules, tmp_path, name):
     calls = tracer.summarize([0])
     assert "gates.kak_decompose" in expected and "gates.GateParams.matrix" in expected
     assert [s for s in expected if not calls[f"{s}.calls"]] == []
+
+
+def test_walkthrough_spans_fire(bench_modules, tmp_path):
+    # One set-up and one run of the README pipeline under the tracer fire
+    # every span the walkthrough expects, so no span is silenced by a call
+    # that stops reaching a traced function.
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS["walkthrough"](BENCH_DIR.parent)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        inputs, _ = workload.setup(7, tmp_path / "work")
+        results = workload.run(inputs, tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    assert [(command, rc) for command, rc, _ in results if rc != 0] == []
+    calls = tracer.summarize([0])
+    assert [s for s in workload.expected_spans if not calls[f"{s}.calls"]] == []

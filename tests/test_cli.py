@@ -293,6 +293,8 @@ def test_jobs_below_one_is_a_usage_error(tiny_suite, tmp_path, capsys, jobs):
          "--stop-tol: must be a finite number"),
         (["generate", "--qubits", "2", "--depths", "2", "--stop-tol", "inf"],
          "--stop-tol: must be a finite number"),
+        (["generate", "--qubits", "2", "--depths", "2", "--stop-tol", "-inf"],
+         "--stop-tol: must be a finite number"),
         (["report", "--mode", "heatmap", "m.json", "--top-k", "-2"], "--top-k: must be at least 1"),
         (["report", "--mode", "histogram", "m.json", "--cell", "2,2", "--top-k", "0"],
          "--top-k: must be at least 1"),
@@ -300,7 +302,7 @@ def test_jobs_below_one_is_a_usage_error(tiny_suite, tmp_path, capsys, jobs):
          "--rep: must be at least 0"),
     ],
     ids=["stage1_iters", "stage2_iters", "adam_step_0", "adam_step_nan", "adam_step_inf",
-         "stop_tol_nan", "stop_tol_inf", "top_k", "top_k_0", "rep"],
+         "stop_tol_nan", "stop_tol_inf", "stop_tol_minus_inf", "top_k", "top_k_0", "rep"],
 )
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     if argv[0] == "generate":
@@ -329,3 +331,13 @@ def test_stop_tol_zero_or_below_is_valid(tmp_path, tol):
     assert manifest["optimizer"]["stop_tol"] == float(tol)
     assert main(["export-qasm", "--suite", str(tmp_path / "suite.json"),
                  "--out-dir", str(tmp_path / "qasm")]) == 0
+
+
+@pytest.mark.parametrize("flag,tol", [("--stop-tol", "-1e-3"), ("--stop-tol", "-1E-3"),
+                                      ("--stop-tol", "-.001"), ("--stop", "-1e-3")])
+def test_negative_stop_tol_after_a_space(tmp_path, flag, tol):
+    # argparse alone reads "-1e-3" after a space as an option.
+    argv = ["generate", "--qubits", "2", "--depths", "4", "--stage1-iters", "3",
+            "--stage2-iters", "2", flag, tol, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "suite.json").read_text())["optimizer"]["stop_tol"] == -0.001

@@ -18,7 +18,6 @@ from prcbench.gates import (
     kak_decompose,
     su2_from_zyz,
     unitarity_defect,
-    weyl_decompose,
     zyz_angles,
 )
 
@@ -108,12 +107,6 @@ def test_entangling_core_matches_expm():
     direct = entangling_core(a, b, c)
     reference = expm(1j * (a * XX + b * YY + c * ZZ))
     assert np.max(np.abs(direct - reference)) < 1e-12
-
-
-def test_weyl_matrix_identity(rng):
-    u = haar_random_unitary(rng)
-    w = weyl_decompose(u)
-    assert np.max(np.abs(w.matrix() - u)) <= 1e-10
 
 
 _ANGLE = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
@@ -264,15 +257,3 @@ def test_kak_rejects_non_finite_input(kind):
     stack = np.stack([haar_random_unitary(rng), u, haar_random_unitary(rng)])
     with pytest.raises(DecompositionError, match="not unitary"):
         kak_decompose(stack)
-
-
-def test_weyl_stack_matches_one_matrix_calls(rng):
-    stack = np.stack([haar_random_unitary(rng) for _ in range(3)])
-    w = weyl_decompose(stack)
-    assert w.matrix().shape == (3, 4, 4)
-    assert np.max(np.abs(w.matrix() - stack)) <= 1e-10
-    for g, u in enumerate(stack):
-        one = weyl_decompose(u)
-        assert (one.a, one.b, one.c) == (w.a[g], w.b[g], w.c[g])
-        assert one.global_phase == w.global_phase[g]
-        assert same_bits(one.k1l, w.k1l[g]) and same_bits(one.k2r, w.k2r[g])

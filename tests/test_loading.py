@@ -5,6 +5,7 @@ or crashed, and a fuzz property over single-field mutations."""
 import copy
 import json
 import math
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,11 @@ REPLACEMENTS = ["text", 0.5, True, None, [1], math.nan]
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
+    # Unoptimized cells under a named optimizer, so the manifest fuzz has an
+    # optimizer object to mutate without paying for optimization.
     suite = generate_suite((2, 3), (2, 4), seed=3, optimize_cells=False)
-    optimizer = OptimizerConfig(stage1_iters=10, stage2_iters=5)
-    return suite, save_suite(suite, tmp_path_factory.mktemp("suite"), optimizer=optimizer)
+    suite = replace(suite, optimizer=OptimizerConfig(stage1_iters=10, stage2_iters=5))
+    return suite, save_suite(suite, tmp_path_factory.mktemp("suite"))
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +155,10 @@ class TestRejectedInputs:
             (lambda d: d["circuits"].update({"2x2": 7}), r"circuits\.2x2: expected a string"),
             (lambda d: d["optimizer"].update(stage1_iters=1.0),
              r"optimizer\.stage1_iters: expected an integer"),
+            (lambda d: d.update(optimizer=None), r"optimizer: expected an object, got None"),
         ],
         ids=["seed_str", "seed_float", "qubits_disagree_with_circuits", "file_name_int",
-             "optimizer_float"],
+             "optimizer_float", "optimizer_null"],
     )
     def test_suite_manifest(self, saved, edit, message):
         _, manifest = saved
@@ -325,6 +329,23 @@ class TestErrorPathCrashes:
         with pytest.raises(SchemaError, match=r"prc_n2_d4\.json: final_objective: expected a number"):
             load_suite(tmp_path / "suite.json")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("final_objective"), "final_objective: missing"),
+        (lambda d: d.update(final_objective=None), "final_objective: expected a number, got None"),
+    ], ids=["missing", "null"])
+    def test_final_objective_is_required(self, saved, tmp_path, edit, message):
+        # No fallback: the profile's p_peak is the argmax's probability,
+        # not the target's.
+        _, manifest = saved
+        for path in manifest.parent.glob("prc_*.json"):
+            doc = json.loads(path.read_text())
+            if path.name == "prc_n3_d2.json":
+                edit(doc)
+            (tmp_path / path.name).write_text(json.dumps(doc))
+        (tmp_path / "suite.json").write_text(manifest.read_text())
+        with pytest.raises(SchemaError, match=rf"prc_n3_d2\.json: {message}"):
+            load_suite(tmp_path / "suite.json")
+
 
 def _paths(node, path=()):
     yield path
@@ -422,6 +443,10 @@ def test_mutated_suite_manifest_loads_faithfully_or_raises_schema_error(saved, d
     assert (loaded.seed, list(loaded.qubits), list(loaded.depths)) == (doc["seed"], doc["qubits"],
                                                                        doc["depths"])
     assert loaded.numerics == doc.get("numerics", 1)
+    if "optimizer" in doc:
+        assert _agrees(doc["optimizer"], asdict(loaded.optimizer))
+    else:
+        assert loaded.optimizer is None
     assert loaded.cells == suite.cells
 
 

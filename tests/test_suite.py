@@ -154,8 +154,24 @@ def test_saved_bytes_do_not_depend_on_jobs(tmp_path):
     dirs = []
     for jobs in (1, 2):
         suite = generate_suite((2, 3), (2, 5), seed=8, optimizer=optimizer, jobs=jobs)
-        dirs.append(save_suite(suite, tmp_path / f"jobs{jobs}", optimizer=optimizer).parent)
+        dirs.append(save_suite(suite, tmp_path / f"jobs{jobs}").parent)
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
         assert (dirs[1] / name).read_bytes() == (dirs[0] / name).read_bytes()
+
+
+@pytest.mark.parametrize("optimize_cells", [True, False], ids=["optimized", "no_optimize"])
+def test_saving_a_loaded_suite_writes_the_same_bytes(tmp_path, optimize_cells):
+    # The manifest's optimizer comes from the suite, so it survives a load.
+    optimizer = OptimizerConfig(stage1_iters=3, stage2_iters=2, stop_tol=-1e-3)
+    suite = generate_suite((2, 3), (4,), seed=4, optimizer=optimizer, optimize_cells=optimize_cells)
+    assert suite.optimizer == (optimizer if optimize_cells else None)
+    first = save_suite(suite, tmp_path / "first")
+    loaded = load_suite(first)
+    assert loaded.optimizer == suite.optimizer
+    second = save_suite(loaded, tmp_path / "second")
+    names = sorted(p.name for p in first.parent.iterdir())
+    assert names == sorted(p.name for p in second.parent.iterdir())
+    for name in names:
+        assert (second.parent / name).read_bytes() == (first.parent / name).read_bytes()
