@@ -1,5 +1,12 @@
-"""Peaking-half optimization (limited-memory quasi-Newton followed by Adam)
-and circuit-intrinsic peak profiles."""
+"""Peaking-half optimization (limited-memory BFGS followed by Adam) and
+circuit-intrinsic peak profiles.
+
+Stage 1 is L-BFGS as L-BFGS-B runs it on a problem without bounds (Byrd,
+Lu, Nocedal & Zhu 1995): memory 20, the compact form of the inverse
+Hessian, and Moré & Thuente's line search (1994) with L-BFGS-B's settings.
+It follows scipy's ``minimize(method="L-BFGS-B")`` on the same problem,
+apart from the gradient-norm test, so the package needs only numpy.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +29,18 @@ _PROBABILITY_SLACK = 1e-9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Stage 1 keeps this many L-BFGS pairs, and stops once an iteration lowers
+# -p by no more than this fraction of max(|p_old|, |p|, 1).
+LBFGS_MEMORY = 20
+LBFGS_FTOL = 1e-15
+# L-BFGS-B's line search settings: sufficient decrease, curvature, relative
+# bracket width, largest step and trials per search.
+_SEARCH_FTOL = 1e-3
+_SEARCH_GTOL = 0.9
+_SEARCH_XTOL = 0.1
+_SEARCH_STPMAX = 1e10
+_SEARCH_EVALS = 20
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -72,9 +91,9 @@ def optimize(
 
     Stage 1 runs unconstrained limited-memory BFGS on -p (the parameters are
     periodic angles, so box constraints would be vacuous); stage 2 polishes
-    with Adam.  Both stages stop early once the gradient norm falls below
-    ``stop_tol``, and the best parameters seen anywhere are returned, so the
-    reported objective can never decrease.
+    with Adam.  Both stages stop early once the Euclidean norm of the
+    gradient, ||g||_2, is at most ``stop_tol``, and the best parameters seen
+    anywhere are returned, so the reported objective can never decrease.
     """
     config = config or OptimizerConfig()
     if not any(True for _ in circuit.peaking_placements()):
@@ -97,30 +116,16 @@ def optimize(
 
     iterations_stage1 = 0
     x = x0
-    gnorm = float(np.linalg.norm(g0))
-    if gnorm > config.stop_tol and config.stage1_iters > 0:
-        # Imported here: scipy.optimize takes most of the package's import
-        # time, and only this branch needs it.
-        from scipy.optimize import minimize
+    if float(np.linalg.norm(g0)) > config.stop_tol and config.stage1_iters > 0:
 
-        def neg_value_and_grad(xk: np.ndarray):
+        def neg_value_and_grad(xk: np.ndarray) -> tuple[float, np.ndarray]:
             p, grad = eval_at(xk)
             return -p, -grad
 
-        result = minimize(
-            neg_value_and_grad,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=lambda xk: trace_vals.append(best_p),
-            options={
-                "maxiter": config.stage1_iters,
-                "gtol": config.stop_tol,
-                "ftol": 1e-15,
-                "maxcor": 20,
-            },
+        iterations_stage1 = _lbfgs(
+            neg_value_and_grad, x0, -p0, -g0, config.stage1_iters, config.stop_tol,
+            lambda: trace_vals.append(best_p),
         )
-        iterations_stage1 = int(result.nit)
         x = best_x.copy()
 
     iterations_stage2 = 0
@@ -150,6 +155,238 @@ def optimize(
         iterations_stage2=iterations_stage2,
     )
     return final_circuit, trace
+
+
+def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: float, callback) -> int:
+    """Minimize ``fun`` (value and gradient of one vector) from x, where
+    (f, g) = fun(x), on L-BFGS-B's path for a problem without bounds, and
+    return the iterations made.  ``callback()`` runs after each iteration.
+
+    Each iteration searches along -H g for the compact-form H of the newest
+    pairs; the first one starts at the step 1 / ||g||, later ones at 1.  A
+    failed search leaves x where it was: with pairs in memory, they are
+    dropped and the iteration retries along -g, and with none, the run ends.
+    It also ends after ``maxiter`` iterations, once ||g||_2 <= gtol, or once
+    the relative reduction of f falls to LBFGS_FTOL.
+    """
+    memory = _Memory(x.size)
+    iterations = 0
+    while iterations < maxiter:
+        d = memory.direction(g) if memory.k else -g
+        gd = float(g @ d)
+        found = None
+        if gd < 0:
+            stp = 1.0 if iterations else min(1.0 / math.sqrt(float(d @ d)), _SEARCH_STPMAX)
+            found = _line_search(fun, x, f, gd, d, stp)
+        if found is None:
+            if not memory.k:
+                break
+            memory.k = 0
+            continue
+        stp, x, f_new, g_new, gd_new = found
+        iterations += 1
+        callback()
+        f_old, f, y, g = f, f_new, g_new - g, g_new
+        if float(np.linalg.norm(g)) <= gtol or f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+        # s.y through the search's directional derivatives, as L-BFGS-B
+        # takes it; the Wolfe curvature condition keeps it positive.
+        sy = (gd_new - gd) * stp
+        if sy > _EPS * -gd * stp:
+            memory.push(stp * d, y, sy)
+    return iterations
+
+
+class _Memory:
+    """The newest L-BFGS pairs (s, y), oldest first, and the inverse Hessian
+    approximation they define in compact form (Byrd, Nocedal & Schnabel
+    1994, Thm. 2.2):
+
+        H = gamma I + [S  gamma Y] [[R^-T (D + gamma Y^T Y) R^-1, -R^-T],
+                                    [-R^-1,                        0   ]] [S  gamma Y]^T
+
+    with S, Y the pairs as columns, R the upper triangle of S^T Y, D its
+    diagonal and gamma = s.y / y.y of the newest pair.  R^-1 and Y^T Y are
+    kept up to date one pair at a time."""
+
+    def __init__(self, n: int) -> None:
+        m = LBFGS_MEMORY
+        self.k = 0  # pairs held
+        self.s = np.empty((m, n))
+        self.y = np.empty((m, n))
+        self.sy = np.empty(m)  # D
+        self.yy = np.empty((m, m))
+        self.rinv = np.zeros((m, m))
+        self.gamma = 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        k = self.k
+        if k == LBFGS_MEMORY:
+            # Dropping the oldest pair drops R^-1's first row and column.
+            for a in (self.s, self.y, self.sy):
+                a[:-1] = a[1:]
+            for a in (self.yy, self.rinv):
+                a[:-1, :-1] = a[1:, 1:]
+            k -= 1
+        self.s[k], self.y[k], self.sy[k] = s, y, sy
+        # R gains the column (s_i.y, i < k; sy), so R^-1 gains
+        # (-R^-1 (s_i.y) / sy; 1 / sy).
+        self.rinv[:k, k] = self.rinv[:k, :k] @ (self.s[:k] @ y) / -sy
+        self.rinv[k, k] = 1.0 / sy
+        yy = self.y[: k + 1] @ y
+        self.yy[k, : k + 1] = self.yy[: k + 1, k] = yy
+        self.gamma = sy / float(yy[k])
+        self.k = k + 1
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g."""
+        k, gamma = self.k, self.gamma
+        s, y, rinv = self.s[:k], self.y[:k], self.rinv[:k, :k]
+        t = rinv @ (s @ g)
+        u = rinv.T @ (self.sy[:k] * t + gamma * (self.yy[:k, :k] @ t - y @ g))
+        return (gamma * t) @ y - u @ s - gamma * g
+
+
+def _line_search(fun, x: np.ndarray, f: float, gd: float, d: np.ndarray, stp: float):
+    """Moré & Thuente's search (MINPACK-2's dcsrch) along d from x, where f
+    is the value at x, gd < 0 the derivative along d there, and stp the
+    first trial step.
+
+    Returns (stp, x + stp d, value, gradient, derivative along d) at the
+    trial that ends the search: one with sufficient decrease and curvature,
+    or one where rounding leaves the bracket no room.  Returns None when
+    _SEARCH_EVALS trials end none.  Scalars are Python floats.
+    """
+    finit, ginit = f, gd
+    gtest = _SEARCH_FTOL * ginit
+    width, width1 = _SEARCH_STPMAX, 2.0 * _SEARCH_STPMAX
+    stx = sty = 0.0
+    fx = fy = finit
+    gx = gy = ginit
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    brackt = False
+    stage1 = True
+    for _ in range(_SEARCH_EVALS):
+        x_new = x + stp * d
+        f, g = fun(x_new)
+        gd = float(g @ d)
+        ftest = finit + stp * gtest
+        stage1 = stage1 and not (f <= ftest and gd >= 0)
+        if (
+            (f <= ftest and abs(gd) <= _SEARCH_GTOL * -ginit)
+            or (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _SEARCH_XTOL * stmax))
+            or (stp == _SEARCH_STPMAX and f <= ftest and gd <= gtest)
+            or (stp == 0.0 and (f > ftest or gd >= gtest))
+        ):
+            return stp, x_new, f, g, gd
+        if stage1 and ftest < f <= fx:
+            # Until a step meets sufficient decrease with gd >= 0, take
+            # steps on psi(stp) = f - gtest * stp, which has a minimizer
+            # that meets both conditions.
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, gd - gtest, brackt, stmin, stmax,
+            )
+            fx, fy, gx, gy = fxm + stx * gtest, fym + sty * gtest, gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax
+            )
+        if brackt:
+            # Bisect when the bracket has not shrunk enough in two steps.
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _SEARCH_STPMAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _SEARCH_XTOL * stmax):
+            stp = stx
+    return None
+
+
+def _cubic_gamma(theta: float, a: float, b: float) -> float:
+    """sqrt(theta**2 - a * b), scaled against overflow; 0 where rounding
+    makes the radicand negative."""
+    s = max(abs(theta), abs(a), abs(b))
+    return s * math.sqrt(max(0.0, (theta / s) ** 2 - (a / s) * (b / s)))
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded step of Moré & Thuente's search (MINPACK-2's dcstep).
+
+    stx is the step with the least value so far, sty the other end of the
+    interval, and stp the trial just evaluated; f* and d* are the values
+    and derivatives there.  Returns the updated (stx, fx, dx, sty, fy, dy),
+    the next trial step and whether a minimizer is bracketed.
+    """
+    opposite = (dp < 0 < dx) or (dx < 0 < dp)
+    if fp > fx:
+        # Higher value: the minimizer is bracketed.  Take the cubic step,
+        # or halfway to the quadratic step if that one is closer to stx.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp < stx:
+            gamma = -gamma
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # Lower value, derivative changes sign: bracketed.  Take whichever
+        # of the cubic and secant steps is farther from stp.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # Lower value, same sign, smaller derivative.  The cubic step is
+        # used only if it heads away from stx and the cubic's minimum lies
+        # beyond stp; then the closer (bracketed) or farther (not) of it
+        # and the secant step, safeguarded.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:
+        # Lower value, same sign, no smaller derivative, bracketed: the
+        # cubic step through stp and sty.
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_gamma(theta, dy, dp)
+        if stp > sty:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ a batched matmul summed over blocks, and one einsum on states below 2**10
 amplitudes.  Both write into buffers the caller owns where it can:
 ``run`` ping-pongs between the zero state and one more vector, and
 ``PeakObjective`` keeps two ket and two bra buffers across evaluations.
-Its working set is six state vectors, which sets MAX_QUBITS.  NUMERICS
-names these kernels' rounding; it changes whenever their results change
-in the last bit.
+Its working set is five state vectors, which sets MAX_QUBITS.  NUMERICS
+names these kernels' rounding and the optimizer's path; it changes
+whenever either changes a result in the last bit.
 """
 
 from __future__ import annotations
@@ -34,14 +34,15 @@ from .circuits import BitString, Circuit, peaking_rows, peaking_vector
 from .errors import CapacityError, SchemaError
 from .gates import PARAMS_PER_GATE, gate_matrices
 
-# Version of the simulator's floating-point results.  1: every gate applied
-# by one einsum; 2: the position-aware kernels below.  Suite manifests and
-# matrix provenance record it; documents without it are numerics 1.
-NUMERICS = 2
+# Version of the simulator's and optimizer's floating-point results.
+# 1: every gate applied by one einsum; 2: the position-aware kernels below;
+# 3: the same kernels as 2, with stage 1 on prcbench's own L-BFGS
+# (optimize._lbfgs) instead of scipy's L-BFGS-B.  Suite manifests and matrix
+# provenance record it; documents without it are numerics 1.
+NUMERICS = 3
 
-# Memory guard.  A gradient evaluation holds six state vectors (the random
-# half's output, two ket and two bra buffers, and the conjugated bra that
-# each environment makes): 6 * 2**24 * 16 B = 1.5 GiB.
+# Memory guard.  A gradient evaluation holds five state vectors (the random
+# half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
 MAX_QUBITS = 24
 
 # Kernel cut-overs, measured per call on one BLAS thread.  The kron(u, I)
@@ -274,14 +275,14 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     return ShotHistogram.from_arrays(dist.n, values, counts)
 
 
-def _pair_environment(b: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
-    """env[i, j] = sum_rest conj(b)_(rest, i) k_(rest, j) over the gate pair,
-    so <b|A|k> = sum_ij A[i, j] env[i, j] for any pair operator A."""
+def _pair_environment(bc: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
+    """env[i, j] = sum_rest bc_(rest, i) k_(rest, j) over the gate pair, for
+    a bra held conjugated, bc = conj(b), so <b|A|k> = sum_ij A[i, j] env[i, j]
+    for any pair operator A."""
     inner = 1 << qubit_low
-    if b.size < _EINSUM_MAX_AMPLITUDES:
-        return np.einsum("aib,ajb->ij", b.reshape(-1, 4, inner).conj(), k.reshape(-1, 4, inner))
-    bc = b.conj()
-    if _use_gemm(b.size, qubit_low):
+    if bc.size < _EINSUM_MAX_AMPLITUDES:
+        return np.einsum("aib,ajb->ij", bc.reshape(-1, 4, inner), k.reshape(-1, 4, inner))
+    if _use_gemm(bc.size, qubit_low):
         # One (4 * inner)-square GEMM over the rows, then the trace over the
         # inner index pairs up b and k at equal positions.
         width = 4 * inner
@@ -325,10 +326,12 @@ class PeakObjective:
 
         # Bra side starts from |s><s| psi with the trailing NOTs peeled off
         # (they commute, so order does not matter); the ket is already the
-        # pre-NOT state.
-        b, spare_b = self._bras
-        b.fill(0)
-        b[self._pre_x_index] = amp
+        # pre-NOT state.  The bra is held conjugated, so it moves back
+        # through a gate u by conj(u^dag) = u.T; conjugation only flips
+        # signs, so every result keeps the bits of an unconjugated sweep.
+        bc, spare_b = self._bras
+        bc.fill(0)
+        bc[self._pre_x_index] = amp.conjugate()
         spare_k = self._kets[len(self.positions) % 2]
 
         # The sweep only moves the bra and the ket back through each gate
@@ -336,11 +339,10 @@ class PeakObjective:
         # is then one contraction over all gates.
         envs = np.empty((len(self.positions), 4, 4), dtype=complex)
         for idx in range(len(self.positions) - 1, -1, -1):
-            q = self.positions[idx]
-            ud = mats[idx].conj().T
-            k, spare_k = apply_gate_matrix(k, ud, q, self.n, out=spare_k), k
-            envs[idx] = _pair_environment(b, k, q, self.n)
-            b, spare_b = apply_gate_matrix(b, ud, q, self.n, out=spare_b), b
+            q, u = self.positions[idx], mats[idx]
+            k, spare_k = apply_gate_matrix(k, u.conj().T, q, self.n, out=spare_k), k
+            envs[idx] = _pair_environment(bc, k, q, self.n)
+            bc, spare_b = apply_gate_matrix(bc, u.T, q, self.n, out=spare_b), bc
         return p_val, 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
 
 

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_state
 from gate_reference import reference_derivatives, reference_matrix, same_bits
-from kernel_reference import reference_apply_gate_matrix, reference_pair_environment
+from kernel_reference import (
+    reference_apply_gate_matrix,
+    reference_pair_environment,
+    unconjugated_value_and_gradient,
+)
 from prcbench import sim
 from prcbench.circuits import (
     BitString,
@@ -17,7 +21,7 @@ from prcbench.circuits import (
     peaking_params,
 )
 from prcbench.errors import CapacityError
-from prcbench.gates import haar_random_unitary, kak_decompose
+from prcbench.gates import GateParams, haar_random_unitary, kak_decompose
 from prcbench.optimize import peaking_vector, with_peaking_vector
 
 
@@ -224,7 +228,7 @@ class TestPeakGradient:
             q = engine.positions[idx]
             ud = mats[idx].conj().T
             k = sim.apply_gate_matrix(k, ud, q, n)
-            env = sim._pair_environment(b, k, q, n)
+            env = sim._pair_environment(b.conj(), k, q, n)
             ref[16 * idx : 16 * idx + 16] = 2.0 * np.real(
                 np.einsum("ij,mij->m", env, reference_derivatives(params[idx]))
             )
@@ -232,6 +236,33 @@ class TestPeakGradient:
         p, grad = engine.value_and_gradient(vec)
         assert p == p_ref
         assert same_bits(grad, ref)
+
+
+@settings(max_examples=16, deadline=None, database=None)
+@given(n=st.sampled_from([4, 9, 12, 16]), data=st.data())
+def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
+    # Gates at random positions, one per layer, with a random half, target
+    # and trailing NOTs, so every kernel layout and both sweeps' buffers
+    # are exercised.
+    position = st.integers(0, n - 2)
+    random_half = data.draw(st.lists(position, max_size=3))
+    peaking_half = data.draw(st.lists(position, min_size=1, max_size=6))
+    final_x = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    layers = tuple(
+        (GatePlacement(q, GateParams.from_vector(rng.uniform(-np.pi, np.pi, 16))),)
+        for q in random_half + peaking_half
+    )
+    circ = Circuit(
+        n=n, d=len(layers), random_depth=len(random_half), layers=layers,
+        target=BitString.from_index(int(rng.integers(1 << n)), n), final_x=tuple(sorted(final_x)),
+    )
+    engine = sim.PeakObjective(circ)
+    vec = peaking_vector(circ)
+    p, grad = engine.value_and_gradient(vec)
+    p_ref, grad_ref = unconjugated_value_and_gradient(engine, vec)
+    assert p == p_ref
+    assert same_bits(grad, grad_ref)
 
 
 def _random_state(rng, n):
@@ -256,7 +287,7 @@ class TestPairKernels:
             fresh = sim.apply_gate_matrix(state, u, q, n)
             assert not np.shares_memory(fresh, state)
             assert np.max(np.abs(fresh - expected)) <= 1e-13
-            env = sim._pair_environment(bra, state, q, n)
+            env = sim._pair_environment(bra.conj(), state, q, n)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
         assert np.array_equal(state, before)
 
@@ -268,7 +299,7 @@ class TestPairKernels:
         for q in range(n - 1):
             got = sim.apply_gate_matrix(state, u, q, n)
             assert np.max(np.abs(got - reference_apply_gate_matrix(state, u, q, n))) <= 1e-13
-            env = sim._pair_environment(bra, state, q, n)
+            env = sim._pair_environment(bra.conj(), state, q, n)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
 
 
