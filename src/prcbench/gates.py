@@ -198,9 +198,10 @@ def _ry_stack(theta: np.ndarray) -> np.ndarray:
 
 
 def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """kron(high, low) over stacks of 2x2 matrices, as np.kron forms it."""
+    """kron(high, low) over stacks of matrices, as np.kron forms it."""
     prod = high[..., :, None, :, None] * low[..., None, :, None, :]
-    return prod.reshape(prod.shape[:-4] + (4, 4))
+    rows, cols = high.shape[-2] * low.shape[-2], high.shape[-1] * low.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (rows, cols))
 
 
 def _core(angles: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, GatePlacement
 from .errors import read_fields
+from .gates import GateParams
 from .sim import ProbabilityDistribution, ShotHistogram
 
 _READOUT_CHUNK = 1 << 15  # shots per mask draw
@@ -101,12 +102,22 @@ def perturb_coherent(circuit: Circuit, delta: float, rng: np.random.Generator) -
         raise ValueError("delta must be non-negative")
     if delta == 0.0:
         return circuit
-    layers = []
-    for layer in circuit.layers:
-        row = []
-        for g in layer:
-            factors = 1.0 + delta * rng.standard_normal(3)
-            ent = tuple(float(a * s) for a, s in zip(g.params.entangling, factors))
-            row.append(replace(g, params=replace(g.params, entangling=ent)))
-        layers.append(tuple(row))
-    return replace(circuit, layers=tuple(layers))
+    # One (G, 3) draw takes the same normals, in placement order, as G
+    # draws of 3 would.
+    factors = iter((1.0 + delta * rng.standard_normal((circuit.num_placements(), 3))).tolist())
+    layers = tuple(
+        tuple(
+            GatePlacement(
+                g.qubit_low,
+                GateParams(
+                    g.params.pre,
+                    tuple(float(a * s) for a, s in zip(g.params.entangling, next(factors))),
+                    g.params.post,
+                    g.params.phase,
+                ),
+            )
+            for g in layer
+        )
+        for layer in circuit.layers
+    )
+    return replace(circuit, layers=layers)

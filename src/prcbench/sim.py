@@ -2,25 +2,29 @@
 sampling, and the analytic (adjoint reverse-sweep) gradient of the peak
 probability with respect to the peaking-half parameters.
 
-Qubit 0 is the least significant bit of every amplitude index, so a gate on
-(q, q + 1) sees the state as a stack of (4, 2**q) blocks.  The pair kernel
-picks a layout by position (after Haener & Steiger, arXiv:1704.01127, and
-qsim, arXiv:2111.02396):
+Qubit 0 is the least significant bit of every amplitude index.  Layers run
+as a list of ops (after Haener & Steiger, arXiv:1704.01127, and qsim's
+fuser, arXiv:2111.02396): on states of at least 2**10 amplitudes, a gate at
+qubit_low q and the next gate of its layer at q + 2 form one 16x16 block,
+kron(u_high, u_low), on qubits q..q + 3; every other gate is a 4x4 op.  An
+op of width d at q sees the state as a stack of (d, 2**q) blocks, and the
+kernels pick a layout by position:
 
-- q <= 3 on a state of at least 64 rows of 4 * 2**q amplitudes: the blocks
-  are too short for a matmul per block, so the state is read as those rows
-  and multiplied by kron(u, I_(2**q)).T in one GEMM;
+- d * 2**q <= 32 on a state of at least 64 rows of d * 2**q amplitudes:
+  the blocks are too short for a matmul per block, so the state is read as
+  those rows and multiplied by kron(u, I_(2**q)).T in one GEMM;
 - anywhere else: np.matmul(u, blocks).
 
-The gradient's pair environment follows the same split: one
-(4 * 2**q)-square GEMM over the rows and a trace over the inner index, else
-a batched matmul summed over blocks, and one einsum on states below 2**10
-amplitudes.  Both write into buffers the caller owns where it can:
-``run`` ping-pongs between the zero state and one more vector, and
-``PeakObjective`` keeps two ket and two bra buffers across evaluations.
-Its working set is five state vectors, which sets MAX_QUBITS.  NUMERICS
-names these kernels' rounding and the optimizer's path; it changes
-whenever either changes a result in the last bit.
+The gradient's environment follows the same split: one (d * 2**q)-square
+GEMM over the rows and a trace over the inner index, else a batched matmul
+summed over blocks, and one einsum on states below 2**10 amplitudes.  A
+block's 16x16 environment gives each of its gates' 4x4 environments by a
+contraction with the other gate.  Both kernels write into buffers the
+caller owns where they can: ``run`` ping-pongs between the zero state and
+one more vector, and ``PeakObjective`` keeps two ket and two bra buffers
+across evaluations.  Its working set is five state vectors, which sets
+MAX_QUBITS.  NUMERICS names these kernels' rounding and the optimizer's
+path; it changes whenever either changes a result in the last bit.
 """
 
 from __future__ import annotations
@@ -32,29 +36,32 @@ import numpy as np
 
 from .circuits import BitString, Circuit, peaking_rows, peaking_vector
 from .errors import CapacityError, SchemaError
-from .gates import PARAMS_PER_GATE, gate_matrices
+from .gates import PARAMS_PER_GATE, _kron, gate_matrices
 
 # Version of the simulator's and optimizer's floating-point results.
 # 1: every gate applied by one einsum; 2: the position-aware kernels below;
 # 3: the same kernels as 2, with stage 1 on prcbench's own L-BFGS
-# (optimize._lbfgs) instead of scipy's L-BFGS-B.  Suite manifests and matrix
-# provenance record it; documents without it are numerics 1.
-NUMERICS = 3
+# (optimize._lbfgs) instead of scipy's L-BFGS-B; 4: as 3, with side-by-side
+# gates of a layer fused into 16x16 blocks on states of at least 2**10
+# amplitudes.  Suite manifests and matrix provenance record it; documents
+# without it are numerics 1.
+NUMERICS = 4
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
 MAX_QUBITS = 24
 
-# Kernel cut-overs, measured per call on one BLAS thread.  The kron(u, I)
-# GEMM and the environment GEMM cost 4 * 2**qubit_low multiply-adds per
-# amplitude, which pays only for short blocks (qubit_low <= 3) on states
-# with at least 64 rows of 4 * 2**qubit_low amplitudes.  Below 2**10
-# amplitudes the environment's per-call overhead decides, where one einsum
-# is cheapest.
-_GEMM_MAX_QUBIT = 3
+# Kernel cut-overs, measured per call on one BLAS thread.  For an op of
+# width d at qubit_low q, the kron(u, I) GEMM and the environment GEMM cost
+# d * 2**q multiply-adds per amplitude, which pays only for short blocks
+# (d * 2**q <= 32) on states with at least 64 rows of d * 2**q amplitudes.
+# Below 2**10 amplitudes per-call overhead decides: the environment is one
+# einsum, and gates are not fused, since a block costs more to build than
+# the pass it saves.
+_GEMM_MAX_WIDTH = 32
 _GEMM_MIN_ROWS = 64
 _EINSUM_MAX_AMPLITUDES = 1 << 10
-_EYES = [np.eye(1 << q) for q in range(_GEMM_MAX_QUBIT + 1)]
+_EYES = [np.eye(1 << q) for q in range(4)]  # I_(2**q) at every GEMM position
 
 
 def read_numerics(value, path: str) -> int:
@@ -65,8 +72,10 @@ def read_numerics(value, path: str) -> int:
     return value
 
 
-def _use_gemm(size: int, qubit_low: int) -> bool:
-    return qubit_low <= _GEMM_MAX_QUBIT and size >= _GEMM_MIN_ROWS * (4 << qubit_low)
+def _use_gemm(size: int, width: int) -> bool:
+    """Whether an op whose (d, 2**qubit_low) blocks hold ``width``
+    amplitudes runs as one GEMM over rows of that many amplitudes."""
+    return width <= _GEMM_MAX_WIDTH and size >= _GEMM_MIN_ROWS * width
 
 
 @dataclass(frozen=True)
@@ -183,26 +192,26 @@ class _CountsView(Mapping):
 def apply_gate_matrix(
     state: np.ndarray, u: np.ndarray, qubit_low: int, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply a 4x4 unitary on (qubit_low, qubit_low + 1) to a flat state,
-    writing into ``out`` (a new array if None), which must not overlap
-    ``state``.
+    """Apply an op to a flat state, writing into ``out`` (a new array if
+    None), which must not overlap ``state``: a 4x4 gate on (qubit_low,
+    qubit_low + 1), or a 16x16 block on qubit_low..qubit_low + 3.
 
-    The pair's bits are contiguous in the index, so the state is a stack of
-    (4, 2**qubit_low) blocks with the low qubit least significant.  Near
-    the bottom of a large state those blocks are short, so the state is
-    read as rows of 4 * 2**qubit_low amplitudes and multiplied by
-    kron(u, I).T in one GEMM; elsewhere u multiplies every block.
+    The op's d = len(u) amplitudes per index are contiguous bits, so the
+    state is a stack of (d, 2**qubit_low) blocks with the low qubit least
+    significant.  Near the bottom of a large state those blocks are short,
+    so the state is read as rows of d * 2**qubit_low amplitudes and
+    multiplied by kron(u, I).T in one GEMM; elsewhere u multiplies every
+    block.
     """
-    inner = 1 << qubit_low
+    d, inner = len(u), 1 << qubit_low
     if out is None:
         out = np.empty_like(state)
-    if _use_gemm(state.size, qubit_low):
-        width = 4 * inner
-        # kron(u, I).T without np.kron: [(j, b'), (i, b)] = u[i, j] * (b == b').
-        kron_t = (u.T[:, None, :, None] * _EYES[qubit_low][None, :, None, :]).reshape(width, width)
-        np.matmul(state.reshape(-1, width), kron_t, out=out.reshape(-1, width))
+    width = d * inner
+    if _use_gemm(state.size, width):
+        # kron(u, I).T = kron(u.T, I): [(j, b'), (i, b)] = u[i, j] * (b == b').
+        np.matmul(state.reshape(-1, width), _kron(u.T, _EYES[qubit_low]), out=out.reshape(-1, width))
     else:
-        np.matmul(u, state.reshape(-1, 4, inner), out=out.reshape(-1, 4, inner))
+        np.matmul(u, state.reshape(-1, d, inner), out=out.reshape(-1, d, inner))
     return out
 
 
@@ -220,27 +229,82 @@ def _zero_state(n: int) -> np.ndarray:
     return state
 
 
-def _apply_gates(state: np.ndarray, gates, n: int, buffers) -> np.ndarray:
-    """Apply (4x4 unitary, qubit_low) pairs in order, gate i writing into
-    buffers[i % 2]; state must not be buffers[0].  Returns the final
-    state, which is state itself when there are no gates."""
-    for i, (u, q) in enumerate(gates):
+class OpList:
+    """How some layers run on n qubits: a list of ops, each one gate or a
+    block of two.
+
+    On states of at least _EINSUM_MAX_AMPLITUDES amplitudes, a gate and the
+    next gate of its layer two qubits up form a block, kron(high, low), on
+    the low gate's qubit_low; every other gate is an op of its own.  Gates
+    are numbered in placement order.  ``gates[i]`` holds op i's gate
+    numbers, low gate first, and ``qubits[i]`` its qubit_low.
+    """
+
+    def __init__(self, layers, n: int) -> None:
+        fuse = 1 << n >= _EINSUM_MAX_AMPLITUDES
+        self.gates: list[tuple[int, ...]] = []
+        self.qubits: list[int] = []
+        start = 0
+        for layer in layers:
+            i = 0
+            while i < len(layer):
+                q = layer[i].qubit_low
+                width = 2 if fuse and i + 1 < len(layer) and layer[i + 1].qubit_low == q + 2 else 1
+                self.gates.append(tuple(range(start + i, start + i + width)))
+                self.qubits.append(q)
+                i += width
+            start += len(layer)
+        self.num_gates = start
+        blocks = [g for g in self.gates if len(g) == 2]
+        self._low = np.array([g[0] for g in blocks], dtype=int)
+        self._high = np.array([g[1] for g in blocks], dtype=int)
+
+    def matrices(self, mats: np.ndarray) -> Iterator[np.ndarray]:
+        """Each op's matrix in order, from the (G, 4, 4) stack of gate
+        unitaries; a block is built only when it is reached."""
+        for g in self.gates:
+            yield mats[g[0]] if len(g) == 1 else _kron(mats[g[1]], mats[g[0]])
+
+    def gate_environments(self, op_envs, mats: np.ndarray) -> np.ndarray:
+        """The (G, 4, 4) gate environments from each op's environment.
+
+        Read a block's environment as E[i_high, i_low, j_high, j_low].
+        Since <b|kron(u_high, du_low)|k> = sum E * u_high * du_low, the low
+        gate's environment is E contracted with u_high over the high
+        indices, and the high gate's is E contracted with u_low over the
+        low ones.
+        """
+        envs = np.empty((self.num_gates, 4, 4), dtype=complex)
+        blocks = []
+        for g, env in zip(self.gates, op_envs):
+            if len(g) == 1:
+                envs[g[0]] = env
+            else:
+                blocks.append(env)
+        if blocks:
+            blocks = np.reshape(blocks, (-1, 4, 4, 4, 4))
+            envs[self._low] = np.einsum("bhk,bhlkm->blm", mats[self._high], blocks)
+            envs[self._high] = np.einsum("blm,bhlkm->bhk", mats[self._low], blocks)
+        return envs
+
+
+def _apply_ops(state: np.ndarray, matrices, qubits, n: int, buffers) -> np.ndarray:
+    """Apply ops in order, op i writing into buffers[i % 2]; state must not
+    be buffers[0].  Returns the final state, which is state itself when
+    there are no ops."""
+    for i, (u, q) in enumerate(zip(matrices, qubits)):
         state = apply_gate_matrix(state, u, q, n, out=buffers[i % 2])
     return state
 
 
-def _placed_unitaries(placements) -> list[tuple[np.ndarray, int]]:
-    """(4x4 unitary, qubit_low) for each placement, built in one batch."""
-    placements = list(placements)
-    rows = np.array([g.params.to_vector() for g in placements]).reshape(-1, PARAMS_PER_GATE)
-    return list(zip(gate_matrices(rows), (g.qubit_low for g in placements)))
-
-
-def _run_from_zero(gates, n: int) -> np.ndarray:
-    """The gates applied to |0^n>, ping-ponging between the zero state and
-    one more vector."""
+def _run_layers(layers, n: int) -> np.ndarray:
+    """The layers applied to |0^n> as one OpList, ping-ponging between the
+    zero state and one more vector."""
+    ops = OpList(layers, n)
+    rows = np.array([g.params.to_vector() for layer in layers for g in layer])
+    mats = gate_matrices(rows.reshape(-1, PARAMS_PER_GATE))
     zero = _zero_state(n)
-    return _apply_gates(zero, gates, n, (np.empty_like(zero), zero))
+    return _apply_ops(zero, ops.matrices(mats), ops.qubits, n, (np.empty_like(zero), zero))
 
 
 def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
@@ -250,8 +314,9 @@ def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
 
 
 def run(circuit: Circuit) -> Statevector:
-    """C|0^n> with every gate applied as its 4x4 unitary, layers in order."""
-    state = _run_from_zero(_placed_unitaries(circuit.placements()), circuit.n)
+    """C|0^n>, layers in order, each gate applied as its 4x4 unitary or
+    within a 16x16 block (see OpList)."""
+    state = _run_layers(circuit.layers, circuit.n)
     return Statevector(_apply_final_x(state, circuit.final_x), circuit.n)
 
 
@@ -275,20 +340,30 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     return ShotHistogram.from_arrays(dist.n, values, counts)
 
 
-def _pair_environment(bc: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
-    """env[i, j] = sum_rest bc_(rest, i) k_(rest, j) over the gate pair, for
-    a bra held conjugated, bc = conj(b), so <b|A|k> = sum_ij A[i, j] env[i, j]
-    for any pair operator A."""
+def _pair_environment(
+    bc: np.ndarray, k: np.ndarray, qubit_low: int, n: int, d: int = 4
+) -> np.ndarray:
+    """env[i, j] = sum_rest bc_(rest, i) k_(rest, j) over the d amplitudes
+    of an op at qubit_low (d = 4 for a gate, 16 for a block), for a bra held
+    conjugated, bc = conj(b), so <b|A|k> = sum_ij A[i, j] env[i, j] for any
+    operator A on those qubits."""
     inner = 1 << qubit_low
+    width = d * inner
     if bc.size < _EINSUM_MAX_AMPLITUDES:
-        return np.einsum("aib,ajb->ij", bc.reshape(-1, 4, inner), k.reshape(-1, 4, inner))
-    if _use_gemm(bc.size, qubit_low):
-        # One (4 * inner)-square GEMM over the rows, then the trace over the
+        return np.einsum("aib,ajb->ij", bc.reshape(-1, d, inner), k.reshape(-1, d, inner))
+    if _use_gemm(bc.size, width):
+        # One width-square GEMM over the rows, then the trace over the
         # inner index pairs up b and k at equal positions.
-        width = 4 * inner
         m = bc.reshape(-1, width).T @ k.reshape(-1, width)
-        return np.trace(m.reshape(4, inner, 4, inner), axis1=1, axis2=3)
-    return np.matmul(bc.reshape(-1, 4, inner), k.reshape(-1, 4, inner).transpose(0, 2, 1)).sum(0)
+        return np.trace(m.reshape(d, inner, d, inner), axis1=1, axis2=3)
+    # A batched matmul over the blocks, summed.  Its products hold d * d
+    # entries per block, so they are summed in chunks that keep that
+    # scratch within a quarter of the state (one chunk for a gate from
+    # qubit_low 4 up).
+    bc3, k3 = bc.reshape(-1, d, inner), k.reshape(-1, d, inner).transpose(0, 2, 1)
+    step = max(1, bc.size // (4 * d * d))
+    parts = [np.matmul(bc3[i : i + step], k3[i : i + step]).sum(0) for i in range(0, len(bc3), step)]
+    return parts[0] if len(parts) == 1 else np.sum(parts, axis=0)
 
 
 class PeakObjective:
@@ -297,18 +372,19 @@ class PeakObjective:
 
     The random half never changes during optimization, so its output state
     is computed once and kept read-only; each evaluation replays only the
-    peaking half forward and runs the adjoint reverse sweep over it (one
-    bra and one ket vector, two gate applications and a 4x4 environment
-    contraction per gate).  The kets and bras ping-pong between buffers the
-    objective owns, so one object must not evaluate in two threads at once.
+    peaking half's ops forward and runs the adjoint reverse sweep over them
+    (one bra and one ket vector; per op, two applications and one
+    environment contraction, 16x16 for a block and 4x4 for a lone gate).
+    The kets and bras ping-pong between buffers the objective owns, so one
+    object must not evaluate in two threads at once.
     """
 
     def __init__(self, circuit: Circuit):
         self.n = circuit.n
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
-        random_half = (g for layer in circuit.layers[: circuit.random_depth] for g in layer)
-        self._psi_random = _run_from_zero(_placed_unitaries(random_half), circuit.n)
+        self.ops = OpList(circuit.layers[circuit.random_depth :], circuit.n)
+        self._psi_random = _run_layers(circuit.layers[: circuit.random_depth], circuit.n)
         self._psi_random.flags.writeable = False
         # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
         self._pre_x_index = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
@@ -318,31 +394,33 @@ class PeakObjective:
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
         rows = peaking_rows(vec, len(self.positions))
         mats, derivs = gate_matrices(rows, derivatives=True)
-        k = _apply_gates(self._psi_random, zip(mats, self.positions), self.n, self._kets)
+        matrices, qubits = list(self.ops.matrices(mats)), self.ops.qubits
+        k = _apply_ops(self._psi_random, matrices, qubits, self.n, self._kets)
         amp = k[self._pre_x_index]
         p_val = float(np.abs(amp) ** 2)
-        if not self.positions:
+        if not matrices:
             return p_val, np.zeros(0)
 
         # Bra side starts from |s><s| psi with the trailing NOTs peeled off
         # (they commute, so order does not matter); the ket is already the
         # pre-NOT state.  The bra is held conjugated, so it moves back
-        # through a gate u by conj(u^dag) = u.T; conjugation only flips
+        # through an op u by conj(u^dag) = u.T; conjugation only flips
         # signs, so every result keeps the bits of an unconjugated sweep.
         bc, spare_b = self._bras
         bc.fill(0)
         bc[self._pre_x_index] = amp.conjugate()
-        spare_k = self._kets[len(self.positions) % 2]
+        spare_k = self._kets[len(matrices) % 2]
 
-        # The sweep only moves the bra and the ket back through each gate
-        # and records the pair environment there; dp/dtheta = 2 Re <b|dU|k>
-        # is then one contraction over all gates.
-        envs = np.empty((len(self.positions), 4, 4), dtype=complex)
-        for idx in range(len(self.positions) - 1, -1, -1):
-            q, u = self.positions[idx], mats[idx]
+        # The sweep only moves the bra and the ket back through each op and
+        # records the op's environment there; dp/dtheta = 2 Re <b|dU|k> is
+        # then one contraction over all gates.
+        op_envs = [None] * len(matrices)
+        for idx in range(len(matrices) - 1, -1, -1):
+            q, u = qubits[idx], matrices[idx]
             k, spare_k = apply_gate_matrix(k, u.conj().T, q, self.n, out=spare_k), k
-            envs[idx] = _pair_environment(bc, k, q, self.n)
+            op_envs[idx] = _pair_environment(bc, k, q, self.n, len(u))
             bc, spare_b = apply_gate_matrix(bc, u.T, q, self.n, out=spare_b), bc
+        envs = self.ops.gate_environments(op_envs, mats)
         return p_val, 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
 
 

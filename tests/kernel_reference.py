@@ -1,57 +1,103 @@
-"""Reference pair kernels: the single-einsum forms of numerics 1.
-sim.apply_gate_matrix and sim._pair_environment pick a layout by qubit
-position and state size, and must match these within rounding.
+"""Reference kernels: the single-einsum forms of numerics 1, for a 4x4 gate
+or a 16x16 block.  sim.apply_gate_matrix and sim._pair_environment pick a
+layout by op width, qubit position and state size, and must match these
+within rounding.
 
 The unconjugated sweep below is PeakObjective.value_and_gradient as it ran
 before the bra was held conjugated: the bra moves by u^dag and each
-environment conjugates a copy of it.  The conjugated sweep must match it
-bit for bit."""
+environment is taken on a conjugated copy of it.  It walks the engine's own
+op list, and the conjugated sweep must match it bit for bit.
+
+The per-gate sweep is the gradient with no fused ops: every gate applied
+and contracted on its own by the einsum kernels.  The fused sweep must
+match it within rounding."""
 
 import numpy as np
 
 from prcbench import sim
-from prcbench.circuits import peaking_rows
+from prcbench.circuits import Circuit, peaking_rows
 from prcbench.gates import gate_matrices
 
 
+def _blocks(state: np.ndarray, d: int, qubit_low: int) -> np.ndarray:
+    return state.reshape(state.size // (d << qubit_low), d, 1 << qubit_low)
+
+
 def reference_apply_gate_matrix(state: np.ndarray, u: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
-    psi = state.reshape(1 << (n - qubit_low - 2), 4, 1 << qubit_low)
-    return np.einsum("ij,ajb->aib", u, psi).reshape(-1)
+    return np.einsum("ij,ajb->aib", u, _blocks(state, len(u), qubit_low)).reshape(-1)
 
 
-def reference_pair_environment(b: np.ndarray, k: np.ndarray, qubit_low: int, n: int) -> np.ndarray:
-    shape = (1 << (n - qubit_low - 2), 4, 1 << qubit_low)
-    return np.einsum("aib,ajb->ij", b.reshape(shape).conj(), k.reshape(shape))
-
-
-def unconjugated_pair_environment(b: np.ndarray, k: np.ndarray, qubit_low: int) -> np.ndarray:
-    """sim._pair_environment's layouts, for a bra b that is not conjugated."""
-    inner = 1 << qubit_low
-    if b.size < sim._EINSUM_MAX_AMPLITUDES:
-        return np.einsum("aib,ajb->ij", b.reshape(-1, 4, inner).conj(), k.reshape(-1, 4, inner))
-    bc = b.conj()
-    if sim._use_gemm(b.size, qubit_low):
-        width = 4 * inner
-        m = bc.reshape(-1, width).T @ k.reshape(-1, width)
-        return np.trace(m.reshape(4, inner, 4, inner), axis1=1, axis2=3)
-    return np.matmul(bc.reshape(-1, 4, inner), k.reshape(-1, 4, inner).transpose(0, 2, 1)).sum(0)
+def reference_pair_environment(
+    b: np.ndarray, k: np.ndarray, qubit_low: int, n: int, d: int = 4
+) -> np.ndarray:
+    return np.einsum("aib,ajb->ij", _blocks(b, d, qubit_low).conj(), _blocks(k, d, qubit_low))
 
 
 def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) -> tuple[float, np.ndarray]:
     """engine.value_and_gradient(vec) with the bra swept unconjugated."""
-    n, positions = engine.n, engine.positions
-    mats, derivs = gate_matrices(peaking_rows(vec, len(positions)), derivatives=True)
+    n = engine.n
+    mats, derivs = gate_matrices(peaking_rows(vec, len(engine.positions)), derivatives=True)
+    matrices = list(engine.ops.matrices(mats))
     k = engine._psi_random
-    for u, q in zip(mats, positions):
+    for u, q in zip(matrices, engine.ops.qubits):
         k = sim.apply_gate_matrix(k, u, q, n)
     amp = k[engine._pre_x_index]
     b = np.zeros_like(k)
     b[engine._pre_x_index] = amp
-    envs = np.empty((len(positions), 4, 4), dtype=complex)
-    for idx in range(len(positions) - 1, -1, -1):
-        q, ud = positions[idx], mats[idx].conj().T
+    op_envs = [None] * len(matrices)
+    for idx in range(len(matrices) - 1, -1, -1):
+        q, ud = engine.ops.qubits[idx], matrices[idx].conj().T
         k = sim.apply_gate_matrix(k, ud, q, n)
-        envs[idx] = unconjugated_pair_environment(b, k, q)
+        op_envs[idx] = sim._pair_environment(b.conj(), k, q, n, len(ud))
         b = sim.apply_gate_matrix(b, ud, q, n)
+    envs = engine.ops.gate_environments(op_envs, mats)
+    grad = 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
+    return float(np.abs(amp) ** 2), grad
+
+
+def _per_gate_forward(state: np.ndarray, mats, placements, n: int) -> np.ndarray:
+    for u, g in zip(mats, placements):
+        state = reference_apply_gate_matrix(state, u, g.qubit_low, n)
+    return state
+
+
+def _zero_state(n: int) -> np.ndarray:
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def _unitaries(placements) -> np.ndarray:
+    return gate_matrices(np.array([g.params.to_vector() for g in placements]).reshape(-1, 16))
+
+
+def per_gate_run(circuit: Circuit) -> np.ndarray:
+    """C|0^n> with every gate applied on its own by the einsum kernel."""
+    placements = list(circuit.placements())
+    state = _per_gate_forward(_zero_state(circuit.n), _unitaries(placements), placements, circuit.n)
+    for q in circuit.final_x:
+        state = state.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+    return state
+
+
+def per_gate_value_and_gradient(circuit: Circuit, vec: np.ndarray) -> tuple[float, np.ndarray]:
+    """p and its gradient over the peaking half at vec, by a reverse sweep
+    that moves the bra and the ket back through one gate at a time."""
+    n = circuit.n
+    random_half = [g for layer in circuit.layers[: circuit.random_depth] for g in layer]
+    peaking = list(circuit.peaking_placements())
+    mats, derivs = gate_matrices(peaking_rows(vec, len(peaking)), derivatives=True)
+    k = _per_gate_forward(_zero_state(n), _unitaries(random_half), random_half, n)
+    k = _per_gate_forward(k, mats, peaking, n)
+    s = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
+    amp = k[s]
+    b = np.zeros_like(k)
+    b[s] = amp
+    envs = np.empty((len(peaking), 4, 4), dtype=complex)
+    for idx in range(len(peaking) - 1, -1, -1):
+        q, ud = peaking[idx].qubit_low, mats[idx].conj().T
+        k = reference_apply_gate_matrix(k, ud, q, n)
+        envs[idx] = reference_pair_environment(b, k, q, n)
+        b = reference_apply_gate_matrix(b, ud, q, n)
     grad = 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
     return float(np.abs(amp) ** 2), grad

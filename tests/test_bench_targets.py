@@ -56,11 +56,9 @@ def test_decompose_gate_result_fits_the_cnot_hook(bench_modules):
     assert len(counters.decomposed) == 2
 
 
-def test_pair_kernel_calls_count_gates(monkeypatch):
-    # The benchmark counts sim.apply_gate_matrix calls as pair-kernel work
-    # through the module attribute: one call per gate in run and in the
-    # random half PeakObjective replays once, three per peaking gate in
-    # each value_and_gradient (forward, ket and bra in the reverse sweep).
+def _pair_kernel_calls(monkeypatch, n):
+    """sim.apply_gate_matrix calls made by PeakObjective's set-up, one
+    value_and_gradient and one run, on a derived (n, 8) cell."""
     from prcbench import sim
     from prcbench.circuits import build_reference_circuit, derive_subcircuit
     from prcbench.optimize import peaking_vector
@@ -73,17 +71,36 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sim, "apply_gate_matrix", counting)
-    circ = derive_subcircuit(build_reference_circuit(12, 8, seed=1), 12, 8)
-    gates = sum(len(layer) for layer in circ.layers)
-    peaking = len(list(circ.peaking_placements()))
+    circ = derive_subcircuit(build_reference_circuit(n, 8, seed=1), n, 8)
     engine = sim.PeakObjective(circ)
-    assert len(calls) == gates - peaking
-    calls.clear()
+    counts = [len(calls)]
     engine.value_and_gradient(peaking_vector(circ))
-    assert len(calls) == 3 * peaking
-    calls.clear()
+    counts.append(len(calls) - sum(counts))
     sim.run(circ)
-    assert len(calls) == gates
+    counts.append(len(calls) - sum(counts))
+    return circ, engine, counts
+
+
+def test_pair_kernel_calls_count_gates(monkeypatch):
+    # The benchmark counts sim.apply_gate_matrix calls as pair-kernel work
+    # through the module attribute: one call per op (a lone gate, or two
+    # side-by-side gates of a layer fused into a block) in run and in the
+    # random half PeakObjective replays once, three per peaking op in each
+    # value_and_gradient (forward, ket and bra in the reverse sweep).
+    from prcbench import sim
+
+    circ, engine, counts = _pair_kernel_calls(monkeypatch, 12)
+    random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
+    peaking_ops = len(engine.ops.gates)
+    assert peaking_ops < len(engine.positions)
+    assert counts == [random_ops, 3 * peaking_ops, random_ops + peaking_ops]
+
+
+def test_pair_kernel_calls_count_gates_below_the_fusion_cut_over(monkeypatch):
+    # Below 2**10 amplitudes no gates are fused: one call per gate.
+    circ, engine, counts = _pair_kernel_calls(monkeypatch, 9)
+    gates, peaking = circ.num_placements(), len(engine.positions)
+    assert counts == [gates - peaking, 3 * peaking, gates]
 
 
 @pytest.mark.parametrize("name", ["wide_readout", "deep_gradient"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,28 @@ class TestPerturbCoherent:
             for ga, gb in zip(la, lb):
                 assert ga.params.pre == gb.params.pre
                 assert ga.params.post == gb.params.post
+
+    @pytest.mark.parametrize("n,d,seed", [(2, 4, 0), (5, 6, 1), (9, 12, 2)])
+    def test_one_draw_matches_the_per_gate_loop(self, n, d, seed):
+        # The per-gate loop perturb_coherent once ran: three normals per
+        # gate in placement order.  The single draw must leave the same
+        # angles, bit for bit, and the generator in the same state.
+        circ = build_reference_circuit(n, d, seed=seed)
+        rng_ref = np.random.default_rng(seed)
+        layers = []
+        for layer in circ.layers:
+            row = []
+            for g in layer:
+                factors = 1.0 + 0.07 * rng_ref.standard_normal(3)
+                ent = tuple(float(a * s) for a, s in zip(g.params.entangling, factors))
+                row.append(replace(g, params=replace(g.params, entangling=ent)))
+            layers.append(tuple(row))
+        rng = np.random.default_rng(seed)
+        pert = perturb_coherent(circ, 0.07, rng)
+        assert pert == replace(circ, layers=tuple(layers))
+        for got, ref in zip(pert.placements(), (g for layer in layers for g in layer)):
+            assert got.params.to_vector().tobytes() == ref.params.to_vector().tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(20))
     def test_small_delta_keeps_target_argmax(self, seed):

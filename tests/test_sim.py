@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from conftest import brute_force_state
 from gate_reference import reference_derivatives, reference_matrix, same_bits
 from kernel_reference import (
+    per_gate_run,
+    per_gate_value_and_gradient,
     reference_apply_gate_matrix,
     reference_pair_environment,
     unconjugated_value_and_gradient,
@@ -238,25 +240,49 @@ class TestPeakGradient:
         assert same_bits(grad, ref)
 
 
-@settings(max_examples=16, deadline=None, database=None)
-@given(n=st.sampled_from([4, 9, 12, 16]), data=st.data())
-def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
-    # Gates at random positions, one per layer, with a random half, target
-    # and trailing NOTs, so every kernel layout and both sweeps' buffers
-    # are exercised.
-    position = st.integers(0, n - 2)
-    random_half = data.draw(st.lists(position, max_size=3))
-    peaking_half = data.draw(st.lists(position, min_size=1, max_size=6))
+def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
+    """qubit_lows of one layer: gates apart by gaps of 0 to 2 qubits, so a
+    layer holds side-by-side pairs, lone gates and gaps; with
+    ``pair_first``, its first two gates are a side-by-side pair at 0."""
+    gaps = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=n // 2))
+    if pair_first:
+        gaps[:1] = [0, 0]
+    layer, q = [], 0
+    for gap in gaps:
+        q += gap
+        if q + 1 >= n:
+            break
+        layer.append(q)
+        q += 2
+    return layer
+
+
+def _draw_circuit(data, n: int, max_random: int, max_peaking: int) -> Circuit:
+    """Multi-gate layers of random gates, a random target and trailing NOTs;
+    the first peaking layer starts with a side-by-side pair."""
+    random_half = [_draw_layer(data, n) for _ in range(data.draw(st.integers(0, max_random)))]
+    peaking_half = [
+        _draw_layer(data, n, pair_first=t == 0) for t in range(data.draw(st.integers(1, max_peaking)))
+    ]
     final_x = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     layers = tuple(
-        (GatePlacement(q, GateParams.from_vector(rng.uniform(-np.pi, np.pi, 16))),)
-        for q in random_half + peaking_half
+        tuple(GatePlacement(q, GateParams.from_vector(rng.uniform(-np.pi, np.pi, 16))) for q in layer)
+        for layer in random_half + peaking_half
     )
-    circ = Circuit(
+    return Circuit(
         n=n, d=len(layers), random_depth=len(random_half), layers=layers,
         target=BitString.from_index(int(rng.integers(1 << n)), n), final_x=tuple(sorted(final_x)),
     )
+
+
+@settings(max_examples=16, deadline=None, database=None)
+@given(n=st.sampled_from([4, 9, 12, 16]), data=st.data())
+def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
+    # Multi-gate layers at random positions, with a random half, target and
+    # trailing NOTs, so every kernel layout, blocks and lone gates, and both
+    # sweeps' buffers are exercised.
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=3)
     engine = sim.PeakObjective(circ)
     vec = peaking_vector(circ)
     p, grad = engine.value_and_gradient(vec)
@@ -265,21 +291,64 @@ def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
     assert same_bits(grad, grad_ref)
 
 
+@settings(max_examples=10, deadline=None, database=None)
+@given(n=st.sampled_from([10, 12, 16]), data=st.data())
+def test_fused_ops_match_the_per_gate_sweep(n, data):
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=3)
+    engine = sim.PeakObjective(circ)
+    assert any(len(gates) == 2 for gates in engine.ops.gates)
+    vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
+    p, grad = engine.value_and_gradient(vec)
+    p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
+    assert abs(p - p_ref) <= 1e-12
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-12
+    assert np.max(np.abs(sim.run(circ).amplitudes - per_gate_run(circ))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_gates_are_not_fused_below_the_cut_over(n):
+    circ = build_reference_circuit(n, 8, seed=n)
+    ops = sim.OpList(circ.layers, n)
+    assert ops.gates == [(i,) for i in range(circ.num_placements())]
+    assert ops.qubits == [g.qubit_low for g in circ.placements()]
+
+
+def test_side_by_side_gates_of_a_layer_fuse_from_the_cut_over():
+    # 10 qubits: a layer at 0, 2, .., 8 and one at 1, 3, .., 7 become two
+    # blocks and a lone gate, then two blocks.
+    layers = tuple(
+        tuple(GatePlacement(q, GateParams.identity()) for q in range(start, 9, 2)) for start in (0, 1)
+    )
+    ops = sim.OpList(layers, 10)
+    assert ops.gates == [(0, 1), (2, 3), (4,), (5, 6), (7, 8)]
+    assert ops.qubits == [0, 4, 8, 1, 5]
+    mats = np.arange(9 * 16, dtype=complex).reshape(9, 4, 4)
+    matrices = list(ops.matrices(mats))
+    assert np.array_equal(matrices[0], np.kron(mats[1], mats[0]))
+    assert np.array_equal(matrices[2], mats[4])
+    assert np.array_equal(matrices[4], np.kron(mats[8], mats[7]))
+
+
 def _random_state(rng, n):
     state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return state / np.linalg.norm(state)
 
 
 class TestPairKernels:
-    # n = 10..12 puts qubit_low 0..3 on both sides of the GEMM cut-over.
-    @settings(max_examples=12, deadline=None, database=None)
-    @given(n=st.sampled_from([10, 11, 12]), seed=st.integers(0, 2**32 - 1))
-    def test_match_einsum_reference_at_every_position(self, n, seed):
+    # An op of width d takes the GEMM layout at qubit_low q only when
+    # d * 2**q <= 32 and the state holds 64 rows of d * 2**q amplitudes, so
+    # n = 10..12 puts a 4x4 gate (q <= 3) and a 16x16 block (q <= 1) on
+    # both sides of the cut-over.
+    @settings(max_examples=16, deadline=None, database=None)
+    @given(n=st.sampled_from([10, 11, 12]), d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_match_einsum_reference_at_every_position(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        u = haar_random_unitary(rng)
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         state, bra = _random_state(rng, n), _random_state(rng, n)
-        before = state.copy()
-        for q in range(n - 1):
+        before, bra_before = state.copy(), bra.copy()
+        positions = range(n - d.bit_length() + 2)  # every q with q + log2(d) <= n
+        assert {sim._use_gemm(state.size, d << q) for q in positions} == {True, False}
+        for q in positions:
             expected = reference_apply_gate_matrix(state, u, q, n)
             out = np.full_like(state, np.nan)
             assert sim.apply_gate_matrix(state, u, q, n, out=out) is out
@@ -287,9 +356,9 @@ class TestPairKernels:
             fresh = sim.apply_gate_matrix(state, u, q, n)
             assert not np.shares_memory(fresh, state)
             assert np.max(np.abs(fresh - expected)) <= 1e-13
-            env = sim._pair_environment(bra.conj(), state, q, n)
-            assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
-        assert np.array_equal(state, before)
+            env = sim._pair_environment(bra.conj(), state, q, n, d)
+            assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n, d))) <= 1e-13
+        assert np.array_equal(state, before) and np.array_equal(bra, bra_before)
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_small_states_match_reference(self, n):
