@@ -113,8 +113,8 @@ class ShotHistogram:
 
     @classmethod
     def from_arrays(cls, n: int, outcomes: np.ndarray, tallies: np.ndarray) -> "ShotHistogram":
-        """Wrap distinct ascending outcomes and their tallies, e.g. the two
-        arrays `np.unique(..., return_counts=True)` returns."""
+        """Wrap distinct ascending outcomes and their tallies, which must
+        already be in that form (nothing is sorted or merged here)."""
         hist = cls.__new__(cls)
         hist._init(n, np.asarray(outcomes, dtype=np.int64), np.asarray(tallies, dtype=np.int64))
         return hist
@@ -331,13 +331,32 @@ def full_distribution(circuit: Circuit) -> ProbabilityDistribution:
 
 
 def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) -> ShotHistogram:
-    """shots i.i.d. draws from the distribution, deterministic per rng state."""
+    """shots i.i.d. draws from the distribution, deterministic per rng state.
+
+    The draws are one `rng.random(shots)` call, sorted, read through the
+    inverse CDF: a uniform u lands on the first outcome whose normalised
+    cumulative probability exceeds u.  That is the stream and the rule
+    `rng.choice(len(probs), shots, p=probs)` uses, so histograms and the
+    generator state afterwards are the same as counting its draws.  The
+    sorted outcomes are run-length encoded, so memory stays O(shots) beyond
+    the CDF.  Negative or NaN probabilities, or a total that is not finite
+    and positive, raise ValueError.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = dist.probs / dist.probs.sum()  # absorb 1e-12 simulation drift
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return ShotHistogram.from_arrays(dist.n, values, counts)
+    probs = dist.probs
+    if not (probs >= 0).all():
+        raise ValueError("probabilities must be non-negative and not NaN")
+    total = probs.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"probabilities must have a finite, positive total, not {total}")
+    cdf = np.cumsum(probs / total, dtype=np.float64)  # the division absorbs 1e-12 drift
+    cdf /= cdf[-1]
+    draws = rng.random(shots)
+    draws.sort()
+    drawn = cdf.searchsorted(draws, side="right")
+    starts = np.flatnonzero(np.diff(drawn, prepend=-1))
+    return ShotHistogram.from_arrays(dist.n, drawn[starts], np.diff(starts, append=shots))
 
 
 def _pair_environment(

@@ -60,3 +60,12 @@ def brute_force_state(circuit) -> np.ndarray:
             full = np.kron(full, op)
         total = full @ total
     return total[:, 0]
+
+
+def reference_sample(dist, shots: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for sim.sample: one rng.choice over the normalised
+    probabilities, tallied by np.unique. Returns the distinct outcomes and
+    their tallies."""
+    probs = dist.probs / dist.probs.sum()
+    drawn = rng.choice(len(probs), size=shots, p=probs)
+    return np.unique(drawn, return_counts=True)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_sample
+from prcbench import sim
 from prcbench.circuits import build_exact_inverse_peaking, build_reference_circuit
 from prcbench.errors import SchemaError
 from prcbench.harness import (
@@ -246,7 +248,7 @@ class TestSkipProtocol:
 
 
 class TestMatrixDeterminism:
-    def test_same_seed_same_bytes_and_jobs_invariance(self, scripted_suite):
+    def test_same_seed_same_bytes_and_jobs_invariance(self, scripted_suite, monkeypatch):
         depths = tuple(sorted(d for _, d in scripted_suite))[:3]
         config = BenchConfig(
             qubits=(3,),
@@ -259,6 +261,13 @@ class TestMatrixDeterminism:
         m1 = run_matrix(scripted_suite, config, jobs=1)
         m2 = run_matrix(scripted_suite, config, jobs=4)
         assert matrix_to_json(m1) == matrix_to_json(m2)
+
+        # The same bytes when shots come from rng.choice and np.unique.
+        def choice_sample(dist, shots, rng):
+            return sim.ShotHistogram.from_arrays(dist.n, *reference_sample(dist, shots, rng))
+
+        monkeypatch.setattr(sim, "sample", choice_sample)
+        assert matrix_to_json(run_matrix(scripted_suite, config, jobs=1)) == matrix_to_json(m1)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
     # No shrinking: each example starts two process pools, so shrinking a

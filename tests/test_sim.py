@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_state
+from conftest import brute_force_state, reference_sample
 from gate_reference import reference_derivatives, reference_matrix, same_bits
 from kernel_reference import (
     per_gate_run,
@@ -130,6 +132,72 @@ class TestSampling:
         hist = sim.ShotHistogram(2, {0: 5, 1: 10, 2: 5, 3: 1})
         with pytest.raises(ValueError):
             hist.top(-1)
+
+
+@st.composite
+def _sampling_cases(draw):
+    """(distribution, shots) with shots from 1 to 4 * 2**n, the edges around
+    2**n included, and weights with zero runs at the start, the end or
+    inside, point masses, or a total off 1 by 1e-12."""
+    n = draw(st.integers(1, 12))
+    size = 1 << n
+    shots = draw(st.sampled_from([1, size - 1, size, size + 1]) | st.integers(1, 4 * size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random(size) ** draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["dense", "zeros_start", "zeros_end", "zeros_inside", "point_mass"]))
+    if shape == "point_mass":
+        probs[:] = 0.0
+        probs[draw(st.integers(0, size - 1))] = 1.0
+    elif shape != "dense":
+        start = draw(st.integers(0, size - 1))
+        length = draw(st.integers(1, size - 1))
+        run = {
+            "zeros_start": slice(0, length),
+            "zeros_end": slice(size - length, size),
+            "zeros_inside": slice(start, min(size - 1, start + length)),
+        }[shape]
+        probs[run] = 0.0
+    probs /= probs.sum()
+    probs *= draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]))
+    event(f"{shape}, {'shots >= 2**n' if shots >= size else 'shots < 2**n'}")
+    return sim.ProbabilityDistribution(probs, n), shots
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_sampling_cases(), seed=st.integers(0, 2**32 - 1))
+def test_sample_matches_choice_and_unique(case, seed):
+    dist, shots = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    hist = sim.sample(dist, shots, rng)
+    outcomes, tallies = reference_sample(dist, shots, ref_rng)
+    assert hist.outcomes.dtype == np.int64 and hist.tallies.dtype == np.int64
+    np.testing.assert_array_equal(hist.outcomes, outcomes)
+    np.testing.assert_array_equal(hist.tallies, tallies)
+    assert hist.shots == shots
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSampleRejectsBadProbabilities:
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, -0.1, 0.6, 0.0],
+            [0.5, np.nan, 0.5, 0.0],
+            [0.5, np.inf, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        ids=["negative", "nan", "inf", "all_zero"],
+    )
+    def test_value_error_without_a_runtime_warning(self, probs):
+        dist = sim.ProbabilityDistribution(np.array(probs), 2)
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                sim.sample(dist, 10, rng)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # Nothing was drawn from the stream.
+        assert rng.random() == np.random.default_rng(3).random()
 
 
 class TestShotHistogramArrays:
