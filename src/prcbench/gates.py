@@ -11,22 +11,29 @@ Conventions used throughout the package:
 * The entangling core is ``exp(i*(a XX + b YY + c ZZ))`` with canonical
   angles ``pi/4 >= a >= b >= |c|`` (Weyl chamber).
 
-One batched constructor, ``gate_matrices``, builds every gate matrix in the
-package (and, for the optimizer, every parameter derivative) from a
-``(G, 16)`` array of ``GateParams.to_vector()`` rows; ``GateParams.matrix``
-is its one-row case.  One batched decomposition, ``kak_decompose``, turns a
+One batched constructor, ``gate_factors``, builds every gate matrix in the
+package from a ``(G, 16)`` array of ``GateParams.to_vector()`` rows, in
+closed form: each ZYZ factor's entries straight from its angles, and the
+core as a diagonal in the magic basis (Kraus & Cirac, quant-ph/0011050).
+``gate_matrices`` returns its unitaries, and ``GateParams.matrix`` is the
+one-row case.  The optimizer's gradient goes through the same factors:
+``gate_gradients`` turns the gates' (G, 4, 4) environments into every
+parameter derivative of the peak probability without forming any dU/dtheta
+matrix.  One batched decomposition, ``kak_decompose``, turns a
 ``(G, 4, 4)`` stack of unitaries into G GateParams, and a single 4x4
-matrix is its one-element stack.  Both give each gate the bits of a
-one-gate call, so circuit builders decompose all their gates at once
-without changing artifacts.  ``kak_decompose`` checks its input's
-unitarity and its own reconstruction entry-wise to within ``ATOL``, the
-one tolerance that QASM synthesis verifies against too.
+matrix is its one-element stack.  Construction and decomposition give each
+gate the bits of a one-gate call, so circuit builders build and decompose
+all their gates at once without changing artifacts.  ``kak_decompose``
+checks its input's unitarity and its own reconstruction entry-wise to
+within ``ATOL``, the one tolerance that QASM synthesis verifies against
+too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,34 +174,73 @@ class GateParams:
 PARAMS_PER_GATE = 16
 
 _EYE2 = np.eye(2)
-_EYE4 = np.eye(4, dtype=complex)
 _DIAG = np.arange(4)
-_PAULI_PAIRS = np.stack((XX, YY, ZZ))
-_MHY = -0.5j * _Y  # d/dtheta generator of Ry
-_MHZ = -0.5j * _Z  # d/dtheta generator of Rz
+# The diagonals of MAGIC^dag {XX, YY, ZZ} MAGIC, which are +-1: the core is
+# diagonal in MAGIC, core(a, b, c) = MAGIC diag(lam) MAGIC^dag with
+# lam = exp(i (a, b, c) @ _SIGNS).
+_SIGNS = np.rint(np.diagonal(MAGIC_DAG @ np.stack((XX, YY, ZZ)) @ MAGIC, axis1=1, axis2=2).real)
 # Columns of a parameter row holding the ZYZ triples, in the order pre low,
 # pre high, post low, post high.
 _TRIPLE_COLUMNS = np.r_[0:6, 9:15]
 
 
-def _rz_stack(theta: np.ndarray) -> np.ndarray:
-    """rz_matrix over an array of angles, shape theta.shape + (2, 2)."""
-    e = np.exp(-0.5j * theta)
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = e
-    out[..., 1, 1] = e.conjugate()
-    return out
+def _angle_sources() -> tuple[np.ndarray, np.ndarray]:
+    """The angles that gate_factors exponentiates, each a weighted sum of
+    at most three parameters: (25, 3) arrays of parameter columns and their
+    weights, padded with weight 0.
+
+    Per ZYZ triple (t0, t1, t2), five angles: t1/2, then the phases of u's
+    entries 00, 01, 10 and 11, -(t0 + t2)/2, (t0 - t2)/2, -(t0 - t2)/2 and
+    (t0 + t2)/2.  Then the four phases (a, b, c) @ _SIGNS of the core's
+    magic-basis diagonal, and last the global phase.
+    """
+    angles = []
+    for t0 in _TRIPLE_COLUMNS[::3]:
+        t1, t2 = t0 + 1, t0 + 2
+        angles.append(((t1, t1, t1), (0.5, 0.0, 0.0)))
+        for w0, w2 in ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)):
+            angles.append(((t0, t2, t0), (w0, w2, 0.0)))
+    angles += [((6, 7, 8), tuple(signs)) for signs in _SIGNS.T]
+    angles.append(((15, 15, 15), (1.0, 0.0, 0.0)))
+    columns, weights = zip(*angles)
+    return np.array(columns), np.array(weights)
 
 
-def _ry_stack(theta: np.ndarray) -> np.ndarray:
-    """ry_matrix over an array of angles, shape theta.shape + (2, 2)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
+_ANGLE_SOURCES, _ANGLE_WEIGHTS = _angle_sources()
+# A triple's exp(i t1/2) = c + i s is entry 5j of the exponentials, so c and
+# s are 10j and 10j + 1 of their real view.  Per entry 00, 01, 10, 11 of u,
+# these pick its t1-derivative times 2, (-s, -c, c, -s), and its modulus,
+# (c, -s, s, c), interleaved.
+_MODULI_INDEX = 10 * np.arange(4)[:, None] + [1, 0, 0, 1, 0, 1, 1, 0]
+_MODULI_SIGNS = np.array([-1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _gradient_weights() -> tuple[np.ndarray, np.ndarray]:
+    """The constant maps of gate_gradients' last steps.
+
+    Per triple, (8, 3): from Re(r) * d(moduli) and Im(r) * moduli,
+    interleaved per entry, to (t0, t1, t2).  d/dt0 scales u's columns and
+    d/dt2 its rows by (-i/2, i/2), and 2 Re(-i/2 z) = Im(z).
+
+    Per gate, (32, 4): from the real view of y = phase pre F post core to
+    (a, b, c, phase).  With m = diag(MAGIC^dag y MAGIC), the core angles'
+    derivatives are 2 Re(i m @ _SIGNS.T) and the phase's 2 Re(i tr y), both
+    in Im(m), and Im(m[k]) = sum(Re(K[k]) Im(y) + Im(K[k]) Re(y)) with
+    K[k][i, j] = conj(MAGIC[i, k]) MAGIC[j, k].
+    """
+    triples = np.zeros((8, 3))
+    triples[0::2, 1] = 1.0
+    triples[1::2, 0] = (1.0, -1.0, 1.0, -1.0)
+    triples[1::2, 2] = (1.0, 1.0, -1.0, -1.0)
+    k = np.einsum("ik,jk->kij", MAGIC.conj(), MAGIC).reshape(4, 16)
+    k = (np.rint(2 * k.real) + 1j * np.rint(2 * k.imag)) / 2  # exactly 0, +-1/2 or +-i/2
+    im_m = np.empty((32, 4))
+    im_m[0::2], im_m[1::2] = k.imag.T, k.real.T
+    signs = np.vstack((_SIGNS, np.ones(4)))
+    return triples, -2.0 * im_m @ signs.T
+
+
+_TRIPLE_WEIGHTS, _CORE_WEIGHTS = _gradient_weights()
 
 
 def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -204,62 +250,84 @@ def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (rows, cols))
 
 
-def _core(angles: np.ndarray) -> np.ndarray:
-    """entangling_core over the last axis (a, b, c) of an array of angles,
-    shape angles.shape[:-1] + (4, 4)."""
-    ent = angles[..., None, None]
-    terms = np.cos(ent) * _EYE4 + (1j * np.sin(ent)) * _PAULI_PAIRS
-    return terms[..., 0, :, :] @ terms[..., 1, :, :] @ terms[..., 2, :, :]
+def _magic_core(lam: np.ndarray) -> np.ndarray:
+    """MAGIC diag(lam) MAGIC^dag over the last axis of lam."""
+    return (MAGIC * lam[..., None, :]) @ MAGIC_DAG
 
 
-def gate_matrices(params: np.ndarray, derivatives: bool = False):
-    """Unitaries of G gates from their (G, 16) parameter rows, each in
-    to_vector() order, as a (G, 4, 4) stack.
+class GateFactors(NamedTuple):
+    """G gates' unitaries, U = phase * post @ core @ pre, and the factors
+    that gate_gradients reads."""
 
-    With ``derivatives``, also returns dU/dtheta for all 16 parameters of
-    every gate as a (G, 16, 4, 4) stack.  Every entry is computed by the
-    same sequence of floating-point operations as a per-gate evaluation of
-    the GateParams formula: stacked matmuls in the same association,
-    np.kron's broadcast product for the local layers and an outer-product
-    einsum for the kron of a derivative, so results do not depend on G.
+    unitaries: np.ndarray  # (G, 4, 4)
+    local: np.ndarray  # (G, 4, 2, 2) ZYZ factors: pre low, pre high, post low, post high
+    local_phases: np.ndarray  # (G, 4, 4) phases of their entries
+    local_moduli: np.ndarray  # (G, 4, 8) their t1-derivatives times 2 and moduli, interleaved
+    pre: np.ndarray  # (G, 4, 4) kron(pre high, pre low)
+    post: np.ndarray  # (G, 4, 4) kron(post high, post low)
+    core: np.ndarray  # (G, 4, 4) core(a, b, c)
+    core_pre: np.ndarray  # (G, 4, 4) core @ pre
+    phase: np.ndarray  # (G, 1, 1) exp(i phase)
+
+
+def gate_factors(params: np.ndarray) -> GateFactors:
+    """G gates from their (G, 16) parameter rows, each in to_vector() order.
+
+    Every angle goes through one complex exponential: each entry of a ZYZ
+    triple is c = cos(t1/2) or s = sin(t1/2) times exp(-+i(t0 +- t2)/2), and
+    the core is MAGIC diag(lam) MAGIC^dag.  Every step is elementwise, a sum
+    within a gate's row or a matmul per gate, so a gate's bits do not depend
+    on G.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != PARAMS_PER_GATE:
         raise ValueError(f"gate parameters must have shape (G, {PARAMS_PER_GATE})")
     g = len(params)
-    angles = params[:, _TRIPLE_COLUMNS].reshape(g, 4, 3)
-    rz0 = _rz_stack(angles[..., 0])
-    ry1 = _ry_stack(angles[..., 1])
-    rz2 = _rz_stack(angles[..., 2])
-    su2 = rz2 @ ry1 @ rz0  # (G, 4, 2, 2): pre low, pre high, post low, post high
-    high, low = su2[:, 1::2], su2[:, 0::2]
-    local = _kron(high, low)
-    pre, post = local[:, 0], local[:, 1]
+    exps = np.exp(1j * (np.take(params, _ANGLE_SOURCES, axis=1) * _ANGLE_WEIGHTS).sum(2))
+    moduli = exps.view(float)[:, _MODULI_INDEX] * _MODULI_SIGNS
+    phases = exps[:, :20].reshape(g, 4, 5)[..., 1:]
+    local = (moduli[..., 1::2] * phases).reshape(g, 4, 2, 2)
+    pre_post = _kron(local[:, 1::2], local[:, 0::2])
+    pre, post = pre_post[:, 0], pre_post[:, 1]
+    core = _magic_core(exps[:, 20:24])
+    core_pre = core @ pre
+    phase = exps[:, 24, None, None]
+    return GateFactors(phase * (post @ core_pre), local, phases, moduli, pre, post, core, core_pre, phase)
 
-    core = _core(params[:, 6:9])
-    phase = np.exp(1j * params[:, 15])[:, None, None]
-    post_core = post @ core
-    unitaries = phase * (post_core @ pre)
-    if not derivatives:
-        return unitaries
 
-    # Derivatives of each triple u = Rz(t2) Ry(t1) Rz(t0): (G, 4, 3, 2, 2).
-    du = np.stack((su2 @ _MHZ, rz2 @ _MHY @ ry1 @ rz0, _MHZ @ su2), axis=2)
-    # kron(high, d low) and kron(d high, low): (G, 2, 3, 4, 4) over pre, post.
-    d_low = np.einsum("gkab,gkjcd->gkjacbd", high, du[:, 0::2]).reshape(g, 2, 3, 4, 4)
-    d_high = np.einsum("gkjab,gkcd->gkjacbd", du[:, 1::2], low).reshape(g, 2, 3, 4, 4)
+def gate_matrices(params: np.ndarray) -> np.ndarray:
+    """Unitaries of G gates from their (G, 16) parameter rows, each in
+    to_vector() order, as a (G, 4, 4) stack (see gate_factors)."""
+    return gate_factors(params).unitaries
 
-    left = phase * post_core  # left @ d(pre)
-    right = core @ pre  # phase * d(post) @ right
-    out = np.empty((g, PARAMS_PER_GATE, 4, 4), dtype=complex)
-    out[:, 0:3] = left[:, None] @ d_low[:, 0]
-    out[:, 3:6] = left[:, None] @ d_high[:, 0]
-    sigmas = _PAULI_PAIRS @ core[:, None]
-    out[:, 6:9] = (phase * post)[:, None] @ (1j * sigmas) @ pre[:, None]
-    out[:, 9:12] = phase[:, None] * (d_low[:, 1] @ right[:, None])
-    out[:, 12:15] = phase[:, None] * (d_high[:, 1] @ right[:, None])
-    out[:, 15] = 1j * (left @ pre)
-    return unitaries, out
+
+def gate_gradients(factors: GateFactors, envs: np.ndarray) -> np.ndarray:
+    """2 Re sum(E * dU/dtheta) for all 16 parameters of every gate, as a
+    (G, 16) array in to_vector() order, from the gates' factors and their
+    (G, 4, 4) environments E.
+
+    With F = E.T the sum is 2 Re tr(F dU), so each factor of U takes its
+    derivative against the rest of the product: x_pre = phase F post core
+    against d(pre), x_post = phase core pre F against d(post).  Against a
+    kron(A, B), tr(x kron(A, dB)) = sum(W * dB) with W[b, d] =
+    sum x[(c, d), (a, b)] A[a, c], and likewise for dA: two partial traces.
+    Each ZYZ factor's derivatives are elementwise in its entries, and the
+    core's and the phase's are linear in y = pre @ x_pre (see
+    _gradient_weights).
+    """
+    g = len(envs)
+    f, phase = np.swapaxes(envs, 1, 2), factors.phase
+    x = np.empty((g, 2, 4, 4), dtype=complex)
+    np.matmul(f, factors.post @ (phase * factors.core), out=x[:, 0])
+    np.matmul(phase * factors.core_pre, f, out=x[:, 1])
+    x6 = x.reshape(g, 2, 2, 2, 2, 2)
+    w = np.empty((g, 2, 2, 2, 2), dtype=complex)  # pre, post; low, high; 2x2
+    np.einsum("gkcdab,gkac->gkbd", x6, factors.local[:, 1::2], out=w[:, :, 0])
+    np.einsum("gkcdab,gkbd->gkac", x6, factors.local[:, 0::2], out=w[:, :, 1])
+    r = (w.reshape(g, 4, 4) * factors.local_phases).view(float)
+    triples = ((r * factors.local_moduli) @ _TRIPLE_WEIGHTS).reshape(g, 12)
+    rest = (factors.pre @ x[:, 0]).reshape(g, 16).view(float) @ _CORE_WEIGHTS  # a, b, c, phase
+    return np.concatenate((triples[:, :6], rest[:, :3], triples[:, 6:], rest[:, 3:]), axis=1)
 
 
 def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -437,7 +505,8 @@ def _weyl_stack(u: np.ndarray):
     move(cs[:, 2] > pi4, 2, cs[:, 2] - pi2, _ipz, True, -pi2)
 
     angles = cs[:, [1, 0, 2]]
-    rebuilt = _kron(k1l, k1r) @ _core(angles) @ _kron(k2l, k2r)
+    core = _magic_core(np.exp(1j * (angles[:, :, None] * _SIGNS).sum(1)))
+    rebuilt = _kron(k1l, k1r) @ core @ _kron(k2l, k2r)
     if np.max(np.abs(np.exp(1j * phase)[:, None, None] * rebuilt - u)) > ATOL:
         raise DecompositionError("Weyl decomposition failed to reconstruct the input")
     return k1l, k1r, k2l, k2r, angles, phase

@@ -19,12 +19,14 @@ The gradient's environment follows the same split: one (d * 2**q)-square
 GEMM over the rows and a trace over the inner index, else a batched matmul
 summed over blocks, and one einsum on states below 2**10 amplitudes.  A
 block's 16x16 environment gives each of its gates' 4x4 environments by a
-contraction with the other gate.  Both kernels write into buffers the
+contraction with the other gate, and gates.gate_gradients turns the 4x4
+environments into the gradient.  Both kernels write into buffers the
 caller owns where they can: ``run`` ping-pongs between the zero state and
 one more vector, and ``PeakObjective`` keeps two ket and two bra buffers
 across evaluations.  Its working set is five state vectors, which sets
-MAX_QUBITS.  NUMERICS names these kernels' rounding and the optimizer's
-path; it changes whenever either changes a result in the last bit.
+MAX_QUBITS.  NUMERICS names the rounding of these kernels and of the gate
+construction and gradient in gates, and the optimizer's path; it changes
+whenever any of them changes a result in the last bit.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ import numpy as np
 
 from .circuits import BitString, Circuit, peaking_rows, peaking_vector
 from .errors import CapacityError, SchemaError
-from .gates import PARAMS_PER_GATE, _kron, gate_matrices
+from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_matrices
 
 # Version of the simulator's and optimizer's floating-point results.
 # 1: every gate applied by one einsum; 2: the position-aware kernels below;
 # 3: the same kernels as 2, with stage 1 on prcbench's own L-BFGS
 # (optimize._lbfgs) instead of scipy's L-BFGS-B; 4: as 3, with side-by-side
 # gates of a layer fused into 16x16 blocks on states of at least 2**10
-# amplitudes.  Suite manifests and matrix provenance record it; documents
-# without it are numerics 1.
-NUMERICS = 4
+# amplitudes; 5: as 4, with gates built in closed form and the gradient
+# taken through their local factors (gates.gate_gradients).  Suite manifests
+# and matrix provenance record it; documents without it are numerics 1.
+NUMERICS = 5
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
@@ -394,6 +397,9 @@ class PeakObjective:
     peaking half's ops forward and runs the adjoint reverse sweep over them
     (one bra and one ket vector; per op, two applications and one
     environment contraction, 16x16 for a block and 4x4 for a lone gate).
+    The gradient then comes from every gate's 4x4 environment at once,
+    taken through the gate's local factors (gates.gate_gradients), so no
+    derivative matrices are built.
     The kets and bras ping-pong between buffers the objective owns, so one
     object must not evaluate in two threads at once.
     """
@@ -412,7 +418,8 @@ class PeakObjective:
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
         rows = peaking_rows(vec, len(self.positions))
-        mats, derivs = gate_matrices(rows, derivatives=True)
+        factors = gate_factors(rows)
+        mats = factors.unitaries
         matrices, qubits = list(self.ops.matrices(mats)), self.ops.qubits
         k = _apply_ops(self._psi_random, matrices, qubits, self.n, self._kets)
         amp = k[self._pre_x_index]
@@ -432,7 +439,7 @@ class PeakObjective:
 
         # The sweep only moves the bra and the ket back through each op and
         # records the op's environment there; dp/dtheta = 2 Re <b|dU|k> is
-        # then one contraction over all gates.
+        # then taken through every gate's factors at once.
         op_envs = [None] * len(matrices)
         for idx in range(len(matrices) - 1, -1, -1):
             q, u = qubits[idx], matrices[idx]
@@ -440,7 +447,7 @@ class PeakObjective:
             op_envs[idx] = _pair_environment(bc, k, q, self.n, len(u))
             bc, spare_b = apply_gate_matrix(bc, u.T, q, self.n, out=spare_b), bc
         envs = self.ops.gate_environments(op_envs, mats)
-        return p_val, 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
+        return p_val, gate_gradients(factors, envs).reshape(-1)
 
 
 def peak_value_and_gradient(circuit: Circuit) -> tuple[float, np.ndarray]:

@@ -18,6 +18,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from prcbench.circuits import build_reference_circuit, derive_subcircuit
 
 
+def pytest_configure(config):
+    # A complex result written into a float array silently drops its
+    # imaginary part with only a ComplexWarning; make that a failure.  The
+    # filter is added here because naming the class in pyproject.toml would
+    # import numpy before the BLAS pin above.
+    config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

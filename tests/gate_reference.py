@@ -2,7 +2,7 @@
 time with np.kron, 2x2/4x4 matmuls and complex scalars:
 
 * the GateParams unitary and its 16 parameter derivatives, which
-  gates.gate_matrices must reproduce bit for bit;
+  gates.gate_factors and gates.gate_gradients must match within rounding;
 * the KAK decomposition of one 4x4 unitary, which gates.kak_decompose
   must reproduce bit for bit for every gate of a stack.
 """

@@ -6,17 +6,18 @@ within rounding.
 The unconjugated sweep below is PeakObjective.value_and_gradient as it ran
 before the bra was held conjugated: the bra moves by u^dag and each
 environment is taken on a conjugated copy of it.  It walks the engine's own
-op list, and the conjugated sweep must match it bit for bit.
+op list and takes the gradient through gates.gate_gradients, as the engine
+does, and the conjugated sweep must match it bit for bit.
 
 The per-gate sweep is the gradient with no fused ops: every gate applied
-and contracted on its own by the einsum kernels.  The fused sweep must
-match it within rounding."""
+and its environment taken on its own by the einsum kernels.  The fused
+sweep must match it within rounding."""
 
 import numpy as np
 
 from prcbench import sim
 from prcbench.circuits import Circuit, peaking_rows
-from prcbench.gates import gate_matrices
+from prcbench.gates import gate_factors, gate_gradients, gate_matrices
 
 
 def _blocks(state: np.ndarray, d: int, qubit_low: int) -> np.ndarray:
@@ -36,7 +37,8 @@ def reference_pair_environment(
 def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) -> tuple[float, np.ndarray]:
     """engine.value_and_gradient(vec) with the bra swept unconjugated."""
     n = engine.n
-    mats, derivs = gate_matrices(peaking_rows(vec, len(engine.positions)), derivatives=True)
+    factors = gate_factors(peaking_rows(vec, len(engine.positions)))
+    mats = factors.unitaries
     matrices = list(engine.ops.matrices(mats))
     k = engine._psi_random
     for u, q in zip(matrices, engine.ops.qubits):
@@ -51,8 +53,7 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
         op_envs[idx] = sim._pair_environment(b.conj(), k, q, n, len(ud))
         b = sim.apply_gate_matrix(b, ud, q, n)
     envs = engine.ops.gate_environments(op_envs, mats)
-    grad = 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
-    return float(np.abs(amp) ** 2), grad
+    return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 
 
 def _per_gate_forward(state: np.ndarray, mats, placements, n: int) -> np.ndarray:
@@ -86,7 +87,8 @@ def per_gate_value_and_gradient(circuit: Circuit, vec: np.ndarray) -> tuple[floa
     n = circuit.n
     random_half = [g for layer in circuit.layers[: circuit.random_depth] for g in layer]
     peaking = list(circuit.peaking_placements())
-    mats, derivs = gate_matrices(peaking_rows(vec, len(peaking)), derivatives=True)
+    factors = gate_factors(peaking_rows(vec, len(peaking)))
+    mats = factors.unitaries
     k = _per_gate_forward(_zero_state(n), _unitaries(random_half), random_half, n)
     k = _per_gate_forward(k, mats, peaking, n)
     s = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
@@ -99,5 +101,4 @@ def per_gate_value_and_gradient(circuit: Circuit, vec: np.ndarray) -> tuple[floa
         k = reference_apply_gate_matrix(k, ud, q, n)
         envs[idx] = reference_pair_environment(b, k, q, n)
         b = reference_apply_gate_matrix(b, ud, q, n)
-    grad = 2.0 * np.real(np.einsum("gij,gmij->gm", envs, derivs)).reshape(-1)
-    return float(np.abs(amp) ** 2), grad
+    return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)

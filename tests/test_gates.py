@@ -13,6 +13,8 @@ from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
     entangling_core,
+    gate_factors,
+    gate_gradients,
     gate_matrices,
     haar_random_unitary,
     kak_decompose,
@@ -110,29 +112,80 @@ def test_entangling_core_matches_expm():
 
 
 _ANGLE = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
-_ROW = st.one_of(st.lists(_ANGLE, min_size=16, max_size=16), st.just([0.0] * 16))
-_ROWS = st.sampled_from([1, 2, 7]).flatmap(lambda g: st.lists(_ROW, min_size=g, max_size=g))
+# Cores on the Weyl chamber's faces and edges, c < 0 among them.
+_FACE_CORES = [
+    (np.pi / 4, 0.0, 0.0), (np.pi / 4, np.pi / 4, 0.0), (np.pi / 4, np.pi / 4, np.pi / 4),
+    (np.pi / 4, np.pi / 4, -np.pi / 4), (0.3, 0.3, -0.3), (np.pi / 4, 0.2, -0.2), (0.4, 0.1, -0.1),
+    (0.3, 0.2, -0.1),
+]
+
+
+@st.composite
+def _row(draw) -> list[float]:
+    """A parameter row: random angles, the identity gate, or random local
+    layers around a core on the chamber's boundary."""
+    kind = draw(st.sampled_from(["random", "identity", "face"]))
+    if kind == "identity":
+        return [0.0] * 16
+    row = draw(st.lists(_ANGLE, min_size=16, max_size=16))
+    if kind == "face":
+        row[6:9] = draw(st.sampled_from(_FACE_CORES))
+    return row
+
+
+_ROWS = st.sampled_from([1, 2, 7]).flatmap(lambda g: st.lists(_row(), min_size=g, max_size=g))
+
+
+def _random_environments(seed: int, g: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((g, 4, 4)) + 1j * rng.standard_normal((g, 4, 4))
+
+
+def _check_against_reference(rows: np.ndarray, envs: np.ndarray) -> None:
+    """Unitaries within 1e-14 of the per-gate formula, and the gradient
+    within 1e-12 of 2 Re sum(E * dU) over the reference derivatives."""
+    factors = gate_factors(rows)
+    grads = gate_gradients(factors, envs)
+    assert factors.unitaries.shape == (len(rows), 4, 4)
+    assert grads.shape == (len(rows), 16) and grads.dtype == np.float64
+    for row, u, env, grad in zip(rows, factors.unitaries, envs, grads):
+        p = GateParams.from_vector(row)
+        assert np.max(np.abs(u - reference_matrix(p))) <= 1e-14
+        want = 2.0 * np.real(np.einsum("ij,mij->m", env, reference_derivatives(p)))
+        assert np.max(np.abs(grad - want)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_ROWS)
-def test_batched_gate_algebra_matches_per_gate_reference(rows):
+def test_batched_gate_algebra_rows_match_one_row_calls(rows):
     rows = np.array(rows)
-    unitaries, derivs = gate_matrices(rows, derivatives=True)
-    assert unitaries.shape == (len(rows), 4, 4)
-    assert derivs.shape == (len(rows), 16, 4, 4)
-    assert same_bits(gate_matrices(rows), unitaries)
-    for row, u, du in zip(rows, unitaries, derivs):
-        p = GateParams.from_vector(row)
-        assert same_bits(p.matrix(), u)
-        assert same_bits(reference_matrix(p), u)
-        assert same_bits(reference_derivatives(p), du)
+    unitaries = gate_matrices(rows)
+    assert same_bits(gate_factors(rows).unitaries, unitaries)
+    for row, u in zip(rows, unitaries):
+        assert same_bits(GateParams.from_vector(row).matrix(), u)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_ROWS, st.integers(0, 2**32 - 1))
+def test_batched_gate_algebra_matches_per_gate_reference(rows, seed):
+    rows = np.array(rows)
+    _check_against_reference(rows, _random_environments(seed, len(rows)))
 
 
 def test_batched_identity_gate():
-    u, du = gate_matrices(GateParams.identity().to_vector()[None], derivatives=True)
-    assert np.array_equal(u[0], np.eye(4))
-    assert same_bits(du[0], reference_derivatives(GateParams.identity()))
+    rows = np.zeros((3, 16))
+    u = gate_matrices(rows)
+    assert same_bits(u[1], GateParams.identity().matrix())
+    assert np.max(np.abs(u - np.eye(4))) <= 1e-15
+    _check_against_reference(rows, _random_environments(0, 3))
+
+
+def test_a_complex_value_written_into_a_float_array_fails():
+    # conftest turns ComplexWarning into an error, so a gradient that kept
+    # an imaginary part cannot be cast silently into the float result.
+    out = np.zeros(2)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        out[:] = np.array([1.0 + 1e-3j, 2.0])
 
 
 @pytest.mark.parametrize("shape", [(16,), (2, 15), (1, 17)])

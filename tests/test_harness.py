@@ -397,11 +397,11 @@ class TestPersistence:
 
     def test_provenance_records_numerics(self, scripted_suite, tmp_path):
         matrix = self._load_edited(scripted_suite, tmp_path, lambda doc: None)
-        assert matrix.provenance == {"numerics": 4}
+        assert matrix.provenance == {"numerics": 5}
         older = self._load_edited(scripted_suite, tmp_path, lambda doc: doc["provenance"].clear())
         assert older.provenance == {"numerics": 1}
 
-    @pytest.mark.parametrize("value", [0, 5, "2", True])
+    @pytest.mark.parametrize("value", [0, 6, "2", True])
     def test_unknown_numerics_names_field(self, scripted_suite, tmp_path, value):
         def edit(doc):
             doc["provenance"]["numerics"] = value

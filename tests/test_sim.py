@@ -278,10 +278,10 @@ class TestPeakGradient:
                 engine.value_and_gradient(np.zeros(size))
 
     @pytest.mark.parametrize("n,d,seed", [(2, 4, 3), (5, 10, 7), (6, 7, 1)])
-    def test_matches_per_gate_sweep_bit_for_bit(self, n, d, seed):
+    def test_matches_per_gate_sweep_within_rounding(self, n, d, seed):
         # The reverse sweep of the per-gate algorithm: each gate's matrix and
-        # derivatives are built where the sweep reaches it and contracted
-        # with that gate's environment alone.
+        # derivatives come from the reference formula where the sweep
+        # reaches it and are contracted with that gate's environment alone.
         circ = derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d)
         assert not circ.final_x
         x0 = peaking_vector(circ)
@@ -305,7 +305,7 @@ class TestPeakGradient:
             b = sim.apply_gate_matrix(b, ud, q, n)
         p, grad = engine.value_and_gradient(vec)
         assert p == p_ref
-        assert same_bits(grad, ref)
+        assert np.max(np.abs(grad - ref)) <= 1e-12
 
 
 def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
