@@ -101,21 +101,20 @@ def optimize(
 
     engine = sim.PeakObjective(circuit)
     x0 = peaking_vector(circuit)
-    best_x = x0.copy()
     p0, g0 = engine.value_and_gradient(x0)
-    best_p = p0
+    # The best point seen, with its gradient, so stage 2 starts there
+    # without evaluating it again.
+    best_p, best_x, best_grad = p0, x0.copy(), g0
     trace_vals = [p0]
 
     def eval_at(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best_p, best_x
+        nonlocal best_p, best_x, best_grad
         p, grad = engine.value_and_gradient(x)
         if p > best_p:
-            best_p = p
-            best_x = x.copy()
+            best_p, best_x, best_grad = p, x.copy(), grad
         return p, grad
 
     iterations_stage1 = 0
-    x = x0
     if float(np.linalg.norm(g0)) > config.stop_tol and config.stage1_iters > 0:
 
         def neg_value_and_grad(xk: np.ndarray) -> tuple[float, np.ndarray]:
@@ -126,11 +125,10 @@ def optimize(
             neg_value_and_grad, x0, -p0, -g0, config.stage1_iters, config.stop_tol,
             lambda: trace_vals.append(best_p),
         )
-        x = best_x.copy()
 
     iterations_stage2 = 0
     if config.stage2_iters > 0:
-        p, grad = eval_at(x)
+        x, grad = best_x.copy(), best_grad
         if float(np.linalg.norm(grad)) > config.stop_tol:
             m = np.zeros_like(x)
             v = np.zeros_like(x)
