@@ -326,7 +326,10 @@ def gate_gradients(factors: GateFactors, envs: np.ndarray) -> np.ndarray:
     np.einsum("gkcdab,gkbd->gkac", x6, factors.local[:, 0::2], out=w[:, :, 1])
     r = (w.reshape(g, 4, 4) * factors.local_phases).view(float)
     triples = ((r * factors.local_moduli) @ _TRIPLE_WEIGHTS).reshape(g, 12)
-    rest = (factors.pre @ x[:, 0]).reshape(g, 16).view(float) @ _CORE_WEIGHTS  # a, b, c, phase
+    # a, b, c and the phase, by one (1, 32) @ (32, 4) product per gate: as a
+    # (G, 32) GEMM, a gate's bits would depend on G.
+    y = (factors.pre @ x[:, 0]).reshape(g, 1, 16).view(float)
+    rest = (y @ _CORE_WEIGHTS).reshape(g, 4)
     return np.concatenate((triples[:, :6], rest[:, :3], triples[:, 6:], rest[:, 3:]), axis=1)
 
 

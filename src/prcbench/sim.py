@@ -20,13 +20,22 @@ GEMM over the rows and a trace over the inner index, else a batched matmul
 summed over blocks, and one einsum on states below 2**10 amplitudes.  A
 block's 16x16 environment gives each of its gates' 4x4 environments by a
 contraction with the other gate, and gates.gate_gradients turns the 4x4
-environments into the gradient.  Both kernels write into buffers the
-caller owns where they can: ``run`` ping-pongs between the zero state and
-one more vector, and ``PeakObjective`` keeps two ket and two bra buffers
-across evaluations.  Its working set is five state vectors, which sets
-MAX_QUBITS.  NUMERICS names the rounding of these kernels and of the gate
-construction and gradient in gates, and the optimizer's path; it changes
-whenever any of them changes a result in the last bit.
+environments into the gradient.
+
+The gradient never applies the peaking half's last layer: the target bra
+is a product state until it meets a gate, so the amplitude, that layer's
+environments and the bra entering it come in closed form from the ket
+before it (_closed_layer), by GEMVs over shrinking views of that ket.  For
+a body (every peaking op but the last layer's) of B >= 2 ops, an
+evaluation makes B forward passes, B - 2 ket passes, B - 1 bra passes and
+B environment contractions.  Both kernels write into buffers the caller
+owns where they can: ``run`` ping-pongs between the zero state and one
+more vector, and ``PeakObjective`` keeps two ket and two bra buffers
+across evaluations, and takes the closed form inside the bra buffers.  Its
+working set is five state vectors, which sets MAX_QUBITS.  NUMERICS names
+the rounding of these kernels and of the gate construction and gradient in
+gates, and the optimizer's path; it changes whenever any of them changes a
+result in the last bit.
 """
 
 from __future__ import annotations
@@ -46,9 +55,12 @@ from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_ma
 # (optimize._lbfgs) instead of scipy's L-BFGS-B; 4: as 3, with side-by-side
 # gates of a layer fused into 16x16 blocks on states of at least 2**10
 # amplitudes; 5: as 4, with gates built in closed form and the gradient
-# taken through their local factors (gates.gate_gradients).  Suite manifests
-# and matrix provenance record it; documents without it are numerics 1.
-NUMERICS = 5
+# taken through their local factors (gates.gate_gradients); 6: as 5, with
+# the peaking half's last layer taken in closed form, the sweep's known kets
+# reused instead of recomputed, and gates.gate_gradients row-invariant.
+# Suite manifests and matrix provenance record it; documents without it are
+# numerics 1.
+NUMERICS = 6
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
@@ -262,14 +274,18 @@ class OpList:
         self._low = np.array([g[0] for g in blocks], dtype=int)
         self._high = np.array([g[1] for g in blocks], dtype=int)
 
-    def matrices(self, mats: np.ndarray) -> Iterator[np.ndarray]:
-        """Each op's matrix in order, from the (G, 4, 4) stack of gate
-        unitaries; a block is built only when it is reached."""
-        for g in self.gates:
-            yield mats[g[0]] if len(g) == 1 else _kron(mats[g[1]], mats[g[0]])
+    def matrices(self, mats: np.ndarray, count: int | None = None) -> list[np.ndarray]:
+        """The first ``count`` ops' matrices (every op's by default), in
+        order, from the (G, 4, 4) stack of gate unitaries; their blocks are
+        built by one stacked _kron."""
+        ops = self.gates[:count]
+        blocks = sum(len(g) == 2 for g in ops)
+        kron = iter(_kron(mats[self._high[:blocks]], mats[self._low[:blocks]]) if blocks else ())
+        return [mats[g[0]] if len(g) == 1 else next(kron) for g in ops]
 
-    def gate_environments(self, op_envs, mats: np.ndarray) -> np.ndarray:
-        """The (G, 4, 4) gate environments from each op's environment.
+    def gate_environments(self, op_envs, mats: np.ndarray, envs: np.ndarray) -> None:
+        """Write the 4x4 environments of the first len(op_envs) ops' gates
+        into the (G, 4, 4) array ``envs``, from each op's environment.
 
         Read a block's environment as E[i_high, i_low, j_high, j_low].
         Since <b|kron(u_high, du_low)|k> = sum E * u_high * du_low, the low
@@ -277,7 +293,6 @@ class OpList:
         indices, and the high gate's is E contracted with u_low over the
         low ones.
         """
-        envs = np.empty((self.num_gates, 4, 4), dtype=complex)
         blocks = []
         for g, env in zip(self.gates, op_envs):
             if len(g) == 1:
@@ -286,9 +301,9 @@ class OpList:
                 blocks.append(env)
         if blocks:
             blocks = np.reshape(blocks, (-1, 4, 4, 4, 4))
-            envs[self._low] = np.einsum("bhk,bhlkm->blm", mats[self._high], blocks)
-            envs[self._high] = np.einsum("blm,bhlkm->bhk", mats[self._low], blocks)
-        return envs
+            low, high = self._low[: len(blocks)], self._high[: len(blocks)]
+            envs[low] = np.einsum("bhk,bhlkm->blm", mats[high], blocks)
+            envs[high] = np.einsum("blm,bhlkm->bhk", mats[low], blocks)
 
 
 def _apply_ops(state: np.ndarray, matrices, qubits, n: int, buffers) -> np.ndarray:
@@ -388,18 +403,93 @@ def _pair_environment(
     return parts[0] if len(parts) == 1 else np.sum(parts, axis=0)
 
 
+def _segments(qubit_lows, target: int, n: int) -> list[tuple[int, int]]:
+    """The qubits of a layer from the top down, as (gate, bit) segments:
+    (j, 0) for the layer's gate j, which covers two qubits, and (-1, b) for
+    an idle qubit, whose bit of ``target`` is b."""
+    high = {q + 1: j for j, q in enumerate(qubit_lows)}
+    segments, q = [], n - 1
+    while q >= 0:
+        if q in high:
+            segments.append((high[q], 0))
+            q -= 2
+        else:
+            segments.append((-1, target >> q & 1))
+            q -= 1
+    return segments
+
+
+_UNITS = np.eye(2, dtype=complex)  # <0| and <1| on an idle qubit
+
+
+def _closed_layer(
+    ket: np.ndarray, rows: np.ndarray, segments: list[tuple[int, int]], buffers: np.ndarray
+) -> tuple[complex, np.ndarray]:
+    """<s|L|ket> for a layer L of disjoint gates, taken in closed form.
+
+    <s| is a product state until it meets L, and so is <s|L: gate j's
+    factor is its row r_j = u_j[s_j, :] and an idle qubit's is <s_q|.  So
+    the amplitude is the ket contracted with every factor, top segment
+    first (a row selection for an idle qubit, a GEMV for a gate), and the
+    derivative of the amplitude by u_j[s_j, :] is C_j, the ket contracted
+    with every factor but r_j: the ket as contracted down to gate j's
+    segment, times the product of the factors below it.  Returns the
+    amplitude and the (len(rows), 4) stack of C_j, and writes the
+    conjugated bra that enters the layer, conj(amp) times the product of
+    all factors, into buffers[0].
+
+    buffers[1] is scratch: the GEMVs' outputs fill it from the front (at
+    most a third of it), and the products of the factors below each
+    segment alternate between its back and the front of buffers[0], so
+    the last product lands in buffers[0] and nothing state-sized is
+    allocated.
+    """
+    out, scratch = buffers
+    tops = []  # the ket contracted with the factors above each segment
+    t, free = ket, scratch
+    for j, bit in segments:
+        tops.append(t)
+        if j < 0:
+            t = t.reshape(2, -1)[bit]
+        else:
+            t, free = np.matmul(rows[j], t.reshape(4, -1), out=free[: t.size // 4]), free[t.size // 4 :]
+    amp = t[0]
+    c = np.empty((len(rows), 4), dtype=complex)
+    below = out[:1] if len(segments) % 2 == 0 else scratch[-1:]
+    below[0] = 1.0
+    for i in range(len(segments) - 1, -1, -1):
+        j, bit = segments[i]
+        top = tops.pop()
+        factor = _UNITS[bit] if j < 0 else rows[j]
+        if j >= 0:
+            c[j] = top.reshape(4, -1) @ below
+        if i == 0:
+            factor = amp.conjugate() * factor
+        size = len(factor) * below.size
+        product = out[:size] if i % 2 == 0 else scratch[scratch.size - size :]
+        np.multiply(factor[:, None], below, out=product.reshape(len(factor), -1))
+        below = product
+    return amp, c
+
+
 class PeakObjective:
     """Peak probability and exact gradient as a function of the flat
     peaking-parameter vector.
 
     The random half never changes during optimization, so its output state
-    is computed once and kept read-only; each evaluation replays only the
-    peaking half's ops forward and runs the adjoint reverse sweep over them
-    (one bra and one ket vector; per op, two applications and one
-    environment contraction, 16x16 for a block and 4x4 for a lone gate).
-    The gradient then comes from every gate's 4x4 environment at once,
-    taken through the gate's local factors (gates.gate_gradients), so no
-    derivative matrices are built.
+    is computed once and kept read-only.  Each evaluation replays the
+    peaking half's body, every op but the last layer's, forward; takes the
+    last layer in closed form (_closed_layer), which gives the amplitude,
+    the last layer's gate environments and the conjugated bra entering it;
+    and runs the adjoint reverse sweep over the body.  The sweep takes
+    every op's environment, 16x16 for a block and 4x4 for a lone gate, and
+    moves the ket and the bra back only where it must: the ket before the
+    first op is the random half's output, the ket before the last body op
+    is still in the forward pass's spare buffer, and no bra move follows
+    the first op.  For a body of B >= 2 ops that is B forward passes, B - 2
+    ket passes and B - 1 bra passes.  The gradient then comes from every
+    gate's 4x4 environment at once, taken through the gate's local factors
+    (gates.gate_gradients), so no derivative matrices are built.
     The kets and bras ping-pong between buffers the objective owns, so one
     object must not evaluate in two threads at once.
     """
@@ -408,46 +498,57 @@ class PeakObjective:
         self.n = circuit.n
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
-        self.ops = OpList(circuit.layers[circuit.random_depth :], circuit.n)
+        peaking = circuit.layers[circuit.random_depth :]
+        self.ops = OpList(peaking, circuit.n)
         self._psi_random = _run_layers(circuit.layers[: circuit.random_depth], circuit.n)
         self._psi_random.flags.writeable = False
         # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
         self._pre_x_index = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
+        last = [g.qubit_low for g in peaking[-1]] if peaking else []
+        body_gates = len(self.positions) - len(last)
+        self._body_ops = sum(g[0] < body_gates for g in self.ops.gates)
+        self._last = np.arange(body_gates, len(self.positions))
+        self._last_rows = np.array([self._pre_x_index >> q & 3 for q in last], dtype=int)
+        self._segments = _segments(last, self._pre_x_index, self.n)
         self._kets = np.empty((2, 1 << self.n), dtype=complex)
         self._bras = np.empty((2, 1 << self.n), dtype=complex)
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
         rows = peaking_rows(vec, len(self.positions))
+        if not len(rows):
+            return float(np.abs(self._psi_random[self._pre_x_index]) ** 2), np.zeros(0)
         factors = gate_factors(rows)
         mats = factors.unitaries
-        matrices, qubits = list(self.ops.matrices(mats)), self.ops.qubits
-        k = _apply_ops(self._psi_random, matrices, qubits, self.n, self._kets)
-        amp = k[self._pre_x_index]
-        p_val = float(np.abs(amp) ** 2)
-        if not matrices:
-            return p_val, np.zeros(0)
+        matrices, qubits, n = self.ops.matrices(mats, self._body_ops), self.ops.qubits, self.n
+        body = len(matrices)
+        k = _apply_ops(self._psi_random, matrices, qubits, n, self._kets)
 
-        # Bra side starts from |s><s| psi with the trailing NOTs peeled off
-        # (they commute, so order does not matter); the ket is already the
-        # pre-NOT state.  The bra is held conjugated, so it moves back
-        # through an op u by conj(u^dag) = u.T; conjugation only flips
-        # signs, so every result keeps the bits of an unconjugated sweep.
+        # The bra is held conjugated, so it moves back through an op u by
+        # conj(u^dag) = u.T; conjugation only flips signs, so every result
+        # keeps the bits of an unconjugated sweep.
         bc, spare_b = self._bras
-        bc.fill(0)
-        bc[self._pre_x_index] = amp.conjugate()
-        spare_k = self._kets[len(matrices) % 2]
+        amp, c = _closed_layer(k, mats[self._last, self._last_rows], self._segments, self._bras)
+        envs = np.zeros((len(rows), 4, 4), dtype=complex)
+        envs[self._last, self._last_rows] = amp.conjugate() * c
 
-        # The sweep only moves the bra and the ket back through each op and
-        # records the op's environment there; dp/dtheta = 2 Re <b|dU|k> is
-        # then taken through every gate's factors at once.
-        op_envs = [None] * len(matrices)
-        for idx in range(len(matrices) - 1, -1, -1):
+        # Op idx's environment pairs the bra after it with the ket before it:
+        # the random half's output for the first op, the forward pass's
+        # spare buffer for the last, and the ket moved back otherwise.
+        # dp/dtheta = 2 Re <b|dU|k> is then taken through every gate's
+        # factors at once.
+        k, spare_k = self._kets[body % 2], self._kets[(body - 1) % 2]
+        op_envs = [None] * body
+        for idx in range(body - 1, -1, -1):
             q, u = qubits[idx], matrices[idx]
-            k, spare_k = apply_gate_matrix(k, u.conj().T, q, self.n, out=spare_k), k
-            op_envs[idx] = _pair_environment(bc, k, q, self.n, len(u))
-            bc, spare_b = apply_gate_matrix(bc, u.T, q, self.n, out=spare_b), bc
-        envs = self.ops.gate_environments(op_envs, mats)
-        return p_val, gate_gradients(factors, envs).reshape(-1)
+            if idx == 0:
+                k = self._psi_random
+            elif idx < body - 1:
+                k, spare_k = apply_gate_matrix(k, u.conj().T, q, n, out=spare_k), k
+            op_envs[idx] = _pair_environment(bc, k, q, n, len(u))
+            if idx:
+                bc, spare_b = apply_gate_matrix(bc, u.T, q, n, out=spare_b), bc
+        self.ops.gate_environments(op_envs, mats, envs)
+        return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 
 
 def peak_value_and_gradient(circuit: Circuit) -> tuple[float, np.ndarray]:

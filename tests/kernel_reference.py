@@ -3,11 +3,13 @@ or a 16x16 block.  sim.apply_gate_matrix and sim._pair_environment pick a
 layout by op width, qubit position and state size, and must match these
 within rounding.
 
-The unconjugated sweep below is PeakObjective.value_and_gradient as it ran
-before the bra was held conjugated: the bra moves by u^dag and each
-environment is taken on a conjugated copy of it.  It walks the engine's own
-op list and takes the gradient through gates.gate_gradients, as the engine
-does, and the conjugated sweep must match it bit for bit.
+The unconjugated sweep below is PeakObjective.value_and_gradient as it
+would run with the bra not held conjugated: the bra moves by u^dag and
+each environment is taken on a conjugated copy of it.  It takes the last
+layer in closed form by sim._closed_layer, walks the engine's own op list
+with the same known kets, and takes the gradient through
+gates.gate_gradients, as the engine does, and the conjugated sweep must
+match it bit for bit.
 
 The per-gate sweep is the gradient with no fused ops: every gate applied
 and its environment taken on its own by the einsum kernels.  The fused
@@ -39,20 +41,25 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
     n = engine.n
     factors = gate_factors(peaking_rows(vec, len(engine.positions)))
     mats = factors.unitaries
-    matrices = list(engine.ops.matrices(mats))
-    k = engine._psi_random
-    for u, q in zip(matrices, engine.ops.qubits):
-        k = sim.apply_gate_matrix(k, u, q, n)
-    amp = k[engine._pre_x_index]
-    b = np.zeros_like(k)
-    b[engine._pre_x_index] = amp
+    matrices, qubits = engine.ops.matrices(mats, engine._body_ops), engine.ops.qubits
+    kets = [engine._psi_random]
+    for u, q in zip(matrices, qubits):
+        kets.append(sim.apply_gate_matrix(kets[-1], u, q, n))
+    bras = np.empty((2, 1 << n), dtype=complex)
+    amp, c = sim._closed_layer(kets[-1], mats[engine._last, engine._last_rows], engine._segments, bras)
+    envs = np.zeros((len(mats), 4, 4), dtype=complex)
+    envs[engine._last, engine._last_rows] = amp.conjugate() * c
+    b = bras[0].conj()
     op_envs = [None] * len(matrices)
     for idx in range(len(matrices) - 1, -1, -1):
-        q, ud = engine.ops.qubits[idx], matrices[idx].conj().T
-        k = sim.apply_gate_matrix(k, ud, q, n)
+        q, ud = qubits[idx], matrices[idx].conj().T
+        # The first and last body ops' kets are the forward pass's; the
+        # others are moved back from the next op's.
+        k = kets[idx] if idx in (0, len(matrices) - 1) else sim.apply_gate_matrix(k, ud, q, n)
         op_envs[idx] = sim._pair_environment(b.conj(), k, q, n, len(ud))
-        b = sim.apply_gate_matrix(b, ud, q, n)
-    envs = engine.ops.gate_environments(op_envs, mats)
+        if idx:
+            b = sim.apply_gate_matrix(b, ud, q, n)
+    engine.ops.gate_environments(op_envs, mats, envs)
     return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 
 

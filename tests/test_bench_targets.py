@@ -85,22 +85,27 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
     # The benchmark counts sim.apply_gate_matrix calls as pair-kernel work
     # through the module attribute: one call per op (a lone gate, or two
     # side-by-side gates of a layer fused into a block) in run and in the
-    # random half PeakObjective replays once, three per peaking op in each
-    # value_and_gradient (forward, ket and bra in the reverse sweep).
+    # random half PeakObjective replays once.  Each value_and_gradient
+    # applies only the body, the peaking ops before the last layer, which
+    # it takes in closed form: body ops forward, body - 2 for the ket (the
+    # first and last body ops' kets are known) and body - 1 for the bra
+    # (none after the first op).
     from prcbench import sim
 
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 12)
     random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
     peaking_ops = len(engine.ops.gates)
-    assert peaking_ops < len(engine.positions)
-    assert counts == [random_ops, 3 * peaking_ops, random_ops + peaking_ops]
+    body = len(sim.OpList(circ.layers[circ.random_depth : -1], circ.n).gates)
+    assert peaking_ops < len(engine.positions) and 2 <= body < peaking_ops
+    assert counts == [random_ops, 3 * body - 3, random_ops + peaking_ops]
 
 
 def test_pair_kernel_calls_count_gates_below_the_fusion_cut_over(monkeypatch):
     # Below 2**10 amplitudes no gates are fused: one call per gate.
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 9)
     gates, peaking = circ.num_placements(), len(engine.positions)
-    assert counts == [gates - peaking, 3 * peaking, gates]
+    body = peaking - len(circ.layers[-1])
+    assert counts == [gates - peaking, 3 * body - 3, gates]
 
 
 @pytest.mark.parametrize("name", ["wide_readout", "deep_gradient"])

@@ -156,13 +156,18 @@ def _check_against_reference(rows: np.ndarray, envs: np.ndarray) -> None:
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(_ROWS)
-def test_batched_gate_algebra_rows_match_one_row_calls(rows):
+@given(_ROWS, st.integers(0, 2**32 - 1))
+def test_batched_gate_algebra_rows_match_one_row_calls(rows, seed):
     rows = np.array(rows)
     unitaries = gate_matrices(rows)
     assert same_bits(gate_factors(rows).unitaries, unitaries)
     for row, u in zip(rows, unitaries):
         assert same_bits(GateParams.from_vector(row).matrix(), u)
+    # The gradient of a gate keeps its bits whatever stack it is taken in.
+    envs = _random_environments(seed, len(rows))
+    grads = gate_gradients(gate_factors(rows), envs)
+    for i in range(len(rows)):
+        assert same_bits(gate_gradients(gate_factors(rows[i : i + 1]), envs[i : i + 1])[0], grads[i])
 
 
 @settings(max_examples=60, deadline=None, database=None)

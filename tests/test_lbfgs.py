@@ -168,8 +168,15 @@ def test_stage1_follows_scipy_lbfgsb(n, d, seed, iters):
     result = minimize(neg, peaking_vector(circuit), jac=True, method="L-BFGS-B",
                       options={"maxiter": iters, "gtol": 0.0, "ftol": 1e-15, "maxcor": 20})
     _, trace = optimize(circuit, OptimizerConfig(stage1_iters=iters, stage2_iters=0, stop_tol=0.0))
-    assert trace.iterations_stage1 == result.nit
-    assert abs(trace.final_objective - best[0]) <= 1e-9
+    if "REDUCTION OF F" in result.message.replace("_", " "):
+        # The relative-reduction stop compares changes of a few ulps once p
+        # is within 1e-15 of 1, so the last bits of either implementation
+        # decide it: the runs may stop one iteration apart, at the same p.
+        assert abs(trace.iterations_stage1 - result.nit) <= 1
+        assert abs(trace.final_objective - best[0]) <= 1e-12
+    else:
+        assert trace.iterations_stage1 == result.nit
+        assert abs(trace.final_objective - best[0]) <= 1e-9
 
 
 def test_cli_runs_without_scipy(tmp_path):

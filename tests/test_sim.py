@@ -304,7 +304,9 @@ class TestPeakGradient:
             )
             b = sim.apply_gate_matrix(b, ud, q, n)
         p, grad = engine.value_and_gradient(vec)
-        assert p == p_ref
+        # p is the last layer's closed-form contraction, not sim.run's
+        # amplitude, so the two agree within rounding.
+        assert abs(p - p_ref) <= 1e-15
         assert np.max(np.abs(grad - ref)) <= 1e-12
 
 
@@ -325,12 +327,13 @@ def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
     return layer
 
 
-def _draw_circuit(data, n: int, max_random: int, max_peaking: int) -> Circuit:
+def _draw_circuit(data, n: int, max_random: int, max_peaking: int, min_peaking: int = 1) -> Circuit:
     """Multi-gate layers of random gates, a random target and trailing NOTs;
     the first peaking layer starts with a side-by-side pair."""
     random_half = [_draw_layer(data, n) for _ in range(data.draw(st.integers(0, max_random)))]
     peaking_half = [
-        _draw_layer(data, n, pair_first=t == 0) for t in range(data.draw(st.integers(1, max_peaking)))
+        _draw_layer(data, n, pair_first=t == 0)
+        for t in range(data.draw(st.integers(min_peaking, max_peaking)))
     ]
     final_x = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -357,6 +360,27 @@ def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
     p_ref, grad_ref = unconjugated_value_and_gradient(engine, vec)
     assert p == p_ref
     assert same_bits(grad, grad_ref)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([2, 3, 9, 12, 16]), one_layer=st.booleans(), data=st.data())
+def test_closed_form_last_layer_matches_the_per_gate_sweep(n, one_layer, data):
+    # The last peaking layer holds lone gates, side-by-side pairs and idle
+    # qubits, the target may be reached through trailing NOTs, and a
+    # peaking half of one layer leaves the sweep no body at all.
+    min_peaking, max_peaking = (1, 1) if one_layer else (2, 3)
+    circ = _draw_circuit(data, n, max_random=2, min_peaking=min_peaking, max_peaking=max_peaking)
+    last = [g.qubit_low for g in circ.layers[-1]]
+    event("body: none" if circ.d - circ.random_depth == 1 else "body: some")
+    event(f"last layer: {len(last)} gates on {2 * len(last)} of {n} qubits")
+    event("side-by-side pair in the last layer" if any(q + 2 in last for q in last) else "no pair")
+    event("trailing NOTs" if circ.final_x else "no trailing NOTs")
+    engine = sim.PeakObjective(circ)
+    vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
+    p, grad = engine.value_and_gradient(vec)
+    p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
+    assert abs(p - p_ref) <= 1e-12
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-12
 
 
 @settings(max_examples=10, deadline=None, database=None)
