@@ -269,7 +269,6 @@ class OpList:
                 self.qubits.append(q)
                 i += width
             start += len(layer)
-        self.num_gates = start
         blocks = [g for g in self.gates if len(g) == 2]
         self._low = np.array([g[0] for g in blocks], dtype=int)
         self._high = np.array([g[1] for g in blocks], dtype=int)
