@@ -20,13 +20,13 @@ one-row case.  The optimizer's gradient goes through the same factors:
 ``gate_gradients`` turns the gates' (G, 4, 4) environments into every
 parameter derivative of the peak probability without forming any dU/dtheta
 matrix.  One batched decomposition, ``kak_decompose``, turns a
-``(G, 4, 4)`` stack of unitaries into G GateParams, and a single 4x4
-matrix is its one-element stack.  Construction and decomposition give each
-gate the bits of a one-gate call, so circuit builders build and decompose
-all their gates at once without changing artifacts.  ``kak_decompose``
-checks its input's unitarity and its own reconstruction entry-wise to
-within ``ATOL``, the one tolerance that QASM synthesis verifies against
-too.
+``(G, 4, 4)`` stack of unitaries into G GateParams with one ZYZ split of
+all their local factors, and a single 4x4 matrix is its one-element stack.
+Construction and decomposition give each gate the bits of a one-gate call,
+so circuit builders build and decompose all their gates at once without
+changing artifacts.  ``kak_decompose`` checks its input's unitarity and
+its own reconstruction entry-wise to within ``ATOL``, the one tolerance
+that QASM synthesis verifies against too.
 """
 
 from __future__ import annotations
@@ -89,34 +89,30 @@ def su2_from_zyz(triple) -> np.ndarray:
     return rz_matrix(a2) @ ry_matrix(a1) @ rz_matrix(a0)
 
 
-def zyz_angles(k: np.ndarray) -> tuple[float, float, float, float]:
-    """Split a 2x2 unitary as exp(i*phase) * Rz(a2) @ Ry(a1) @ Rz(a0).
+def zyz_angles(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split each 2x2 unitary of a (..., 2, 2) stack as
+    exp(i*phase) * Rz(a2) @ Ry(a1) @ Rz(a0).
 
-    Returns (a0, a1, a2, phase).  The middle angle lands in [0, pi]; the
-    branch choices keep every entry phase-consistent so the reconstruction
-    is exact to rounding, not just up to phase.
+    Returns the arrays (a0, a1, a2, phase), each of the stack's shape.  The
+    middle angle lands in [0, pi].  The larger of |k00| and |k10| fixes the
+    phase, so the reconstruction is exact to rounding, not just up to
+    phase.  Every step is elementwise, so a matrix's angles do not depend on
+    the stack.
     """
-    c_abs = abs(k[0, 0])
-    s_abs = abs(k[1, 0])
-    a1 = 2.0 * math.atan2(s_abs, c_abs)
-    if c_abs >= s_abs:
-        total = float(np.angle(k[1, 1] * np.conj(k[0, 0])))  # a0 + a2
-        if s_abs > 1e-12:
-            a2 = float(np.angle(k[1, 0] * np.conj(k[0, 0])))
-            a0 = total - a2
-        else:
-            a2 = 0.0
-            a0 = total
-        phase = float(np.angle(k[0, 0])) + 0.5 * (a0 + a2)
-    else:
-        diff = float(np.angle(-k[0, 1] * np.conj(k[1, 0])))  # a0 - a2
-        if c_abs > 1e-12:
-            a0 = float(np.angle(k[1, 1] * np.conj(k[1, 0])))
-            a2 = a0 - diff
-        else:
-            a2 = 0.0
-            a0 = diff
-        phase = float(np.angle(k[1, 0])) + 0.5 * (a0 - a2)
+    k00, k01, k10, k11 = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
+    c_abs, s_abs = np.abs(k00), np.abs(k10)
+    a1 = 2.0 * np.arctan2(s_abs, c_abs)
+    cos = c_abs >= s_abs
+    # |c| >= |s|: a0 + a2 = arg(k11 / k00), and a2 = arg(k10 / k00), or 0
+    # when k10 vanishes.  |c| < |s|: a0 - a2 = arg(-k01 / k10), and a0 =
+    # arg(k11 / k10), or a0 - a2 when k00 vanishes.
+    lead = np.where(cos, k00, k10)
+    known = np.angle(np.where(cos, k11, -k01) * lead.conj())
+    free = np.angle(np.where(cos, k10, k11) * lead.conj())
+    free = np.where(np.where(cos, s_abs, c_abs) > 1e-12, free, np.where(cos, 0.0, known))
+    a0 = np.where(cos, known - free, free)
+    a2 = np.where(cos, free, free - known)
+    phase = np.angle(lead) + 0.5 * np.where(cos, a0 + a2, a0 - a2)
     return a0, a1, a2, phase
 
 
@@ -373,52 +369,37 @@ def _diagonalize_stack(m2: np.ndarray):
     raise DecompositionError("failed to diagonalize the symmetric magic-basis product")
 
 
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y for complex arrays of one shape, each part rounded as numpy's
-    complex scalars round it, whatever vector path the array product takes."""
-    out = np.empty(x.shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (G, 2, 2) stack, with scalar rounding (_cmul)."""
-    return _cmul(m[:, 0, 0], m[:, 1, 1]) - _cmul(m[:, 0, 1], m[:, 1, 0])
-
-
-def _cabs(z: np.ndarray) -> np.ndarray:
-    """|z| as abs() of a numpy complex scalar computes it."""
-    return np.hypot(z.real, z.imag)
+    """Determinants of a (G, 2, 2) stack."""
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
 
 
 def split_product_gate(m: np.ndarray):
     """Split each m ~ kron(L, R) of a (G, 4, 4) stack in SU(4) into SU(2)
-    factors plus the residual phase, so m = exp(i*phase) * kron(L, R).
-    Returns the (G, 2, 2) stacks L and R and the (G,) phases."""
+    factors, so m = kron(L, R) up to a global phase.  Returns the (G, 2, 2)
+    stacks L and R."""
     r = m[:, :2, :2].copy()
     det_r = _det2(r)
-    lower = _cabs(det_r) < 0.1
+    lower = np.abs(det_r) < 0.1
     if lower.any():
         r[lower] = m[lower, 2:, :2]
         det_r[lower] = _det2(r[lower])
-    if (_cabs(det_r) < 0.1).any():
+    if (np.abs(det_r) < 0.1).any():
         raise DecompositionError("gate is not a tensor product of single-qubit gates")
     r /= np.sqrt(det_r)[:, None, None]
 
     temp = m @ _kron(_EYE2, np.swapaxes(r.conj(), 1, 2))
     left = temp[:, ::2, ::2].copy()
     det_l = _det2(left)
-    if (_cabs(det_l) < 0.9).any():
+    if (np.abs(det_l) < 0.9).any():
         raise DecompositionError("gate is not a tensor product of single-qubit gates")
     left /= np.sqrt(det_l)[:, None, None]
-    phase = np.angle(det_l) / 2.0
 
     overlap = np.trace(np.swapaxes(_kron(left, r).conj(), 1, 2) @ m, axis1=1, axis2=2)
     deviation = np.max(np.abs(np.abs(overlap) - 4.0))
     if deviation > 1e-11:
         raise DecompositionError(f"tensor-product split failed (deviation {deviation:.2e})")
-    return left, r, phase
+    return left, r
 
 
 def _weyl_stack(u: np.ndarray):
@@ -432,30 +413,27 @@ def _weyl_stack(u: np.ndarray):
     the complex-symmetric product M^T M of its magic-basis image over SO(4),
     read the interaction angles off the eigenvalue phases, then fold the
     angles into the chamber while pushing the compensating sign flips into
-    the local factors and the global phase.
+    the local factors.  The global phase is read once, from the overlap of
+    u with the rebuilt product.
 
-    Every gate goes through the floating-point operations a one-gate stack
-    does, so its result does not depend on the stack.  Complex scalar steps
-    stay per gate or are formed in real arithmetic (_cmul), and each chamber
-    move is applied under a mask.
+    Every step is elementwise, a reduction within one gate, a matmul or
+    LAPACK call per gate, or a chamber move under a mask, so a gate's result
+    does not depend on the stack.
     """
     if not unitarity_defect(u) <= ATOL:  # also catches NaN from non-finite input
         raise DecompositionError("input matrix is not unitary")
 
-    pi, pi2, pi4 = np.pi, np.pi / 2, np.pi / 4
+    pi2, pi4 = np.pi / 2, np.pi / 4
 
     det_u = np.linalg.det(u)
-    scale = np.array([complex(z) ** (-0.25) for z in det_u])
-    su = u * scale[:, None, None]
-    phase = np.angle(det_u) / 4.0
-
+    su = u * (det_u ** -0.25)[:, None, None]
     up = MAGIC_DAG @ su @ MAGIC
     m2 = np.swapaxes(up, 1, 2) @ up
 
     p, d_diag = _diagonalize_stack(m2)
     d = -np.angle(d_diag) / 2.0
     d[:, 3] = -d[:, 0] - d[:, 1] - d[:, 2]
-    cs = np.mod((d[:, :3] + d[:, 3:]) / 2.0, 2.0 * pi)
+    cs = np.mod((d[:, :3] + d[:, 3:]) / 2.0, 2.0 * np.pi)
 
     # Reorder the eigenvalues so the angles land near the Weyl chamber.
     cstemp = np.mod(cs, pi2)
@@ -469,18 +447,14 @@ def _weyl_stack(u: np.ndarray):
 
     phases = np.zeros(d.shape + (4,), dtype=complex)
     phases[:, _DIAG, _DIAG] = np.exp(1j * d)
-    k1 = MAGIC @ (up @ p @ phases) @ MAGIC_DAG
-    k2 = MAGIC @ np.swapaxes(p, 1, 2) @ MAGIC_DAG
+    k1l, k1r = split_product_gate(MAGIC @ (up @ p @ phases) @ MAGIC_DAG)
+    k2l, k2r = split_product_gate(MAGIC @ np.swapaxes(p, 1, 2) @ MAGIC_DAG)
 
-    k1l, k1r, phase_l = split_product_gate(k1)
-    k2l, k2r, phase_r = split_product_gate(k2)
-    phase = phase + (phase_l + phase_r)
-
-    # Fold into the chamber; each move is a local operation plus a phase.
+    # Fold into the chamber; each move is a local operation up to a phase.
     # A move at column col sets cs[:, col] to value, right-multiplies k1l
     # and either right-multiplies k1r or left-multiplies k2r by a flipper,
-    # and adds dphase, in the gates whose mask is set.
-    def move(mask, col, value, flipper, on_k1r, dphase):
+    # in the gates whose mask is set.
+    def move(mask, col, value, flipper, on_k1r):
         if not mask.any():
             return
         cs[mask, col] = value[mask]
@@ -489,27 +463,22 @@ def _weyl_stack(u: np.ndarray):
             k1r[mask] = k1r[mask] @ flipper
         else:
             k2r[mask] = flipper @ k2r[mask]
-        phase[mask] += dphase
 
-    move(cs[:, 0] > pi2, 0, cs[:, 0] - 3 * pi2, _ipy, True, pi2)
-    move(cs[:, 1] > pi2, 1, cs[:, 1] - 3 * pi2, _ipx, True, pi2)
+    move(cs[:, 0] > pi2, 0, cs[:, 0] - 3 * pi2, _ipy, True)
+    move(cs[:, 1] > pi2, 1, cs[:, 1] - 3 * pi2, _ipx, True)
     conjs = np.zeros(len(u), dtype=int)
-    mask = cs[:, 0] > pi4
-    move(mask, 0, pi2 - cs[:, 0], _ipy, False, -pi2)
-    conjs += mask
-    mask = cs[:, 1] > pi4
-    move(mask, 1, pi2 - cs[:, 1], _ipx, False, pi2)
-    conjs += mask
-    phase[mask & (conjs == 1)] -= pi
-    mask = cs[:, 2] > pi2
-    move(mask, 2, cs[:, 2] - 3 * pi2, _ipz, True, pi2)
-    phase[mask & (conjs == 1)] -= pi
-    move(conjs == 1, 2, pi2 - cs[:, 2], _ipz, False, pi2)
-    move(cs[:, 2] > pi4, 2, cs[:, 2] - pi2, _ipz, True, -pi2)
+    for col, flipper in ((0, _ipy), (1, _ipx)):
+        mask = cs[:, col] > pi4
+        move(mask, col, pi2 - cs[:, col], flipper, False)
+        conjs += mask
+    move(cs[:, 2] > pi2, 2, cs[:, 2] - 3 * pi2, _ipz, True)
+    move(conjs == 1, 2, pi2 - cs[:, 2], _ipz, False)
+    move(cs[:, 2] > pi4, 2, cs[:, 2] - pi2, _ipz, True)
 
     angles = cs[:, [1, 0, 2]]
     core = _magic_core(np.exp(1j * (angles[:, :, None] * _SIGNS).sum(1)))
     rebuilt = _kron(k1l, k1r) @ core @ _kron(k2l, k2r)
+    phase = np.angle(np.sum(rebuilt.conj() * u, axis=(1, 2)))
     if np.max(np.abs(np.exp(1j * phase)[:, None, None] * rebuilt - u)) > ATOL:
         raise DecompositionError("Weyl decomposition failed to reconstruct the input")
     return k1l, k1r, k2l, k2r, angles, phase
@@ -532,26 +501,16 @@ def kak_decompose(u: np.ndarray):
         stack = stack[None]
     if not len(stack):
         return ()
-    k1l, k1r, k2l, k2r, angles, global_phase = _weyl_stack(stack)
+    k1l, k1r, k2l, k2r, angles, weyl_phase = _weyl_stack(stack)
+    # One ZYZ split for all four local factors, in to_vector() order: pre
+    # low, pre high, post low, post high.
+    *triples, local_phase = zyz_angles(np.stack((k2r, k2l, k1r, k1l), axis=1))
+    triples = np.stack(triples, axis=2).reshape(len(stack), 12)
+    phase = weyl_phase + local_phase.sum(1)
+    rows = np.concatenate((triples[:, :6], angles, triples[:, 6:], phase[:, None]), axis=1)
     out = []
-    for g, ug in enumerate(stack):
-        pre_low = zyz_angles(k2r[g])
-        pre_high = zyz_angles(k2l[g])
-        post_low = zyz_angles(k1r[g])
-        post_high = zyz_angles(k1l[g])
-        phase = (
-            float(global_phase[g])
-            + pre_low[3]
-            + pre_high[3]
-            + post_low[3]
-            + post_high[3]
-        )
-        params = GateParams(
-            pre=(*pre_low[:3], *pre_high[:3]),
-            entangling=tuple(map(float, angles[g])),
-            post=(*post_low[:3], *post_high[:3]),
-            phase=phase,
-        )
+    for ug, row in zip(stack, rows.tolist()):
+        params = GateParams(tuple(row[0:6]), tuple(row[6:9]), tuple(row[9:15]), row[15])
         if np.max(np.abs(params.matrix() - ug)) > ATOL:
             raise DecompositionError("KAK parameter extraction failed to reconstruct the input")
         out.append(params)

@@ -8,6 +8,7 @@ per-shot readout flips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -36,8 +37,8 @@ class NoiseSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.coherent_delta < 0:
-            raise ValueError("coherent_delta must be non-negative")
+        if not 0.0 <= self.coherent_delta < math.inf:
+            raise ValueError(f"coherent_delta must be non-negative and finite, got {self.coherent_delta}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -226,8 +226,7 @@ def _merge_locals(steps):
     return merged
 
 
-def _emit_local(slot: int, mat: np.ndarray) -> list[NativeOp]:
-    a0, a1, a2, _ = zyz_angles(mat)
+def _emit_local(slot: int, a0: float, a1: float, a2: float) -> list[NativeOp]:
     ops = []
     if abs(a0) > 1e-12:
         ops.append(NativeOp("rz", slot, angle=a0))
@@ -258,12 +257,16 @@ def decompose_gate(params: GateParams) -> list[NativeOp]:
     error = _phase_aligned_error(_steps_matrix(steps), params.matrix())
     if not error <= ATOL:  # also catches NaN from non-finite parameters
         raise DecompositionError(f"gate synthesis failed to verify: error {error:.2e} > {ATOL:.2e}")
+    # One ZYZ split for all the gate's single-qubit steps: a stacked split
+    # costs about what one step's does.
+    a0, a1, a2, _ = zyz_angles(np.array([rest[1] for kind, *rest in steps if kind == "local"]))
+    angles = zip(a0.tolist(), a1.tolist(), a2.tolist())
     ops: list[NativeOp] = []
     for kind, *rest in steps:
         if kind == "cx":
             ops.append(NativeOp("cx", rest[0], rest[1]))
         else:
-            ops.extend(_emit_local(rest[0], rest[1]))
+            ops.extend(_emit_local(rest[0], *next(angles)))
     return ops
 
 

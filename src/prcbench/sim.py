@@ -33,9 +33,9 @@ owns where they can: ``run`` ping-pongs between the zero state and one
 more vector, and ``PeakObjective`` keeps two ket and two bra buffers
 across evaluations, and takes the closed form inside the bra buffers.  Its
 working set is five state vectors, which sets MAX_QUBITS.  NUMERICS names
-the rounding of these kernels and of the gate construction and gradient in
-gates, and the optimizer's path; it changes whenever any of them changes a
-result in the last bit.
+the rounding of these kernels, of the gate construction, gradient and KAK
+decomposition in gates, and of the optimizer's path; it changes whenever
+any of them changes a result in the last bit.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_ma
 # amplitudes; 5: as 4, with gates built in closed form and the gradient
 # taken through their local factors (gates.gate_gradients); 6: as 5, with
 # the peaking half's last layer taken in closed form, the sweep's known kets
-# reused instead of recomputed, and gates.gate_gradients row-invariant.
-# Suite manifests and matrix provenance record it; documents without it are
-# numerics 1.
-NUMERICS = 6
+# reused instead of recomputed, and gates.gate_gradients row-invariant; 7:
+# as 6, with gates.kak_decompose in plain stacked numpy (one ZYZ split, the
+# global phase read from the reconstruction), so the version now also names
+# the rounding of every decomposed gate.  Suite manifests and matrix
+# provenance record it; documents without it are numerics 1.
+NUMERICS = 7
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.

@@ -3,9 +3,12 @@ time with np.kron, 2x2/4x4 matmuls and complex scalars:
 
 * the GateParams unitary and its 16 parameter derivatives, which
   gates.gate_factors and gates.gate_gradients must match within rounding;
-* the KAK decomposition of one 4x4 unitary, which gates.kak_decompose
-  must reproduce bit for bit for every gate of a stack.
+* the KAK decomposition of one 4x4 unitary, with a scalar ZYZ split of its
+  own, whose reconstruction and entangling angles gates.kak_decompose must
+  match within tolerance for every gate of a stack.
 """
+
+import math
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from prcbench.gates import (
     ry_matrix,
     rz_matrix,
     su2_from_zyz,
-    zyz_angles,
 )
 
 _Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -225,14 +227,41 @@ def _weyl_decompose(u: np.ndarray, atol: float = 1e-10):
     return k1l, k1r, a, b, c, k2l, k2r, phase
 
 
+def _zyz_angles(k: np.ndarray) -> tuple[float, float, float, float]:
+    """(a0, a1, a2, phase) of one 2x2 unitary k, so that
+    k = exp(i*phase) * Rz(a2) @ Ry(a1) @ Rz(a0)."""
+    c_abs = abs(k[0, 0])
+    s_abs = abs(k[1, 0])
+    a1 = 2.0 * math.atan2(s_abs, c_abs)
+    if c_abs >= s_abs:
+        total = float(np.angle(k[1, 1] * np.conj(k[0, 0])))  # a0 + a2
+        if s_abs > 1e-12:
+            a2 = float(np.angle(k[1, 0] * np.conj(k[0, 0])))
+            a0 = total - a2
+        else:
+            a2 = 0.0
+            a0 = total
+        phase = float(np.angle(k[0, 0])) + 0.5 * (a0 + a2)
+    else:
+        diff = float(np.angle(-k[0, 1] * np.conj(k[1, 0])))  # a0 - a2
+        if c_abs > 1e-12:
+            a0 = float(np.angle(k[1, 1] * np.conj(k[1, 0])))
+            a2 = a0 - diff
+        else:
+            a2 = 0.0
+            a0 = diff
+        phase = float(np.angle(k[1, 0])) + 0.5 * (a0 - a2)
+    return a0, a1, a2, phase
+
+
 def reference_kak_decompose(u: np.ndarray, atol: float = 1e-10) -> GateParams:
     """The magic-basis KAK decomposition of one 4x4 unitary (Kraus & Cirac,
     quant-ph/0011050), one gate at a time."""
     k1l, k1r, a, b, c, k2l, k2r, global_phase = _weyl_decompose(u, atol)
-    pre_low = zyz_angles(k2r)
-    pre_high = zyz_angles(k2l)
-    post_low = zyz_angles(k1r)
-    post_high = zyz_angles(k1l)
+    pre_low = _zyz_angles(k2r)
+    pre_high = _zyz_angles(k2l)
+    post_low = _zyz_angles(k1r)
+    post_high = _zyz_angles(k1l)
     phase = global_phase + pre_low[3] + pre_high[3] + post_low[3] + post_high[3]
     params = GateParams(
         pre=(*pre_low[:3], *pre_high[:3]),
@@ -240,6 +269,6 @@ def reference_kak_decompose(u: np.ndarray, atol: float = 1e-10) -> GateParams:
         post=(*post_low[:3], *post_high[:3]),
         phase=phase,
     )
-    if np.max(np.abs(params.matrix() - u)) > atol:
+    if np.max(np.abs(reference_matrix(params) - u)) > atol:
         raise DecompositionError("KAK parameter extraction failed to reconstruct the input")
     return params

@@ -11,6 +11,7 @@ from gate_reference import (
 )
 from prcbench.errors import DecompositionError
 from prcbench.gates import (
+    ATOL,
     GateParams,
     entangling_core,
     gate_factors,
@@ -43,13 +44,34 @@ def test_haar_trace_moment():
 
 
 def test_zyz_roundtrip_random(rng):
+    # Haar-random unitaries take both branches, |c| >= |s| and |c| < |s|.
+    # Diagonal and anti-diagonal ones, times a phase, take the degenerate
+    # sub-branches, where |s| or |c| is at most 1e-12.
+    haar = []
     for _ in range(100):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         q, r = np.linalg.qr(z)
-        k = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        haar.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    t = rng.uniform(-np.pi, np.pi, (40, 3))
+    t[:20, 1], t[20:, 1] = 0.0, np.pi
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, (40, 1, 1)))
+    ks = np.concatenate((haar, phases * np.array([su2_from_zyz(row) for row in t])))
+    c_abs, s_abs = np.abs(ks[:, 0, 0]), np.abs(ks[:, 1, 0])
+    assert (c_abs[:100] >= s_abs[:100]).any() and (c_abs[:100] < s_abs[:100]).any()
+    assert (s_abs[100:120] <= 1e-12).all() and (c_abs[120:] <= 1e-12).all()
+    for k in ks:
         a0, a1, a2, phase = zyz_angles(k)
         rebuilt = np.exp(1j * phase) * su2_from_zyz((a0, a1, a2))
-        assert np.max(np.abs(rebuilt - k)) < 1e-12
+        assert np.max(np.abs(rebuilt - k)) <= 1e-14
+    # There, only a0 + a2 or a0 - a2 is fixed; a2 is pinned to 0, so QASM
+    # export emits one Rz for the pair.
+    assert not zyz_angles(ks[100:])[2].any()
+    # A (3, 4, 2, 2) stack gives each matrix the bits of its own call.
+    stack = np.concatenate((ks[:6], ks[100:103], ks[120:123])).reshape(3, 4, 2, 2)
+    angles = np.stack(zyz_angles(stack), axis=-1)
+    assert angles.shape == (3, 4, 4)
+    for i, j in np.ndindex(3, 4):
+        assert same_bits(np.stack(zyz_angles(stack[i, j]), axis=-1), angles[i, j])
 
 
 def test_kak_identity():
@@ -241,9 +263,18 @@ def _gate(draw) -> np.ndarray:
     return base @ ((v * np.exp(1j * eps * w)) @ v.conj().T)
 
 
+def _check_kak_against_reference(u: np.ndarray, p: GateParams, want: GateParams) -> None:
+    """Both decompositions rebuild u within ATOL, by the per-gate formula,
+    and agree on the entangling angles.  Their local angles may differ by
+    2 pi branches, so they are not compared."""
+    assert np.max(np.abs(reference_matrix(p) - u)) <= ATOL
+    assert np.max(np.abs(reference_matrix(want) - u)) <= ATOL
+    assert np.max(np.abs(np.subtract(p.entangling, want.entangling))) <= 1e-9
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(st.lists(_gate(), min_size=1, max_size=8))
-def test_stacked_kak_matches_per_gate_reference_bit_for_bit(mats):
+def test_stacked_kak_matches_per_gate_reference(mats):
     stack = np.stack(mats)
     try:
         expected = [reference_kak_decompose(u) for u in stack]
@@ -254,9 +285,9 @@ def test_stacked_kak_matches_per_gate_reference_bit_for_bit(mats):
     got = kak_decompose(stack)
     assert isinstance(got, tuple) and len(got) == len(stack)
     for u, p, want in zip(stack, got, expected):
-        # Byte equality: also tells 0.0 from -0.0.
-        assert same_bits(p.to_vector(), want.to_vector())
-        assert same_bits(kak_decompose(u).to_vector(), want.to_vector())
+        _check_kak_against_reference(u, p, want)
+        # Byte equality with the one-matrix call: also tells 0.0 from -0.0.
+        assert same_bits(kak_decompose(u).to_vector(), p.to_vector())
 
 
 def test_stack_reaches_the_retry_loop_and_stays_bit_exact(monkeypatch):
@@ -281,7 +312,8 @@ def test_stack_reaches_the_retry_loop_and_stays_bit_exact(monkeypatch):
     assert mixed == [3]  # the others pass the first, so those three are the CNOT-class gates
     monkeypatch.undo()
     for u, p in zip(stack, got):
-        assert same_bits(p.to_vector(), reference_kak_decompose(u).to_vector())
+        _check_kak_against_reference(u, p, reference_kak_decompose(u))
+        assert same_bits(kak_decompose(u).to_vector(), p.to_vector())
 
 
 def test_kak_stack_shapes():

@@ -69,15 +69,23 @@ class TestBenchConfigRules:
             ({"depths": [4, 1]}, r"depths: 1 is below 2"),
             ({"qubits": [3, 2, 3]}, r"qubits: \(3, 2, 3\) lists a value twice"),
             ({"depths": [2, 2]}, r"depths: \(2, 2\) lists a value twice"),
+            ({"shot_base": -250}, "shot_base must be non-negative and finite, got -250"),
         ],
         ids=["min_above_max", "min_below_1", "negative_seed", "qubit_below_2", "depth_below_2",
-             "duplicate_qubit", "duplicate_depth"],
+             "duplicate_qubit", "duplicate_depth", "negative_shot_base"],
     )
     def test_programmatic_and_loaded_configs_agree(self, values, path):
         with pytest.raises(ValueError, match=f"^{path}"):
             BenchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
         with pytest.raises(SchemaError, match=f"^{path}"):
             BenchConfig.from_dict(values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_shot_base(self, value):
+        # The loader rejects non-finite numbers before the config sees them;
+        # built in code, the config itself must.
+        with pytest.raises(ValueError, match=f"^shot_base must be non-negative and finite, got {value}"):
+            BenchConfig(shot_base=value)
 
 
 class TestRejectedInputs:
