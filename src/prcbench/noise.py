@@ -3,7 +3,9 @@ coherent over-rotation of the entangling angles.
 
 Channels compose in a fixed order per run: coherent perturbation of the
 circuit, then the depolarizing mixture of the exact distribution, then
-per-shot readout flips.
+per-shot readout flips.  The sampled readout channel draws the gaps between
+flipped bits rather than one uniform per bit (readout_flip), so its cost
+grows with eps * n per shot; sim.NUMERICS names that stream.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import read_fields
 from .gates import GateParams
 from .sim import ProbabilityDistribution, ShotHistogram
 
-_READOUT_CHUNK = 1 << 15  # shots per mask draw
+_MAX_GAP_BATCH = 1 << 16  # 512 KiB of int64 gaps per draw
 
 
 @dataclass(frozen=True)
@@ -64,22 +66,43 @@ def depolarize(dist: ProbabilityDistribution, f: float) -> ProbabilityDistributi
 def readout_flip(hist: ShotHistogram, eps: float, rng: np.random.Generator) -> ShotHistogram:
     """Flip each bit of each recorded shot independently with probability eps.
 
-    Shots are laid out in ascending outcome order and draw their flip masks
-    row by row from one uniform stream, so the result depends on the rng
-    state alone; the chunk size only bounds the size of each draw.
+    Shots are laid out in ascending outcome order, and bit b of shot s is
+    slot s * n + b of one Bernoulli(eps) process over the shots x n grid.
+    The gaps between flipped slots are i.i.d. geometric(eps), drawn in
+    batches of _gap_batch(r, eps) for the r slots not yet covered until one
+    reaches past the last slot, so the result depends on the rng state alone;
+    the batch size only sets how far past the end the last batch draws.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     if eps == 0.0:
         return hist
     n = hist.n
-    weights = 1 << np.arange(n, dtype=np.int64)
     shots = np.repeat(hist.outcomes, hist.tallies)
-    for start in range(0, len(shots), _READOUT_CHUNK):
-        rows = shots[start : start + _READOUT_CHUNK]
-        rows ^= (rng.random((len(rows), n)) < eps) @ weights
+    slots = len(shots) * n
+    last = -1  # the slot the gaps drawn so far reach
+    while last < slots - 1:
+        r = slots - 1 - last
+        # A gap beyond r lands past the end whatever its size; clipping it
+        # there keeps the sum from overflowing when eps is tiny and
+        # rng.geometric returns INT64_MAX.
+        reach = last + np.minimum(rng.geometric(eps, _gap_batch(r, eps)), r + 1).cumsum()
+        shot, bit = np.divmod(reach[: reach.searchsorted(slots)], n)
+        # Slots ascend, so each shot's flipped bits form one run.
+        starts = np.flatnonzero(np.diff(shot, prepend=-1))
+        shots[shot[starts]] ^= np.add.reduceat(np.left_shift(1, bit), starts)
+        last = int(reach[-1])
     values, counts = np.unique(shots, return_counts=True)
     return ShotHistogram.from_arrays(n, values, counts)
+
+
+def _gap_batch(r: int, eps: float) -> int:
+    """Gaps to draw for r uncovered slots: their mean count r * eps of flips,
+    six standard deviations and 16 more, so one batch nearly always
+    suffices, but at most _MAX_GAP_BATCH, so that a large eps costs
+    memory in proportion to the shots, not to the flips."""
+    mean = r * eps
+    return min(int(mean + 6 * math.sqrt(mean) + 16), _MAX_GAP_BATCH)
 
 
 def readout_confusion(dist: ProbabilityDistribution, eps: float) -> ProbabilityDistribution:

@@ -18,7 +18,8 @@ import numpy as np
 from . import sim
 from .circuits import (BitString, Circuit, _layout, _place, peaking_params, peaking_vector,
                        read_bitstring)
-from .errors import CapacityError, NothingToOptimizeError, read_fields, read_value
+from .errors import (CapacityError, NothingToOptimizeError, SchemaError, UndefinedMetricError,
+                     read_fields, read_value)
 from .metrics import contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
@@ -434,16 +435,20 @@ def peak_profile(circuit: Circuit) -> PeakProfile:
     i_second = int(order[-2])
     p_peak = float(probs[i_peak])
     p_second = float(probs[i_second])
-    r_p = float("inf") if p_second == 0.0 else p_peak / p_second
     return PeakProfile(
         target=circuit.target,
         p_peak=p_peak,
         p_second=p_second,
-        r_p=r_p,
+        r_p=_dominance(p_peak, p_second),
         c_max=contrast_from_probabilities(p_peak, p_second),
         argmax=BitString.from_index(i_peak, circuit.n),
         target_mismatch=(i_peak != circuit.target.index),
     )
+
+
+def _dominance(p_peak: float, p_second: float) -> float:
+    """r_p: p_peak / p_second, infinite when nothing competes."""
+    return math.inf if p_second == 0.0 else p_peak / p_second
 
 
 def profile_to_dict(profile: PeakProfile) -> dict:
@@ -456,7 +461,43 @@ def _read_dominance(value, path: str) -> float:
     return float("inf") if value is None else read_value(float, value, path)
 
 
-def profile_from_dict(doc: dict, where: str = "profile") -> PeakProfile:
-    """Inverse of profile_to_dict; errors name their path, ``<where>.<field>``."""
+def profile_from_dict(doc: dict, where: str = "profile", target: BitString | None = None) -> PeakProfile:
+    """Inverse of profile_to_dict; errors name their path, ``<where>.<field>``.
+
+    The profile's target must be ``target`` when one is given (its circuit's),
+    and its derived fields what peak_profile derives from the others: c_max
+    the contrast of p_peak and p_second, r_p their ratio (null when p_second
+    is 0) and target_mismatch whether argmax differs from target.  The writer
+    uses the same formulas and a JSON float round trip is exact, so each
+    check is exact.
+    """
     bits = read_bitstring
-    return read_fields(PeakProfile, doc, f"{where}.", target=bits, argmax=bits, r_p=_read_dominance)
+    profile = read_fields(PeakProfile, doc, f"{where}.", target=bits, argmax=bits, r_p=_read_dominance)
+    if target is not None and profile.target != target:
+        raise SchemaError(
+            f"{where}.target: {profile.target.text} differs from the circuit's target {target.text}"
+        )
+    p_peak, p_second = profile.p_peak, profile.p_second
+    given = "p_peak and p_second give"
+    try:
+        c_max = contrast_from_probabilities(p_peak, p_second)
+    except UndefinedMetricError as exc:
+        raise SchemaError(f"{where}.c_max: {exc}") from exc
+    if profile.c_max != c_max:
+        raise SchemaError(f"{where}.c_max: {profile.c_max!r}, but {given} {c_max!r}")
+    r_p = _dominance(p_peak, p_second)
+    if profile.r_p != r_p:
+        stored, derived = _dominance_text(profile.r_p), _dominance_text(r_p)
+        raise SchemaError(f"{where}.r_p: {stored}, but {given} {derived}")
+    mismatch = profile.argmax != profile.target
+    if profile.target_mismatch != mismatch:
+        raise SchemaError(
+            f"{where}.target_mismatch: {profile.target_mismatch!r}, but argmax "
+            f"{profile.argmax.text} and target {profile.target.text} give {mismatch!r}"
+        )
+    return profile
+
+
+def _dominance_text(r_p: float) -> str:
+    """r_p as profile_to_dict writes it."""
+    return "null" if math.isinf(r_p) else repr(r_p)

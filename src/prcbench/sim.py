@@ -34,8 +34,9 @@ more vector, and ``PeakObjective`` keeps two ket and two bra buffers
 across evaluations, and takes the closed form inside the bra buffers.  Its
 working set is five state vectors, which sets MAX_QUBITS.  NUMERICS names
 the rounding of these kernels, of the gate construction, gradient and KAK
-decomposition in gates, and of the optimizer's path; it changes whenever
-any of them changes a result in the last bit.
+decomposition in gates, and of the optimizer's path, and the random stream
+of the sampled readout channel (noise.readout_flip); it changes whenever
+any of them changes a result in the last bit or a sampled histogram.
 """
 
 from __future__ import annotations
@@ -60,9 +61,12 @@ from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_ma
 # reused instead of recomputed, and gates.gate_gradients row-invariant; 7:
 # as 6, with gates.kak_decompose in plain stacked numpy (one ZYZ split, the
 # global phase read from the reconstruction), so the version now also names
-# the rounding of every decomposed gate.  Suite manifests and matrix
+# the rounding of every decomposed gate; 8: as 7, with noise.readout_flip
+# drawing geometric gaps between flipped bits instead of one uniform per
+# bit, so the version now also names the sampled-readout stream (optimizer
+# results and exact-mode matrices are as at 7).  Suite manifests and matrix
 # provenance record it; documents without it are numerics 1.
-NUMERICS = 7
+NUMERICS = 8
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
@@ -356,10 +360,13 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     inverse CDF: a uniform u lands on the first outcome whose normalised
     cumulative probability exceeds u.  That is the stream and the rule
     `rng.choice(len(probs), shots, p=probs)` uses, so histograms and the
-    generator state afterwards are the same as counting its draws.  The
-    sorted outcomes are run-length encoded, so memory stays O(shots) beyond
-    the CDF.  Negative or NaN probabilities, or a total that is not finite
-    and positive, raise ValueError.
+    generator state afterwards are the same as counting its draws.  With no
+    more outcomes than shots, the sorted draws are counted at the CDF's
+    edges instead (one binary search per outcome); otherwise each draw is
+    looked up in the CDF and the sorted outcomes are run-length encoded.
+    Both give the same histogram, and memory stays O(shots) beyond the
+    CDF.  Negative or NaN probabilities, or a total that is not finite and
+    positive, raise ValueError.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -373,6 +380,12 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     cdf /= cdf[-1]
     draws = rng.random(shots)
     draws.sort()
+    if cdf.size <= shots:
+        # Count at the CDF's edges: draws below cdf[i], less those below
+        # cdf[i - 1], land on outcome i.
+        tallies = np.diff(draws.searchsorted(cdf, side="left"), prepend=0)
+        outcomes = np.flatnonzero(tallies)
+        return ShotHistogram.from_arrays(dist.n, outcomes, tallies[outcomes])
     drawn = cdf.searchsorted(draws, side="right")
     starts = np.flatnonzero(np.diff(drawn, prepend=-1))
     return ShotHistogram.from_arrays(dist.n, drawn[starts], np.diff(starts, append=shots))

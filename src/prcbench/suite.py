@@ -137,12 +137,7 @@ def _load_cell(path: Path, key: str, n: int, d: int) -> SuiteCell:
     circuit = circuit_from_dict(doc, where)
     if (circuit.n, circuit.d) != (n, d):
         raise SchemaError(f"suite key {key!r} disagrees with {path}: n={circuit.n}, d={circuit.d}")
-    profile = profile_from_dict(doc.get("profile"), where=f"{where}profile")
-    if profile.target != circuit.target:
-        raise SchemaError(
-            f"{where}profile.target: {profile.target.text} differs from the circuit's "
-            f"target {circuit.target.text}"
-        )
+    profile = profile_from_dict(doc.get("profile"), where=f"{where}profile", target=circuit.target)
     if "final_objective" not in doc:
         raise SchemaError(f"{where}final_objective: missing")
     final = read_value(float, doc["final_objective"], f"{where}final_objective")

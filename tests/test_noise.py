@@ -118,16 +118,28 @@ class TestReadoutFlip:
             assert abs(ones / 100_000 - 0.5) < 0.01
 
 
-def reference_readout_flip(hist, eps, rng):
-    """Per-outcome loop: each distinct outcome in ascending order draws the
-    flip masks of its own shots, then its flipped shots are tallied."""
-    weights = 1 << np.arange(hist.n, dtype=np.int64)
+def reference_batch(r, eps):
+    mean = r * eps
+    return min(int(mean + 6 * math.sqrt(mean) + 16), 1 << 16)
+
+
+def reference_readout_flip(hist, eps, rng, batch=reference_batch):
+    """Scalar loop over the gap stream: shot s of the shots in ascending
+    outcome order holds slots s * n .. s * n + n - 1; geometric(eps) gaps
+    between flipped slots are drawn one at a time, `batch(r, eps)` of them
+    for the r slots not yet covered, until a batch ends past the last slot."""
+    n = hist.n
+    shots = [outcome for outcome, count in sorted(hist.counts.items()) for _ in range(count)]
+    slots = len(shots) * n
+    last = -1
+    while last < slots - 1:
+        for _ in range(batch(slots - 1 - last, eps)):
+            last += int(rng.geometric(eps))
+            if last < slots:
+                shots[last // n] ^= 1 << (last % n)
     out: dict[int, int] = {}
-    for outcome, count in sorted(hist.counts.items()):
-        masks = (rng.random((count, hist.n)) < eps) @ weights
-        values, counts = np.unique(masks ^ outcome, return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            out[v] = out.get(v, 0) + c
+    for shot in shots:
+        out[shot] = out.get(shot, 0) + 1
     return out
 
 
@@ -155,20 +167,32 @@ class TestReadoutFlipMatchesReference:
         # Nothing was drawn from the stream.
         assert rng.random() == np.random.default_rng(4).random()
 
-    def test_shots_cross_chunk_boundary(self):
-        # Outcome 6's shots straddle the first chunk boundary.
-        chunk = noise._READOUT_CHUNK
-        hist = ShotHistogram(8, {2: chunk - 5, 6: 11, 200: chunk + 3})
-        got = readout_flip(hist, 0.07, np.random.default_rng(19))
-        want = reference_readout_flip(hist, 0.07, np.random.default_rng(19))
+    def test_shots_cross_chunk_boundary(self, monkeypatch):
+        # Batches of 3 gaps cover about 10 slots each, so many shots'
+        # flipped bits fall in two batches of the stream.
+        def batch(r, eps):
+            return 3
+
+        monkeypatch.setattr(noise, "_gap_batch", batch)
+        hist = ShotHistogram(8, {2: 45, 6: 11, 200: 38})
+        got = readout_flip(hist, 0.3, np.random.default_rng(19))
+        want = reference_readout_flip(hist, 0.3, np.random.default_rng(19), batch)
         assert got.counts == want
 
-    @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_chunk_size_does_not_change_stream(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_chunk_size_does_not_change_stream(self, monkeypatch, batch):
+        # The batch slack does not change the flips: the gaps are one
+        # stream whatever size of chunk draws them, and only how far the
+        # last batch draws past the end changes.
         hist = ShotHistogram(5, {0: 50, 7: 9, 30: 21})
         want = readout_flip(hist, 0.15, np.random.default_rng(8))
-        monkeypatch.setattr(noise, "_READOUT_CHUNK", chunk)
+        monkeypatch.setattr(noise, "_gap_batch", lambda r, eps: batch)
         assert readout_flip(hist, 0.15, np.random.default_rng(8)) == want
+
+    def test_batch_size_rule(self):
+        assert noise._gap_batch(1000, 0.02) == int(20 + 6 * math.sqrt(20) + 16) == 62
+        assert noise._gap_batch(0, 0.5) == 16
+        assert noise._gap_batch(10**9, 0.5) == 1 << 16
 
     def test_leaves_rng_where_reference_does(self):
         hist = ShotHistogram(6, {5: 300, 12: 41})
@@ -176,6 +200,44 @@ class TestReadoutFlipMatchesReference:
         readout_flip(hist, 0.1, rng_a)
         reference_readout_flip(hist, 0.1, rng_b)
         assert rng_a.random() == rng_b.random()
+
+
+class TestReadoutFlipDistribution:
+    """Properties of the channel that hold whatever stream draws it."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.3, 0.5])
+    def test_bits_flip_at_eps_independently(self, eps):
+        n, shots, outcome = 14, 100_000, 0b10110011100101
+        hist = ShotHistogram(n, {outcome: shots})
+        flipped = readout_flip(hist, eps, np.random.default_rng(31))
+        assert flipped.shots == shots
+        bits = ((flipped.outcomes[:, None] ^ outcome) >> np.arange(n)) & 1
+        weighted = bits * flipped.tallies[:, None]
+        rates = weighted.sum(0) / shots
+        both = (weighted.T @ bits) / shots  # both[a, b]: bits a and b flipped
+        # Five binomial standard deviations.
+        assert np.all(np.abs(rates - eps) < 5 * math.sqrt(eps * (1 - eps) / shots))
+        pairs = both[~np.eye(n, dtype=bool)]
+        assert np.all(np.abs(pairs - eps**2) < 5 * math.sqrt(eps**2 * (1 - eps**2) / shots))
+
+    def test_tiny_eps_flips_nothing_and_does_not_overflow(self):
+        # rng.geometric returns INT64_MAX at eps this small; a sum of such
+        # gaps must not wrap around into the grid.
+        hist = ShotHistogram(20, {5: 1000, (1 << 20) - 1: 700})
+        assert readout_flip(hist, 1e-300, np.random.default_rng(2)) == hist
+
+    @pytest.mark.parametrize("n", [2, 14])
+    def test_eps_one_complements_every_shot(self, n):
+        counts = {0: 40, 1: 3, (1 << n) - 1: 25}
+        flipped = readout_flip(ShotHistogram(n, counts), 1.0, np.random.default_rng(6))
+        assert flipped.counts == {outcome ^ ((1 << n) - 1): c for outcome, c in counts.items()}
+
+    def test_empty_histogram_draws_nothing(self):
+        for eps in (0.02, 0.5, 1.0):
+            rng = np.random.default_rng(9)
+            flipped = readout_flip(ShotHistogram(14, {}), eps, rng)
+            assert flipped.shots == 0
+            assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 class TestReadoutConfusion:

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prcbench import sim
 from prcbench.circuits import (
@@ -11,8 +13,9 @@ from prcbench.circuits import (
     build_exact_inverse_peaking,
     build_reference_circuit,
     derive_subcircuit,
+    retarget,
 )
-from prcbench.errors import NothingToOptimizeError
+from prcbench.errors import NothingToOptimizeError, SchemaError
 from prcbench.optimize import (
     OptimizerConfig,
     c_max_from_dominance,
@@ -184,6 +187,51 @@ class TestPeakProfile:
         prof = peak_profile(circ)
         again = profile_from_dict(profile_to_dict(prof))
         assert again == prof
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 5), d=st.integers(2, 6), seed=st.integers(0, 2**16),
+           mirror=st.booleans(), target=st.integers(0, 31))
+    def test_profile_loads_only_with_its_derived_fields(self, n, d, seed, mirror, target):
+        # A profile of a random circuit, peaked (mirror) or not, round-trips;
+        # moving any one derived field off what the others give fails to load.
+        circ = derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d)
+        if mirror and d % 2 == 0:
+            circ = build_exact_inverse_peaking(circ)
+        circ = retarget(circ, BitString.from_index(target % (1 << n), n))
+        prof = peak_profile(circ)
+        doc = profile_to_dict(prof)
+        assert profile_from_dict(doc) == prof
+        r_p = doc["r_p"]
+        edits = [
+            ("c_max", math.nextafter(doc["c_max"], -1)),
+            ("r_p", 2.0 if r_p is None else math.nextafter(r_p, math.inf)),
+            ("target_mismatch", not doc["target_mismatch"]),
+        ]
+        if r_p is not None:
+            edits.append(("r_p", None))
+        for field, value in edits:
+            with pytest.raises(SchemaError, match=rf"^profile\.{field}: "):
+                profile_from_dict(doc | {field: value})
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"c_max": 0.2}, r"c_max: 0\.2, but p_peak and p_second give 0\.5"),
+            ({"r_p": None}, r"r_p: null, but p_peak and p_second give 3\.0"),
+            ({"p_second": 0.0, "c_max": 1.0}, r"r_p: 3\.0, but p_peak and p_second give null"),
+            ({"target_mismatch": True},
+             r"target_mismatch: True, but argmax 000 and target 000 give False"),
+            ({"p_peak": 0.0, "p_second": 0.0, "r_p": None, "c_max": 0.0},
+             r"c_max: target and strongest competitor both have zero mass"),
+        ],
+        ids=["c_max", "r_p_null", "r_p_not_null", "target_mismatch", "no_mass"],
+    )
+    def test_contradictory_profile_names_the_field(self, values, message):
+        doc = {"target": "000", "p_peak": 0.75, "p_second": 0.25, "r_p": 3.0,
+               "c_max": 0.5, "argmax": "000", "target_mismatch": False}
+        assert profile_from_dict(doc).c_max == 0.5
+        with pytest.raises(SchemaError, match=rf"^cell\.profile\.{message}$"):
+            profile_from_dict(doc | values, where="cell.profile")
 
     def test_degenerate_second_probability(self):
         # Point mass with an exactly-zero second probability reports an
