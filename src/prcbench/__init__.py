@@ -15,7 +15,7 @@ from .harness import BenchConfig, BenchmarkMatrix, run_cell, run_matrix, shot_po
 from .metrics import delta_matrix, fidelity_error, identify, relative_peakedness
 from .noise import NoiseSpec, depolarize, effective_fidelity, perturb_coherent, readout_flip
 from .optimize import OptimizerConfig, PeakProfile, objective, optimize, peak_profile
-from .sim import full_distribution, peak_amplitude, peak_gradient, run, sample
+from .sim import full_distribution, peak_amplitude, run, sample
 
 __all__ = [
     "BitString",
@@ -42,7 +42,6 @@ __all__ = [
     "objective",
     "optimize",
     "peak_amplitude",
-    "peak_gradient",
     "peak_profile",
     "perturb_coherent",
     "readout_flip",

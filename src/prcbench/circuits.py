@@ -110,6 +110,12 @@ class Circuit:
                 if g.qubit_low in used or g.qubit_low + 1 in used:
                     raise ValueError(f"layers[{t}][{i}].qubit_low: gate overlaps another")
                 used.update((g.qubit_low, g.qubit_low + 1))
+        # Distinct qubits, so the trailing NOTs are one XOR mask (sim.run).
+        for i, q in enumerate(self.final_x):
+            if not 0 <= q < self.n:
+                raise ValueError(f"final_x[{i}]: qubit {q} is outside 0..{self.n - 1}")
+            if q in self.final_x[:i]:
+                raise ValueError(f"final_x[{i}]: qubit {q} is listed twice")
 
     def role(self, t: int) -> str:
         """The half layer t belongs to."""
@@ -125,9 +131,6 @@ class Circuit:
 
     def num_placements(self) -> int:
         return sum(len(layer) for layer in self.layers)
-
-    def with_target(self, target: BitString) -> "Circuit":
-        return replace(self, target=target)
 
 
 def peaking_vector(circuit: Circuit) -> np.ndarray:
@@ -308,7 +311,7 @@ def retarget(circuit: Circuit, s: BitString) -> Circuit:
         raise ValueError("target length does not match qubit count")
     flips = {i for i, b in enumerate(s.bits) if b == 1}
     if not flips:
-        return circuit.with_target(s)
+        return replace(circuit, target=s)
 
     last = circuit.layers[-1]
     fused, ops = [], []
@@ -415,9 +418,8 @@ def circuit_from_dict(doc: dict, where: str = "") -> Circuit:
 
 def _check_loaded(circuit: Circuit, where: str) -> Circuit:
     """What a circuit document must agree on beyond what Circuit checks:
-    each gate's layer field and role match its position, and final_x
-    lists distinct qubits of the register.  Returns the circuit with plain
-    GatePlacements, which hold neither field."""
+    each gate's layer field and role match its position.  Returns the
+    circuit with plain GatePlacements, which hold neither field."""
     for t, layer in enumerate(circuit.layers):
         role = circuit.role(t)
         for i, g in enumerate(layer):
@@ -430,18 +432,5 @@ def _check_loaded(circuit: Circuit, where: str) -> Circuit:
                     f"{where}layers[{t}][{i}].role: {g.role!r}, but random_depth "
                     f"{circuit.random_depth} makes layer {t} {role!r}"
                 )
-    for i, q in enumerate(circuit.final_x):
-        if not 0 <= q < circuit.n:
-            raise SchemaError(f"{where}final_x[{i}]: qubit {q} is outside 0..{circuit.n - 1}")
-        if q in circuit.final_x[:i]:
-            raise SchemaError(f"{where}final_x[{i}]: qubit {q} is listed twice")
     params = (g.params for g in circuit.placements())
     return replace(circuit, layers=_place(_layout(circuit.layers), params))
-
-
-def circuit_from_json(text: str) -> Circuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return circuit_from_dict(doc)

@@ -19,7 +19,6 @@ from .circuits import BitString
 from .errors import InvalidDimensionError, SchemaError, read_fields, read_json
 from .harness import BenchConfig
 from .optimize import OptimizerConfig
-from .sim import ShotHistogram
 from .suite import generate_suite, load_suite, save_suite, suite_hash
 
 ENV_OUTPUT_DIR = "PRCBENCH_OUTPUT_DIR"
@@ -187,10 +186,9 @@ def _cmd_report(args) -> int:
         if not record.top_counts:
             print(f"cell {key} rep {args.rep} carries no histogram entries", file=sys.stderr)
             return 1
-        counts = {BitString.from_text(t).index: c for t, c in record.top_counts}
-        hist = ShotHistogram(record.n, counts)
+        top_counts = [(BitString.from_text(t), c) for t, c in record.top_counts]
         target = BitString.from_text(record.target)
-        svg = report.render_histogram(hist, target, record.shots, args.top_k)
+        svg = report.render_histogram(top_counts, target, record.shots, args.top_k)
         out.write_text(svg, encoding="utf-8")
     print(f"wrote {out}")
     return 0

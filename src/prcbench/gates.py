@@ -116,15 +116,6 @@ def zyz_angles(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return a0, a1, a2, phase
 
 
-def entangling_core(a: float, b: float, c: float) -> np.ndarray:
-    """exp(i*(a XX + b YY + c ZZ)), evaluated as a commuting product."""
-    eye = np.eye(4, dtype=complex)
-    m = math.cos(a) * eye + 1j * math.sin(a) * XX
-    m = m @ (math.cos(b) * eye + 1j * math.sin(b) * YY)
-    m = m @ (math.cos(c) * eye + 1j * math.sin(c) * ZZ)
-    return m
-
-
 @dataclass(frozen=True)
 class GateParams:
     """One two-qubit gate: 15 structural angles plus a global phase.

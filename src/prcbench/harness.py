@@ -14,7 +14,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import noise as noise_mod
 from . import sim
-from .circuits import Circuit
+from .circuits import BitString, Circuit
 from .errors import read_fields, read_json, read_tagged
 from .metrics import RunMetrics
 from .noise import NoiseSpec
@@ -122,27 +122,45 @@ def _is_bits(text: str, n: int) -> bool:
     return len(text) == n and set(text) <= {"0", "1"}
 
 
-def _record_problem(r: RunRecord, j: int, cell: _StoredCell, exact: bool) -> str | None:
+def _record_problem(r: RunRecord, j: int, cell: _StoredCell, config: BenchConfig) -> str | None:
     """What is wrong with record j of a stored cell, as "field: reason".  A
     record belongs to its cell, reps count 0, 1, ... in order, sampled
-    records draw at least one shot and exact-mode ones none, and bitstrings
-    are n characters of 0 and 1 with counts that are not negative."""
+    records draw at least one shot and exact-mode ones none, bitstrings are
+    n characters of 0 and 1, and top_counts is what ShotHistogram.top could
+    have written: none in exact mode, else at most top_k distinct outcomes
+    with counts in 1..shots and a sum of at most shots, ranked by count
+    descending and then by basis index ascending."""
     if (r.n, r.d) != (cell.n, cell.d):
         name, value, want = ("n", r.n, cell.n) if r.n != cell.n else ("d", r.d, cell.d)
         return f"{name}: {value} is not the cell's {name} {want}"
     if r.rep != j:
         return f"rep: {r.rep}, but record {j} holds rep {j}"
-    if exact and r.shots != 0:
+    if config.exact and r.shots != 0:
         return f"shots: {r.shots}, but an exact-mode matrix draws no shots"
-    if not exact and r.shots < 1:
+    if not config.exact and r.shots < 1:
         return f"shots: {r.shots} is below 1"
     if not _is_bits(r.target, cell.n):
         return f"target: {r.target!r} is not {cell.n} characters of 0 and 1"
+    total, seen, previous = 0, set(), ()
     for k, (text, count) in enumerate(r.top_counts):
+        if config.exact:
+            return f"top_counts[{k}]: an exact-mode record stores no counts"
+        if k >= config.top_k:
+            return f"top_counts[{k}]: more than top_k = {config.top_k} entries"
         if not _is_bits(text, cell.n):
             return f"top_counts[{k}][0]: {text!r} is not {cell.n} characters of 0 and 1"
-        if count < 0:
-            return f"top_counts[{k}][1]: count {count} is negative"
+        if text in seen:
+            return f"top_counts[{k}][0]: {text!r} is listed twice"
+        if not 1 <= count <= r.shots:
+            return f"top_counts[{k}][1]: count {count} is outside 1..{r.shots}"
+        total += count
+        if total > r.shots:
+            return f"top_counts[{k}][1]: the counts sum to {total}, past shots {r.shots}"
+        rank = (-count, BitString.from_text(text).index)
+        if rank < previous:
+            return f"top_counts[{k}]: out of rank order (count descending, then basis index)"
+        seen.add(text)
+        previous = rank
     return None
 
 
@@ -193,7 +211,7 @@ class _StoredMatrix:
             raise ValueError(f"config: qubits x depths {config_grid} is not the matrix grid")
         for i, cell in enumerate(self.cells):
             for j, record in enumerate(cell.records):
-                problem = _record_problem(record, j, cell, self.config.exact)
+                problem = _record_problem(record, j, cell, self.config)
                 if problem:
                     raise ValueError(f"cells[{i}].records[{j}].{problem}")
             problem = _cell_problem(cell, self.config)
@@ -226,6 +244,13 @@ def derived_seed(config: BenchConfig, n: int, d: int, rep: int) -> int:
     return int(_rep_seed_sequence(config, n, d, rep).generate_state(1, np.uint64)[0])
 
 
+def _noisy_distribution(circuit: Circuit, spec: NoiseSpec) -> sim.ProbabilityDistribution:
+    """The circuit's exact distribution, depolarized to its effective fidelity."""
+    return noise_mod.depolarize(
+        sim.full_distribution(circuit), noise_mod.effective_fidelity(circuit, spec.p1, spec.p2)
+    )
+
+
 def _run_rep(
     circuit: Circuit,
     profile: PeakProfile,
@@ -239,11 +264,7 @@ def _run_rep(
     if base_dist is not None:
         dist = base_dist
     else:
-        perturbed = noise_mod.perturb_coherent(circuit, spec.coherent_delta, rng)
-        dist = noise_mod.depolarize(
-            sim.full_distribution(perturbed),
-            noise_mod.effective_fidelity(perturbed, spec.p1, spec.p2),
-        )
+        dist = _noisy_distribution(noise_mod.perturb_coherent(circuit, spec.coherent_delta, rng), spec)
     if config.exact:
         run_metrics = metrics_mod.exact_metrics(
             noise_mod.readout_confusion(dist, spec.readout_eps), circuit.target, profile.c_max
@@ -278,10 +299,7 @@ def run_cell(circuit: Circuit, profile: PeakProfile, config: BenchConfig) -> Cel
     base_dist = None
     if config.noise.coherent_delta == 0.0:
         # Without per-rep coherent noise the ideal distribution is shared.
-        base_dist = noise_mod.depolarize(
-            sim.full_distribution(circuit),
-            noise_mod.effective_fidelity(circuit, config.noise.p1, config.noise.p2),
-        )
+        base_dist = _noisy_distribution(circuit, config.noise)
     records = tuple(
         _run_rep(circuit, profile, config, rep, shots, base_dist) for rep in range(config.reps)
     )

@@ -52,11 +52,6 @@ def identify(hist: ShotHistogram, target: BitString) -> bool:
     return peak > second
 
 
-def strongest_competitor(hist: ShotHistogram, target: BitString) -> int:
-    """Largest count among non-target outcomes (0 if there are none)."""
-    return _peak_and_second(hist.tallies, hist.position(target.index))[1]
-
-
 def relative_peakedness(hist: ShotHistogram, target: BitString) -> float:
     """(p_peak - p_second) / (p_peak + p_second) over empirical frequencies,
     with p_peak the target's frequency; negative when a competitor wins."""

@@ -93,7 +93,7 @@ def readout_flip(hist: ShotHistogram, eps: float, rng: np.random.Generator) -> S
         shots[shot[starts]] ^= np.add.reduceat(np.left_shift(1, bit), starts)
         last = int(reach[-1])
     values, counts = np.unique(shots, return_counts=True)
-    return ShotHistogram.from_arrays(n, values, counts)
+    return ShotHistogram(n, values, counts)
 
 
 def _gap_batch(r: int, eps: float) -> int:

@@ -20,7 +20,7 @@ from .circuits import (BitString, Circuit, _layout, _place, peaking_params, peak
                        read_bitstring)
 from .errors import (CapacityError, NothingToOptimizeError, SchemaError, UndefinedMetricError,
                      read_fields, read_value)
-from .metrics import contrast_from_probabilities
+from .metrics import _peak_and_second, contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
 # Peak probabilities are squared statevector amplitudes, which rounding can
@@ -430,11 +430,9 @@ def peak_profile(circuit: Circuit) -> PeakProfile:
             f"peak profile scans the full distribution; {circuit.n} > {PROFILE_SCAN_LIMIT} qubits"
         )
     probs = sim.full_distribution(circuit).probs
-    order = np.argsort(probs, kind="stable")
-    i_peak = int(order[-1])
-    i_second = int(order[-2])
-    p_peak = float(probs[i_peak])
-    p_second = float(probs[i_second])
+    # The last maximum, as a stable sort ranks tied maxima.
+    i_peak = probs.size - 1 - int(np.argmax(probs[::-1]))
+    p_peak, p_second = _peak_and_second(probs, i_peak)
     return PeakProfile(
         target=circuit.target,
         p_peak=p_peak,

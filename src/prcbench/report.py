@@ -1,5 +1,5 @@
 """Hand-emitted SVG renderings of benchmark matrices, fidelity-error
-difference grids, and shot histograms, plus CSV companions.
+difference grids, and a run's most frequent outcomes, plus CSV companions.
 
 No plotting dependency: the files are small, diff-able in tests, and the
 color maps are pure functions of the cell values.
@@ -14,7 +14,6 @@ from .harness import (
     BenchmarkMatrix,
 )
 from .metrics import DeltaGrid
-from .sim import ShotHistogram
 from .circuits import BitString
 
 CELL = 26
@@ -226,14 +225,15 @@ def render_delta_heatmap(delta: DeltaGrid) -> str:
     )
 
 
-def render_histogram(hist: ShotHistogram, target: BitString, shots: int, top_k: int = 10) -> str:
-    """Bar chart of the top-k outcomes with the target bar highlighted.
-    Each bar is labeled with its frequency count / shots, where shots is
-    the run's total, which exceeds hist.shots when hist holds only the
-    run's most frequent outcomes."""
-    if hist.shots == 0:
-        raise ValueError("empty histogram")
-    entries = hist.top(top_k)
+def render_histogram(top_counts, target: BitString, shots: int, top_k: int = 10) -> str:
+    """Bar chart of the top-k of a run's (BitString, count) pairs, ranked by
+    count and then by basis index as ShotHistogram.top ranks them, with the
+    target bar highlighted.  Each bar is labeled with its frequency count /
+    shots, where shots is the run's total, which exceeds the counts' sum
+    when they are only the run's most frequent outcomes."""
+    entries = sorted(top_counts, key=lambda e: (-e[1], e[0].index))[:top_k]
+    if not entries:
+        raise ValueError("no outcomes to draw")
     bar_w = 34
     gap = 10
     plot_h = 150

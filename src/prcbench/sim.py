@@ -100,51 +100,24 @@ def _use_gemm(size: int, width: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Statevector:
-    amplitudes: np.ndarray
-    n: int
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
 class ProbabilityDistribution:
     probs: np.ndarray
     n: int
-
-    def total(self) -> float:
-        return float(self.probs.sum())
 
 
 class ShotHistogram:
     """Sampled outcome counts as two aligned int64 arrays: the distinct basis
     indices in ascending order (`outcomes`) and how often each was seen
-    (`tallies`).  `counts` offers the same data as a read-only mapping."""
+    (`tallies`), which must already be in that form (nothing is sorted or
+    merged here).  `counts` offers the same data as a read-only mapping."""
 
     __slots__ = ("n", "outcomes", "tallies", "shots")
 
-    def __init__(self, n: int, counts: Mapping[int, int]) -> None:
-        items = sorted(counts.items())
-        self._init(
-            n,
-            np.array([idx for idx, _ in items], dtype=np.int64),
-            np.array([c for _, c in items], dtype=np.int64),
-        )
-
-    @classmethod
-    def from_arrays(cls, n: int, outcomes: np.ndarray, tallies: np.ndarray) -> "ShotHistogram":
-        """Wrap distinct ascending outcomes and their tallies, which must
-        already be in that form (nothing is sorted or merged here)."""
-        hist = cls.__new__(cls)
-        hist._init(n, np.asarray(outcomes, dtype=np.int64), np.asarray(tallies, dtype=np.int64))
-        return hist
-
-    def _init(self, n: int, outcomes: np.ndarray, tallies: np.ndarray) -> None:
+    def __init__(self, n: int, outcomes, tallies) -> None:
         self.n = n
-        self.outcomes = outcomes
-        self.tallies = tallies
-        self.shots = int(tallies.sum())
+        self.outcomes = np.asarray(outcomes, dtype=np.int64)
+        self.tallies = np.asarray(tallies, dtype=np.int64)
+        self.shots = int(self.tallies.sum())
 
     @property
     def counts(self) -> Mapping[int, int]:
@@ -154,11 +127,6 @@ class ShotHistogram:
         """Array position of basis index idx, or None if it was never seen."""
         i = int(np.searchsorted(self.outcomes, idx))
         return i if i < len(self.outcomes) and self.outcomes[i] == idx else None
-
-    def count(self, outcome: BitString | int) -> int:
-        idx = outcome.index if isinstance(outcome, BitString) else int(outcome)
-        i = self.position(idx)
-        return 0 if i is None else int(self.tallies[i])
 
     def top(self, k: int) -> list[tuple[BitString, int]]:
         """k most frequent outcomes, ties broken by basis index."""
@@ -234,11 +202,6 @@ def apply_gate_matrix(
     else:
         np.matmul(u, state.reshape(-1, d, inner), out=out.reshape(-1, d, inner))
     return out
-
-
-def _apply_x(state: np.ndarray, qubit: int) -> np.ndarray:
-    psi = state.reshape(-1, 2, 1 << qubit)
-    return np.ascontiguousarray(psi[:, ::-1, :]).reshape(-1)
 
 
 def _zero_state(n: int) -> np.ndarray:
@@ -330,27 +293,22 @@ def _run_layers(layers, n: int) -> np.ndarray:
     return _apply_ops(zero, ops.matrices(mats), ops.qubits, n, (np.empty_like(zero), zero))
 
 
-def _apply_final_x(state: np.ndarray, final_x) -> np.ndarray:
-    for q in final_x:
-        state = _apply_x(state, q)
-    return state
-
-
-def run(circuit: Circuit) -> Statevector:
-    """C|0^n>, layers in order, each gate applied as its 4x4 unitary or
-    within a 16x16 block (see OpList)."""
+def run(circuit: Circuit) -> np.ndarray:
+    """C|0^n> as a flat amplitude vector: layers in order, each gate applied
+    as its 4x4 unitary or within a 16x16 block (see OpList), then the
+    trailing NOTs, which only permute amplitudes: (X psi)[i] = psi[i ^ mask]."""
     state = _run_layers(circuit.layers, circuit.n)
-    return Statevector(_apply_final_x(state, circuit.final_x), circuit.n)
+    mask = sum(1 << q for q in circuit.final_x)
+    return state[np.arange(state.size) ^ mask] if mask else state
 
 
 def peak_amplitude(circuit: Circuit) -> complex:
     """<s|C|0^n> for the circuit's target bitstring s."""
-    return complex(run(circuit).amplitudes[circuit.target.index])
+    return complex(run(circuit)[circuit.target.index])
 
 
 def full_distribution(circuit: Circuit) -> ProbabilityDistribution:
-    amps = run(circuit).amplitudes
-    return ProbabilityDistribution(np.abs(amps) ** 2, circuit.n)
+    return ProbabilityDistribution(np.abs(run(circuit)) ** 2, circuit.n)
 
 
 def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) -> ShotHistogram:
@@ -385,10 +343,10 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
         # cdf[i - 1], land on outcome i.
         tallies = np.diff(draws.searchsorted(cdf, side="left"), prepend=0)
         outcomes = np.flatnonzero(tallies)
-        return ShotHistogram.from_arrays(dist.n, outcomes, tallies[outcomes])
+        return ShotHistogram(dist.n, outcomes, tallies[outcomes])
     drawn = cdf.searchsorted(draws, side="right")
     starts = np.flatnonzero(np.diff(drawn, prepend=-1))
-    return ShotHistogram.from_arrays(dist.n, drawn[starts], np.diff(starts, append=shots))
+    return ShotHistogram(dist.n, drawn[starts], np.diff(starts, append=shots))
 
 
 def _pair_environment(
@@ -569,7 +527,3 @@ def peak_value_and_gradient(circuit: Circuit) -> tuple[float, np.ndarray]:
     """p = |<s|C|0^n>|^2 and its exact gradient over all peaking-half
     parameters (16 per gate, placement order)."""
     return PeakObjective(circuit).value_and_gradient(peaking_vector(circuit))
-
-
-def peak_gradient(circuit: Circuit) -> np.ndarray:
-    return peak_value_and_gradient(circuit)[1]

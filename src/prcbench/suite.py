@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -21,6 +22,7 @@ from .circuits import (
 from .errors import SchemaError, read_fields, read_json, read_tagged, read_value
 from .harness import map_cells
 from .optimize import (
+    _PROBABILITY_SLACK,
     OptimizerConfig,
     PeakProfile,
     objective,
@@ -141,6 +143,14 @@ def _load_cell(path: Path, key: str, n: int, d: int) -> SuiteCell:
     if "final_objective" not in doc:
         raise SchemaError(f"{where}final_objective: missing")
     final = read_value(float, doc["final_objective"], f"{where}final_objective")
+    # final_objective is the target's probability, so it is p_peak, or at
+    # most p_peak when the target is not the argmax.
+    low = -math.inf if profile.target_mismatch else profile.p_peak - _PROBABILITY_SLACK
+    if not low <= final <= profile.p_peak + _PROBABILITY_SLACK:
+        relation = "above" if profile.target_mismatch else "away from"
+        raise SchemaError(
+            f"{where}final_objective: {final!r} is {relation} profile.p_peak {profile.p_peak!r}"
+        )
     return SuiteCell(circuit, profile, final)
 
 

@@ -16,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from prcbench.circuits import build_reference_circuit, derive_subcircuit
+from prcbench.sim import ShotHistogram
 
 
 def pytest_configure(config):
@@ -77,3 +78,9 @@ def reference_sample(dist, shots: int, rng: np.random.Generator) -> tuple[np.nda
     probs = dist.probs / dist.probs.sum()
     drawn = rng.choice(len(probs), size=shots, p=probs)
     return np.unique(drawn, return_counts=True)
+
+
+def histogram(n: int, counts) -> ShotHistogram:
+    """A ShotHistogram from a {basis index: count} mapping."""
+    items = sorted(counts.items())
+    return ShotHistogram(n, [i for i, _ in items], [c for _, c in items])

@@ -1,6 +1,7 @@
 """Per-gate references for the batched gate algebra, built one gate at a
 time with np.kron, 2x2/4x4 matmuls and complex scalars:
 
+* the entangling core exp(i*(a XX + b YY + c ZZ)), as a commuting product;
 * the GateParams unitary and its 16 parameter derivatives, which
   gates.gate_factors and gates.gate_gradients must match within rounding;
 * the KAK decomposition of one 4x4 unitary, with a scalar ZYZ split of its
@@ -21,7 +22,6 @@ from prcbench.gates import (
     YY,
     ZZ,
     GateParams,
-    entangling_core,
     ry_matrix,
     rz_matrix,
     su2_from_zyz,
@@ -31,6 +31,15 @@ _Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 _MHY = -0.5j * _Y2  # d/dtheta generator of Ry
 _MHZ = -0.5j * _Z2  # d/dtheta generator of Rz
+
+
+def entangling_core(a: float, b: float, c: float) -> np.ndarray:
+    """exp(i*(a XX + b YY + c ZZ)), evaluated as a commuting product."""
+    eye = np.eye(4, dtype=complex)
+    m = math.cos(a) * eye + 1j * math.sin(a) * XX
+    m = m @ (math.cos(b) * eye + 1j * math.sin(b) * YY)
+    m = m @ (math.cos(c) * eye + 1j * math.sin(c) * ZZ)
+    return m
 
 
 def reference_matrix(p: GateParams) -> np.ndarray:

@@ -79,13 +79,19 @@ def _unitaries(placements) -> np.ndarray:
     return gate_matrices(np.array([g.params.to_vector() for g in placements]).reshape(-1, 16))
 
 
+def reverse_qubits(state: np.ndarray, qubits) -> np.ndarray:
+    """X on each listed qubit, one qubit at a time: the state's halves
+    along that qubit swapped."""
+    for q in qubits:
+        state = state.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+    return state
+
+
 def per_gate_run(circuit: Circuit) -> np.ndarray:
     """C|0^n> with every gate applied on its own by the einsum kernel."""
     placements = list(circuit.placements())
     state = _per_gate_forward(_zero_state(circuit.n), _unitaries(placements), placements, circuit.n)
-    for q in circuit.final_x:
-        state = state.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
-    return state
+    return reverse_qubits(state, circuit.final_x)
 
 
 def per_gate_value_and_gradient(circuit: Circuit, vec: np.ndarray) -> tuple[float, np.ndarray]:

@@ -43,7 +43,8 @@ def test_every_expected_span_is_traced(bench_modules):
 def test_decompose_gate_result_fits_the_cnot_hook(bench_modules):
     # The traced qasm.decompose_gate span counts emitted CNOTs by reading
     # `.name` off each returned op.
-    from prcbench.gates import GateParams, entangling_core, kak_decompose
+    from gate_reference import entangling_core
+    from prcbench.gates import GateParams, kak_decompose
     from prcbench.qasm import decompose_gate
 
     spans, _ = bench_modules

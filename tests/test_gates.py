@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_reference import (
+    entangling_core,
     reference_derivatives,
     reference_kak_decompose,
     reference_matrix,
@@ -13,7 +14,6 @@ from prcbench.errors import DecompositionError
 from prcbench.gates import (
     ATOL,
     GateParams,
-    entangling_core,
     gate_factors,
     gate_gradients,
     gate_matrices,

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestRunCell:
         from prcbench.circuits import BitString
 
         circ, prof = mirror_cell
-        bad = circ.with_target(BitString.from_text("10000"))
+        bad = replace(circ, target=BitString.from_text("10000"))
         with pytest.raises(ValueError):
             run_cell(bad, prof, small_config())
 
@@ -264,7 +265,7 @@ class TestMatrixDeterminism:
 
         # The same bytes when shots come from rng.choice and np.unique.
         def choice_sample(dist, shots, rng):
-            return sim.ShotHistogram.from_arrays(dist.n, *reference_sample(dist, shots, rng))
+            return sim.ShotHistogram(dist.n, *reference_sample(dist, shots, rng))
 
         monkeypatch.setattr(sim, "sample", choice_sample)
         assert matrix_to_json(run_matrix(scripted_suite, config, jobs=1)) == matrix_to_json(m1)

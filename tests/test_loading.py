@@ -179,9 +179,11 @@ class TestRejectedInputs:
 
 class TestRecordRules:
     """A matrix record belongs to its cell: its n and d are the cell's, reps
-    count 0, 1, ... in order, sampled records draw at least one shot, and
-    its bitstrings are n characters of 0 and 1 with counts that are not
-    negative.  Each rule names the record's field."""
+    count 0, 1, ... in order, sampled records draw at least one shot, its
+    bitstrings are n characters of 0 and 1, and its top counts are what
+    ShotHistogram.top(top_k) could have written.  Each rule names the
+    record's field.  The edited record holds 580 shots and top counts
+    [["01", 408], ["10", 68]] under top_k = 2."""
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -197,16 +199,45 @@ class TestRecordRules:
             (lambda r: r["top_counts"][0].__setitem__(0, "1"),
              r"records\[1\]\.top_counts\[0\]\[0\]: '1' is not 2 characters of 0 and 1"),
             (lambda r: r["top_counts"][0].__setitem__(1, -3),
-             r"records\[1\]\.top_counts\[0\]\[1\]: count -3 is negative"),
+             r"records\[1\]\.top_counts\[0\]\[1\]: count -3 is outside 1\.\.580"),
+            (lambda r: r["top_counts"].append(["11", 1]),
+             r"records\[1\]\.top_counts\[2\]: more than top_k = 2 entries"),
+            (lambda r: r["top_counts"][1].__setitem__(0, "01"),
+             r"records\[1\]\.top_counts\[1\]\[0\]: '01' is listed twice"),
+            (lambda r: r["top_counts"][1].__setitem__(1, 0),
+             r"records\[1\]\.top_counts\[1\]\[1\]: count 0 is outside 1\.\.580"),
+            (lambda r: r["top_counts"][0].__setitem__(1, 581),
+             r"records\[1\]\.top_counts\[0\]\[1\]: count 581 is outside 1\.\.580"),
+            (lambda r: r["top_counts"][1].__setitem__(1, 200),
+             r"records\[1\]\.top_counts\[1\]\[1\]: the counts sum to 608, past shots 580"),
+            (lambda r: r["top_counts"].reverse(),
+             r"records\[1\]\.top_counts\[1\]: out of rank order"),
+            # "01" is basis index 2 and "10" index 1, so a tie ranks "10" first.
+            (lambda r: r.update(top_counts=[["01", 100], ["10", 100]]),
+             r"records\[1\]\.top_counts\[1\]: out of rank order"),
         ],
         ids=["n", "d", "rep", "negative_shots", "zero_shots", "target_chars", "target_length",
-             "top_counts_key", "top_counts_count"],
+             "top_counts_key", "top_counts_count", "top_counts_past_top_k",
+             "top_counts_listed_twice", "top_counts_zero_count", "top_counts_above_shots",
+             "top_counts_sum_past_shots", "top_counts_count_order", "top_counts_tie_order"],
     )
     def test_sampled_record(self, matrices, edit, message):
         doc = json.loads(matrix_to_json(matrices[0]))
         assert (doc["cells"][1]["n"], doc["cells"][1]["d"]) == (2, 4)
         edit(doc["cells"][1]["records"][1])
         with pytest.raises(SchemaError, match=rf"^cells\[1\]\.{message}"):
+            matrix_from_dict(doc)
+
+    def test_counts_in_rank_order_load(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        doc["cells"][1]["records"][1]["top_counts"] = [["10", 290], ["01", 290]]
+        assert matrix_from_dict(doc).cells[(2, 4)].records[1].top_counts == (("10", 290), ("01", 290))
+
+    def test_exact_record_stores_no_counts(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[1]))
+        doc["cells"][0]["records"][0]["top_counts"] = [["00", 1]]
+        message = r"^cells\[0\]\.records\[0\]\.top_counts\[0\]: an exact-mode record stores no counts"
+        with pytest.raises(SchemaError, match=message):
             matrix_from_dict(doc)
 
     def test_exact_record_draws_no_shots(self, matrices):
@@ -298,6 +329,29 @@ class TestCrossDocumentChecks:
         mutant.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"mutant\.json: circuits: .* missing \[\(3, 4\)\]"):
             load_suite(mutant)
+
+    @pytest.mark.parametrize(
+        "name,final,message",
+        [
+            ("prc_n2_d2.json", lambda p: p - 1e-6, "is away from profile.p_peak"),
+            ("prc_n2_d2.json", lambda p: p + 2e-9, "is away from profile.p_peak"),
+            ("prc_n2_d4.json", lambda p: p + 1e-6, "is above profile.p_peak"),
+        ],
+        ids=["below_p_peak", "above_p_peak", "mismatch_above_p_peak"],
+    )
+    def test_final_objective_contradicts_profile(self, saved, tmp_path, name, final, message):
+        # final_objective is the target's probability: p_peak when the target
+        # is the argmax (n2_d2), and at most p_peak when it is not (n2_d4).
+        _, manifest = saved
+        for path in manifest.parent.glob("prc_*.json"):
+            doc = json.loads(path.read_text())
+            if path.name == name:
+                assert doc["profile"]["target_mismatch"] == (name == "prc_n2_d4.json")
+                doc["final_objective"] = final(doc["profile"]["p_peak"])
+            (tmp_path / path.name).write_text(json.dumps(doc))
+        (tmp_path / "suite.json").write_text(manifest.read_text())
+        with pytest.raises(SchemaError, match=rf"{re.escape(name)}: final_objective: .* {message}"):
+            load_suite(tmp_path / "suite.json")
 
     def test_matrix_config_grid_differs_from_matrix_grid(self, matrices):
         doc = json.loads(matrix_to_json(matrices[0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import histogram
 from prcbench.circuits import BitString
 from prcbench.errors import DomainMismatchError, UndefinedMetricError
 from prcbench.metrics import (
@@ -12,16 +13,15 @@ from prcbench.metrics import (
     identify,
     relative_peakedness,
     run_metrics,
-    strongest_competitor,
 )
-from prcbench.sim import ProbabilityDistribution, ShotHistogram
+from prcbench.sim import ProbabilityDistribution
 
 T = BitString.from_text("00")
 OTHER = BitString.from_text("10")
 
 
 def hist(counts):
-    return ShotHistogram(2, counts)
+    return histogram(2, counts)
 
 
 class TestIdentify:
@@ -131,9 +131,8 @@ class TestTargetNotRecorded:
         h = hist(counts)
         target = BitString.from_index(target_index, 2)
         best = max(counts.values())
-        assert h.count(target) == 0
+        assert target.index not in h.counts
         assert not identify(h, target)
-        assert strongest_competitor(h, target) == best
         assert relative_peakedness(h, target) == -1.0
         m = run_metrics(h, target, c_max=0.9)
         assert not m.identified
@@ -144,10 +143,7 @@ class TestTargetNotRecorded:
     def test_target_is_last_outcome(self):
         h = hist({0: 1, 1: 2, 3: 9})
         assert identify(h, BitString.from_index(3, 2))
-        assert strongest_competitor(h, BitString.from_index(3, 2)) == 2
-
-    def test_competitor_of_empty_histogram(self):
-        assert strongest_competitor(hist({}), T) == 0
+        assert run_metrics(h, BitString.from_index(3, 2), c_max=1.0).p_hat_second == 2 / 12
 
 
 def reference_metrics(counts, target_index, c_max):
@@ -167,7 +163,7 @@ def test_run_metrics_match_dict_scan(rng):
         size = int(rng.integers(1, 1 << n))
         outcomes = rng.choice(1 << n, size=size, replace=False)
         counts = {int(i): int(c) for i, c in zip(outcomes, rng.integers(1, 30, size=size))}
-        h = ShotHistogram(n, counts)
+        h = histogram(n, counts)
         for t in range(1 << n):
             m = run_metrics(h, BitString.from_index(t, n), c_max=0.97)
             assert (m.identified, m.p_hat_peak, m.p_hat_second, m.c_exp, m.f, m.f_raw) == (

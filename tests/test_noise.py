@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import histogram
 from prcbench import noise, sim
 from prcbench.circuits import (
     BitString,
@@ -22,7 +23,7 @@ from prcbench.noise import (
     readout_confusion,
     readout_flip,
 )
-from prcbench.sim import ProbabilityDistribution, ShotHistogram
+from prcbench.sim import ProbabilityDistribution
 
 
 class TestEffectiveFidelity:
@@ -67,7 +68,7 @@ class TestDepolarize:
         for f in (0.9, 0.5, 0.1, 0.01):
             noisy = depolarize(dist, f)
             assert np.argmax(noisy.probs) == np.argmax(dist.probs)
-            assert noisy.total() == pytest.approx(1.0, abs=1e-10)
+            assert noisy.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_contrast_strictly_decreasing_in_noise(self):
         # Exact-distribution contrast between the top two outcomes shrinks
@@ -83,35 +84,35 @@ class TestDepolarize:
 
 class TestReadoutFlip:
     def test_zero_eps_identity(self, rng):
-        hist = ShotHistogram(3, {0: 10, 5: 3})
+        hist = histogram(3, {0: 10, 5: 3})
         assert readout_flip(hist, 0.0, rng) is hist
 
     def test_eps_one_complements_every_bitstring(self, rng):
-        hist = ShotHistogram(3, {0b000: 10, 0b101: 3})
+        hist = histogram(3, {0b000: 10, 0b101: 3})
         flipped = readout_flip(hist, 1.0, rng)
         assert flipped.counts == {0b111: 10, 0b010: 3}
 
     def test_shots_preserved(self, rng):
-        hist = ShotHistogram(4, {0: 500, 7: 250, 11: 250})
+        hist = histogram(4, {0: 500, 7: 250, 11: 250})
         flipped = readout_flip(hist, 0.3, rng)
         assert flipped.shots == 1000
 
     def test_survival_rate_bound(self):
         # Point mass on 0^5 at eps=0.01: survival 0.99^5 ~ 0.951, and the
         # 5-sigma binomial band at 1e5 shots is ~0.0034 wide.
-        hist = ShotHistogram(5, {0: 100_000})
+        hist = histogram(5, {0: 100_000})
         flipped = readout_flip(hist, 0.01, np.random.default_rng(3))
-        assert abs(flipped.count(0) / 100_000 - 0.99**5) < 0.005
+        assert abs(flipped.counts[0] / 100_000 - 0.99**5) < 0.005
 
     def test_determinism(self):
-        hist = ShotHistogram(4, {3: 1000, 9: 500})
+        hist = histogram(4, {3: 1000, 9: 500})
         a = readout_flip(hist, 0.1, np.random.default_rng(11))
         b = readout_flip(hist, 0.1, np.random.default_rng(11))
         assert a.counts == b.counts
 
     def test_half_eps_uniformizes_marginals(self):
         # eps = 0.5 makes each output bit a fair coin regardless of input.
-        hist = ShotHistogram(3, {0b010: 100_000})
+        hist = histogram(3, {0b010: 100_000})
         flipped = readout_flip(hist, 0.5, np.random.default_rng(5))
         for q in range(3):
             ones = sum(c for idx, c in flipped.counts.items() if (idx >> q) & 1)
@@ -154,7 +155,7 @@ class TestReadoutFlipMatchesReference:
     @pytest.mark.parametrize("seed", [0, 7, 2027])
     @pytest.mark.parametrize("n,counts,eps", CASES)
     def test_count_for_count(self, n, counts, eps, seed):
-        hist = ShotHistogram(n, counts)
+        hist = histogram(n, counts)
         got = readout_flip(hist, eps, np.random.default_rng(seed))
         want = reference_readout_flip(hist, eps, np.random.default_rng(seed))
         assert got.counts == want
@@ -162,7 +163,7 @@ class TestReadoutFlipMatchesReference:
 
     def test_empty_histogram(self):
         rng = np.random.default_rng(4)
-        flipped = readout_flip(ShotHistogram(5, {}), 0.1, rng)
+        flipped = readout_flip(histogram(5, {}), 0.1, rng)
         assert flipped.shots == 0 and len(flipped.counts) == 0
         # Nothing was drawn from the stream.
         assert rng.random() == np.random.default_rng(4).random()
@@ -174,7 +175,7 @@ class TestReadoutFlipMatchesReference:
             return 3
 
         monkeypatch.setattr(noise, "_gap_batch", batch)
-        hist = ShotHistogram(8, {2: 45, 6: 11, 200: 38})
+        hist = histogram(8, {2: 45, 6: 11, 200: 38})
         got = readout_flip(hist, 0.3, np.random.default_rng(19))
         want = reference_readout_flip(hist, 0.3, np.random.default_rng(19), batch)
         assert got.counts == want
@@ -184,7 +185,7 @@ class TestReadoutFlipMatchesReference:
         # The batch slack does not change the flips: the gaps are one
         # stream whatever size of chunk draws them, and only how far the
         # last batch draws past the end changes.
-        hist = ShotHistogram(5, {0: 50, 7: 9, 30: 21})
+        hist = histogram(5, {0: 50, 7: 9, 30: 21})
         want = readout_flip(hist, 0.15, np.random.default_rng(8))
         monkeypatch.setattr(noise, "_gap_batch", lambda r, eps: batch)
         assert readout_flip(hist, 0.15, np.random.default_rng(8)) == want
@@ -195,7 +196,7 @@ class TestReadoutFlipMatchesReference:
         assert noise._gap_batch(10**9, 0.5) == 1 << 16
 
     def test_leaves_rng_where_reference_does(self):
-        hist = ShotHistogram(6, {5: 300, 12: 41})
+        hist = histogram(6, {5: 300, 12: 41})
         rng_a, rng_b = np.random.default_rng(23), np.random.default_rng(23)
         readout_flip(hist, 0.1, rng_a)
         reference_readout_flip(hist, 0.1, rng_b)
@@ -208,7 +209,7 @@ class TestReadoutFlipDistribution:
     @pytest.mark.parametrize("eps", [0.02, 0.3, 0.5])
     def test_bits_flip_at_eps_independently(self, eps):
         n, shots, outcome = 14, 100_000, 0b10110011100101
-        hist = ShotHistogram(n, {outcome: shots})
+        hist = histogram(n, {outcome: shots})
         flipped = readout_flip(hist, eps, np.random.default_rng(31))
         assert flipped.shots == shots
         bits = ((flipped.outcomes[:, None] ^ outcome) >> np.arange(n)) & 1
@@ -223,19 +224,19 @@ class TestReadoutFlipDistribution:
     def test_tiny_eps_flips_nothing_and_does_not_overflow(self):
         # rng.geometric returns INT64_MAX at eps this small; a sum of such
         # gaps must not wrap around into the grid.
-        hist = ShotHistogram(20, {5: 1000, (1 << 20) - 1: 700})
+        hist = histogram(20, {5: 1000, (1 << 20) - 1: 700})
         assert readout_flip(hist, 1e-300, np.random.default_rng(2)) == hist
 
     @pytest.mark.parametrize("n", [2, 14])
     def test_eps_one_complements_every_shot(self, n):
         counts = {0: 40, 1: 3, (1 << n) - 1: 25}
-        flipped = readout_flip(ShotHistogram(n, counts), 1.0, np.random.default_rng(6))
+        flipped = readout_flip(histogram(n, counts), 1.0, np.random.default_rng(6))
         assert flipped.counts == {outcome ^ ((1 << n) - 1): c for outcome, c in counts.items()}
 
     def test_empty_histogram_draws_nothing(self):
         for eps in (0.02, 0.5, 1.0):
             rng = np.random.default_rng(9)
-            flipped = readout_flip(ShotHistogram(14, {}), eps, rng)
+            flipped = readout_flip(histogram(14, {}), eps, rng)
             assert flipped.shots == 0
             assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
@@ -253,7 +254,7 @@ class TestReadoutConfusion:
         for idx, c in flipped.counts.items():
             emp[idx] = c / shots
         assert np.max(np.abs(emp - exact.probs)) < 0.005
-        assert exact.total() == pytest.approx(1.0, abs=1e-12)
+        assert exact.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPerturbCoherent:

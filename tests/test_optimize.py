@@ -40,7 +40,7 @@ def test_objective_zero_peaking_depth_is_random_half_amplitude():
     ref = build_reference_circuit(3, 4, seed=6)
     stripped = Circuit(n=3, d=4, random_depth=4, layers=ref.layers, target=ref.target)
     assert objective(stripped) == pytest.approx(
-        abs(sim.run(ref).amplitudes[0]) ** 2, abs=1e-15
+        abs(sim.run(ref)[0]) ** 2, abs=1e-15
     )
 
 
@@ -127,7 +127,7 @@ def test_width_scaling_trend():
     """At a fixed depth and a fixed iteration budget, the attainable peak
     probability is non-increasing in register width over {5, 10, 15, 20}
     (rank correlation <= 0).  The n=20 point runs on 2^20 amplitudes, so
-    this test takes a couple of minutes."""
+    this test takes some 15 to 20 s."""
     ref = build_reference_circuit(20, 8, seed=9)
     config = OptimizerConfig(stage1_iters=15, stage2_iters=0)
     widths = (5, 10, 15, 20)
@@ -232,6 +232,23 @@ class TestPeakProfile:
         assert profile_from_dict(doc).c_max == 0.5
         with pytest.raises(SchemaError, match=rf"^cell\.profile\.{message}$"):
             profile_from_dict(doc | values, where="cell.profile")
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.1, 0.4, 0.4, 0.1], [0.3, 0.2, 0.2, 0.3], [0.3, 0.1, 0.3, 0.3], [0.5, 0.2, 0.2, 0.1]],
+    )
+    def test_ties_rank_as_a_stable_sort_ranks_them(self, monkeypatch, probs):
+        # The last of tied maxima is the argmax, and a tie leaves p_second
+        # equal to p_peak, as the last two places of a stable argsort give.
+        probs = np.array(probs)
+        monkeypatch.setattr(sim, "full_distribution", lambda c: sim.ProbabilityDistribution(probs, 2))
+        circ = Circuit(n=2, d=2, random_depth=1, layers=((), ()), target=BitString.zeros(2))
+        prof = peak_profile(circ)
+        order = np.argsort(probs, kind="stable")
+        assert prof.argmax.index == order[-1] == np.flatnonzero(probs == probs.max())[-1]
+        assert (prof.p_peak, prof.p_second) == (probs[order[-1]], probs[order[-2]])
+        assert (prof.p_second == prof.p_peak) == (np.sum(probs == probs.max()) > 1)
+        assert prof.target_mismatch == (order[-1] != 0)
 
     def test_degenerate_second_probability(self):
         # Point mass with an exactly-zero second probability reports an

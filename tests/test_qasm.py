@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_state
+from gate_reference import entangling_core
 from qasm_replay import replay_distribution
 
 from prcbench import sim
@@ -19,7 +20,6 @@ from prcbench.circuits import (
 from prcbench.errors import DecompositionError
 from prcbench.gates import (
     GateParams,
-    entangling_core,
     haar_random_unitary,
     kak_decompose,
     su2_from_zyz,

@@ -24,7 +24,7 @@ from prcbench.report import (
     CELL,
     MARGIN_LEFT,
 )
-from prcbench.sim import ShotHistogram
+from prcbench.sim import ProbabilityDistribution, sample
 
 
 def make_matrix(status_grid, mean_f=0.2):
@@ -151,27 +151,43 @@ class TestDeltaHeatmap:
         assert csv.splitlines() == ["n,d,delta_f", "2,2,0.250000", "2,3,"]
 
 
+def _pairs(n, counts):
+    return [(BitString.from_index(i, n), c) for i, c in counts.items()]
+
+
 class TestHistogram:
     def test_point_mass_single_highlighted_bar(self):
-        hist = ShotHistogram(3, {0: 500})
-        svg = render_histogram(hist, BitString.zeros(3), hist.shots)
+        svg = render_histogram(_pairs(3, {0: 500}), BitString.zeros(3), 500)
         ET.fromstring(svg)
         assert svg.count("<rect") == 1
         assert "#d62728" in svg
 
     def test_identified_shape_tallest_is_target(self):
-        hist = ShotHistogram(2, {0: 80, 1: 10, 2: 10})
-        svg = render_histogram(hist, BitString.zeros(2), hist.shots)
+        svg = render_histogram(_pairs(2, {1: 10, 0: 80, 2: 10}), BitString.zeros(2), 100)
         first_bar = svg[svg.index("<rect") :].split("/>")[0]
         assert "#d62728" in first_bar  # bars are emitted tallest first
 
     def test_non_identified_shape_target_not_tallest(self):
-        hist = ShotHistogram(2, {0: 10, 1: 80, 2: 10})
-        svg = render_histogram(hist, BitString.zeros(2), hist.shots)
+        svg = render_histogram(_pairs(2, {0: 10, 1: 80, 2: 10}), BitString.zeros(2), 100)
         first_bar = svg[svg.index("<rect") :].split("/>")[0]
         assert "#d62728" not in first_bar
 
     def test_empty_rejected(self):
-        hist = ShotHistogram(2, {})
         with pytest.raises(ValueError):
-            render_histogram(hist, BitString.zeros(2), hist.shots)
+            render_histogram([], BitString.zeros(2), 100)
+
+    def test_shuffled_top_counts_draw_as_their_histogram(self):
+        # A record stores hist.top(top_k) as text pairs; drawn in any order,
+        # they give the bytes of drawing the run's histogram directly.  60
+        # shots over 16 outcomes tie many counts, so the basis-index rule
+        # decides ranks too.
+        rng = np.random.default_rng(5)
+        hist = sample(ProbabilityDistribution(np.full(16, 1 / 16), 4), 60, rng)
+        target = BitString.from_index(int(hist.outcomes[3]), 4)
+        stored = [(bs.text, c) for bs, c in hist.top(8)]
+        assert len({c for _, c in stored}) < len(stored)
+        rng.shuffle(stored)
+        top_counts = [(BitString.from_text(text), c) for text, c in stored]
+        for k in (1, 3, 8):
+            want = render_histogram(hist.top(k), target, hist.shots, k)
+            assert render_histogram(top_counts, target, hist.shots, k) == want

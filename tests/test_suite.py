@@ -124,6 +124,7 @@ def test_peak_probability_rounded_above_one_loads(saved_suite):
     cell_path = manifest.parent / "prc_n2_d4.json"
     doc = json.loads(cell_path.read_text())
     doc["profile"].update(p_peak=1.000000000000003, p_second=0.0, r_p=None, c_max=1.0)
+    doc["final_objective"] = 1.000000000000003  # the target's probability is p_peak
     cell_path.write_text(json.dumps(doc))
     assert load_suite(manifest).cells[(2, 4)].profile.p_peak == 1.000000000000003
 
