@@ -126,6 +126,13 @@ def _cmd_bench(args) -> int:
     # A config without a grid runs the suite's.
     grid = {name: getattr(suite, name) for name in ("qubits", "depths") if name not in config_doc}
     config = replace(config, **grid)
+    for (n, d), cell in suite.cells.items():
+        if cell.profile.target_mismatch and n in config.qubits and d in config.depths:
+            print(
+                f"warning: cell n={n} d={d}: target {cell.profile.target.text} is not the most "
+                f"likely outcome {cell.profile.argmax.text} (target_mismatch)",
+                file=sys.stderr,
+            )
 
     provenance = {"suite": str(args.suite), "suite_hash": suite_hash(args.suite)}
     matrix = harness.run_matrix(

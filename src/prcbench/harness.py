@@ -126,10 +126,11 @@ def _record_problem(r: RunRecord, j: int, cell: _StoredCell, config: BenchConfig
     """What is wrong with record j of a stored cell, as "field: reason".  A
     record belongs to its cell, reps count 0, 1, ... in order, sampled
     records draw at least one shot and exact-mode ones none, bitstrings are
-    n characters of 0 and 1, and top_counts is what ShotHistogram.top could
-    have written: none in exact mode, else at most top_k distinct outcomes
+    n characters of 0 and 1, top_counts is what ShotHistogram.top could
+    have written (none in exact mode, else at most top_k distinct outcomes
     with counts in 1..shots and a sum of at most shots, ranked by count
-    descending and then by basis index ascending."""
+    descending and then by basis index ascending), and the metrics do not
+    contradict them (_counted_metrics_problem)."""
     if (r.n, r.d) != (cell.n, cell.d):
         name, value, want = ("n", r.n, cell.n) if r.n != cell.n else ("d", r.d, cell.d)
         return f"{name}: {value} is not the cell's {name} {want}"
@@ -161,6 +162,36 @@ def _record_problem(r: RunRecord, j: int, cell: _StoredCell, config: BenchConfig
             return f"top_counts[{k}]: out of rank order (count descending, then basis index)"
         seen.add(text)
         previous = rank
+    f = metrics_mod.clamp_fidelity_error(r.metrics.f_raw)
+    if r.metrics.f != f:
+        return f"metrics.f: {r.metrics.f!r}, but its f_raw clamps to {f!r}"
+    return None if config.exact else _counted_metrics_problem(r, config.top_k, total)
+
+
+def _counted_metrics_problem(r: RunRecord, top_k: int, total: int) -> str | None:
+    """What a sampled record's metrics contradict in its own top_counts.
+
+    With fewer than top_k entries, every outcome seen is listed, so the
+    counts sum to shots.  The counts fix the metrics when every outcome is
+    listed, or when the target and another outcome are (the strongest
+    competitor then ranks among them): identified, p_hat_peak, p_hat_second
+    and c_exp are then exactly what metrics._metrics gives, as the writer
+    divides the same integers.  A target missing from top_k >= 1 entries
+    out-counts none of them, so it is not identified."""
+    complete = len(r.top_counts) < top_k
+    if complete and total != r.shots:
+        return (f"top_counts: the counts sum to {total}, but fewer than top_k = {top_k} "
+                f"entries list all {r.shots} shots")
+    counts = dict(r.top_counts)
+    others = [count for text, count in r.top_counts if text != r.target]
+    if complete or (r.target in counts and others):
+        want = metrics_mod._metrics(counts.get(r.target, 0), max(others, default=0), r.shots, 1.0)
+        for name in ("identified", "p_hat_peak", "p_hat_second", "c_exp"):
+            stored, given = getattr(r.metrics, name), getattr(want, name)
+            if stored != given:
+                return f"metrics.{name}: {stored!r}, but its top_counts give {given!r}"
+    elif counts and r.target not in counts and r.metrics.identified:
+        return f"metrics.identified: True, but the target is not among its top_k = {top_k} top_counts"
     return None
 
 

@@ -22,16 +22,19 @@ block's 16x16 environment gives each of its gates' 4x4 environments by a
 contraction with the other gate, and gates.gate_gradients turns the 4x4
 environments into the gradient.
 
-The gradient never applies the peaking half's last layer: the target bra
-is a product state until it meets a gate, so the amplitude, that layer's
-environments and the bra entering it come in closed form from the ket
-before it (_closed_layer), by GEMVs over shrinking views of that ket.  For
-a body (every peaking op but the last layer's) of B >= 2 ops, an
+The gradient never applies the peaking half's last two layers: the
+target bra is a product state until it meets a gate, and through two
+layers of disjoint gates it stays a chain with at most one open wire of
+dimension 2.  So the amplitude, both layers' environments and the bra
+entering them come in closed form from the ket before them
+(_closed_layers), by small GEMMs over shrinking views of that ket.  For a
+body (every peaking op but the last two layers') of B >= 2 ops, an
 evaluation makes B forward passes, B - 2 ket passes, B - 1 bra passes and
-B environment contractions.  Both kernels write into buffers the caller
-owns where they can: ``run`` ping-pongs between the zero state and one
-more vector, and ``PeakObjective`` keeps two ket and two bra buffers
-across evaluations, and takes the closed form inside the bra buffers.  Its
+B environment contractions; a peaking half of one or two layers makes no
+pass at all.  Both kernels write into buffers the caller owns where they
+can: ``run`` ping-pongs between the zero state and one more vector, and
+``PeakObjective`` keeps two ket and two bra buffers across evaluations,
+and takes the closed form inside the bra buffers.  Its
 working set is five state vectors, which sets MAX_QUBITS.  NUMERICS names
 the rounding of these kernels, of the gate construction, gradient and KAK
 decomposition in gates, and of the optimizer's path, and the random stream
@@ -64,9 +67,12 @@ from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_ma
 # the rounding of every decomposed gate; 8: as 7, with noise.readout_flip
 # drawing geometric gaps between flipped bits instead of one uniform per
 # bit, so the version now also names the sampled-readout stream (optimizer
-# results and exact-mode matrices are as at 7).  Suite manifests and matrix
-# provenance record it; documents without it are numerics 1.
-NUMERICS = 8
+# results and exact-mode matrices are as at 7); 9: as 8, with the peaking
+# half's last two layers taken in closed form as one chain of small GEMMs
+# (_closed_layers), so the adjoint sweep covers only the ops before them.
+# Suite manifests and matrix provenance record it; documents without it are
+# numerics 1.
+NUMERICS = 9
 
 # Memory guard.  A gradient evaluation holds five state vectors (the random
 # half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
@@ -375,72 +381,135 @@ def _pair_environment(
     return parts[0] if len(parts) == 1 else np.sum(parts, axis=0)
 
 
-def _segments(qubit_lows, target: int, n: int) -> list[tuple[int, int]]:
-    """The qubits of a layer from the top down, as (gate, bit) segments:
-    (j, 0) for the layer's gate j, which covers two qubits, and (-1, b) for
-    an idle qubit, whose bit of ``target`` is b."""
-    high = {q + 1: j for j, q in enumerate(qubit_lows)}
-    segments, q = [], n - 1
-    while q >= 0:
-        if q in high:
-            segments.append((high[q], 0))
-            q -= 2
-        else:
-            segments.append((-1, target >> q & 1))
-            q -= 1
-    return segments
-
-
 _UNITS = np.eye(2, dtype=complex)  # <0| and <1| on an idle qubit
+_BASIS = [_UNITS[b].reshape(1, 2, 1) for b in (0, 1)]  # <b| as a bra factor
+_WIRE = _UNITS.reshape(1, 2, 2)  # an L_b gate's top qubit, passed down as the open wire
+_ENTRIES = np.eye(4, dtype=complex).reshape(4, 2, 2, 1)  # each entry of a row, as a bra factor
 
 
-def _closed_layer(
-    ket: np.ndarray, rows: np.ndarray, segments: list[tuple[int, int]], buffers: np.ndarray
+def _pair(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """The bra factors of an L_a gate's two qubits as one matrix,
+    P[(o, i), (a, b)] = sum_m top[i, a, m] bottom[m, b, o]."""
+    return np.einsum("iam,mbo->oiab", top, bottom).reshape(-1, 4)
+
+
+def _chain(first, last, target: int, n: int) -> list[tuple]:
+    """The steps of _closed_layers for layers L_a and L_b with gates at
+    qubit_lows ``first`` and ``last`` and the bitstring ``target``: L_a's
+    gates and idle qubits from the top down, as (gate, row, pair, wire, view).
+
+    <s|L_b is a chain of factors M[i, x, o] on qubit x, with wires i in and
+    o out: <b| (1, 2, 1) on an idle qubit whose target bit is b; the
+    identity (1, 2, 2) on an L_b gate's top qubit, passing its index down as
+    the wire; and the gate's row r_j[(i, x)] (2, 2, 1) on its bottom qubit.
+    ``gate`` is the L_a gate's number (-1 for an idle qubit) and ``row`` the
+    j of the one row among the step's factors (-1 for none).  A gate's
+    ``pair`` is its two factors as P (_pair), or with a row, the (4, P.size)
+    map r_j -> P, and ``wire`` the dimension of o.  An idle qubit under the
+    identity is no step, as the next step reads the wire as the top bit of
+    its ket; one under <b| has ``pair`` <b| as (1, 2) and ``view`` b:b + 1,
+    the rows it keeps of the ket read as (2, -1).  ``view`` is None for
+    every other step."""
+    gates = {q + 1: a for a, q in enumerate(first)}
+    tops = {q + 1 for q in last}
+    bottoms = {q: j for j, q in enumerate(last)}
+
+    def factor(q):
+        return _WIRE if q in tops else bottoms.get(q, _BASIS[target >> q & 1])
+
+    steps, q = [], n - 1
+    while q >= 0:
+        if q in gates:
+            factors = factor(q), factor(q - 1)
+            row = next((f for f in factors if isinstance(f, int)), -1)
+            if row < 0:
+                pair = _pair(*factors)
+            else:
+                entries = [[e if isinstance(f, int) else f for f in factors] for e in _ENTRIES]
+                pair = np.array([_pair(*m).reshape(-1) for m in entries])
+            steps.append((gates[q], row, pair, 2 if factors[1] is _WIRE else 1, None))
+            q -= 2
+            continue
+        f, bit = factor(q), target >> q & 1
+        if isinstance(f, int):
+            steps.append((-1, f, None, 1, None))
+        elif f is not _WIRE:
+            steps.append((-1, -1, _UNITS[bit][None], 1, slice(bit, bit + 1)))
+        q -= 1
+    return steps
+
+
+def _closed_layers(
+    ket: np.ndarray, mats: np.ndarray, rows: np.ndarray, steps: list[tuple], buffers: np.ndarray, envs
 ) -> tuple[complex, np.ndarray]:
-    """<s|L|ket> for a layer L of disjoint gates, taken in closed form.
+    """<s|L_b L_a|ket> for two layers of disjoint gates, L_a's unitaries
+    ``mats`` and L_b's rows r_j = u_j[s_j, :] ``rows``, taken in closed
+    form as a chain (_chain) from the top qubit down.
 
-    <s| is a product state until it meets L, and so is <s|L: gate j's
-    factor is its row r_j = u_j[s_j, :] and an idle qubit's is <s_q|.  So
-    the amplitude is the ket contracted with every factor, top segment
-    first (a row selection for an idle qubit, a GEMV for a gate), and the
-    derivative of the amplitude by u_j[s_j, :] is C_j, the ket contracted
-    with every factor but r_j: the ket as contracted down to gate j's
-    segment, times the product of the factors below it.  Returns the
-    amplitude and the (len(rows), 4) stack of C_j, and writes the
-    conjugated bra that enters the layer, conj(amp) times the product of
-    all factors, into buffers[0].
+    <s| is a product state until it meets L_b, so <s|L_b is a chain of
+    one-qubit factors, and through L_a the chain keeps at most one open
+    wire of dimension 2: only an L_b gate that straddles two L_a steps
+    crosses the boundary between them, and gates of both layers on the same
+    two qubits meet inside one step.  Step i takes the ket as contracted
+    with every step above it, t_i of shape (w_in, 2**m), to t_(i + 1) =
+    G_i t_i by one small GEMM, with G_i[o, (i, k)] = (P u)[(o, i), k] for
+    an L_a gate u and its qubits' factors P, r_j for an idle qubit under
+    r_j, or by a view for one under <b|; the last t is the amplitude.
+    Going back up, below_i is conj(amp) times the contraction of every
+    step below i, so d_i = below_i t_i^T is conj(amp) times the derivative
+    of the amplitude by G_i.  That gives gate u's environment P^T d_i and
+    the environment of r_j, by P's map, from d_i u^T; and
+    below_(i - 1) = G_i^T below_i.  Writes L_a's 4x4 environments into
+    ``envs``, returns the amplitude and the (len(rows), 4) environments of
+    L_b's rows, and leaves the conjugated bra entering L_a, below_(-1), in
+    buffers[0].
 
-    buffers[1] is scratch: the GEMVs' outputs fill it from the front (at
-    most a third of it), and the products of the factors below each
-    segment alternate between its back and the front of buffers[0], so
-    the last product lands in buffers[0] and nothing state-sized is
-    allocated.
+    buffers[1] is scratch: the GEMMs' outputs fill it from the front (each
+    at most half the t it reads, so less than all of it), and the belows
+    alternate between its back and the front of buffers[0], so the last
+    lands in buffers[0] and nothing state-sized is allocated.  With L_a
+    empty, the chain is the last layer's alone.
     """
     out, scratch = buffers
-    tops = []  # the ket contracted with the factors above each segment
-    t, free = ket, scratch
-    for j, bit in segments:
+    tops, gs, ps = [], [], []
+    t, free = ket.reshape(1, -1), scratch
+    for gate, row, pair, wire, view in steps:
         tops.append(t)
-        if j < 0:
-            t = t.reshape(2, -1)[bit]
+        p = None
+        if gate >= 0:
+            p = pair if row < 0 else (rows[row] @ pair).reshape(-1, 4)
+            g = (p @ mats[gate]).reshape(wire, -1)
         else:
-            t, free = np.matmul(rows[j], t.reshape(4, -1), out=free[: t.size // 4]), free[t.size // 4 :]
-    amp = t[0]
+            g = pair if row < 0 else rows[row][None]
+        ps.append(p)
+        gs.append(g)
+        if view is not None:
+            t = t.reshape(2, -1)[view]
+        else:
+            size = len(g) * (t.size // g.shape[1])
+            product = free[:size].reshape(len(g), -1)
+            t, free = np.matmul(g, t.reshape(g.shape[1], -1), out=product), free[size:]
+    amp = t[0, 0]
     c = np.empty((len(rows), 4), dtype=complex)
-    below = out[:1] if len(segments) % 2 == 0 else scratch[-1:]
-    below[0] = 1.0
-    for i in range(len(segments) - 1, -1, -1):
-        j, bit = segments[i]
-        top = tops.pop()
-        factor = _UNITS[bit] if j < 0 else rows[j]
-        if j >= 0:
-            c[j] = top.reshape(4, -1) @ below
-        if i == 0:
-            factor = amp.conjugate() * factor
-        size = len(factor) * below.size
+    # Step i's below lands in buffers[0] for even i, so the first (the
+    # bottom step's) starts in the other buffer.
+    below = (scratch[-1:] if len(steps) % 2 else out[:1]).reshape(1, 1)
+    below[0, 0] = amp.conjugate()
+    for i in range(len(steps) - 1, -1, -1):
+        gate, row, pair, _, view = steps[i]
+        top, g, p = tops[i], gs[i], ps[i]
+        if view is None:
+            d = below @ top.reshape(g.shape[1], -1).T
+            if gate < 0:
+                c[row] = d.reshape(4)
+            else:
+                d = d.reshape(-1, 4)
+                envs[gate] = p.T @ d
+                if row >= 0:
+                    c[row] = pair @ (d @ mats[gate].T).reshape(-1)
+        size = g.shape[1] * below.shape[1]
         product = out[:size] if i % 2 == 0 else scratch[scratch.size - size :]
-        np.multiply(factor[:, None], below, out=product.reshape(len(factor), -1))
-        below = product
+        below = np.matmul(g.T, below, out=product.reshape(g.shape[1], -1)).reshape(len(top), -1)
     return amp, c
 
 
@@ -450,15 +519,15 @@ class PeakObjective:
 
     The random half never changes during optimization, so its output state
     is computed once and kept read-only.  Each evaluation replays the
-    peaking half's body, every op but the last layer's, forward; takes the
-    last layer in closed form (_closed_layer), which gives the amplitude,
-    the last layer's gate environments and the conjugated bra entering it;
-    and runs the adjoint reverse sweep over the body.  The sweep takes
-    every op's environment, 16x16 for a block and 4x4 for a lone gate, and
-    moves the ket and the bra back only where it must: the ket before the
-    first op is the random half's output, the ket before the last body op
-    is still in the forward pass's spare buffer, and no bra move follows
-    the first op.  For a body of B >= 2 ops that is B forward passes, B - 2
+    peaking half's body, every op but the last two layers', forward; takes
+    those two layers, L_a and L_b, in closed form as one chain
+    (_closed_layers), which gives the amplitude, both layers' gate
+    environments and the conjugated bra entering L_a; and runs the adjoint
+    reverse sweep over the body.  The sweep takes every op's environment,
+    16x16 for a block and 4x4 for a lone gate, and moves the ket and the
+    bra back only where it must: the ket before the first op is the random
+    half's output, the ket before the last body op is still in the forward
+    pass's spare buffer, and no bra move follows the first op.  For a body of B >= 2 ops that is B forward passes, B - 2
     ket passes and B - 1 bra passes.  The gradient then comes from every
     gate's 4x4 environment at once, taken through the gate's local factors
     (gates.gate_gradients), so no derivative matrices are built.
@@ -476,14 +545,28 @@ class PeakObjective:
         self._psi_random.flags.writeable = False
         # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
         self._pre_x_index = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
-        last = [g.qubit_low for g in peaking[-1]] if peaking else []
-        body_gates = len(self.positions) - len(last)
+        # The last two layers, L_a and L_b, are taken in closed form; L_a is
+        # empty when the peaking half has one layer.
+        first, last = [[g.qubit_low for g in layer] for layer in ((), (), *peaking)[-2:]]
+        body_gates = len(self.positions) - len(first) - len(last)
         self._body_ops = sum(g[0] < body_gates for g in self.ops.gates)
-        self._last = np.arange(body_gates, len(self.positions))
+        self._first = slice(body_gates, body_gates + len(first))
+        self._last = np.arange(body_gates + len(first), len(self.positions))
         self._last_rows = np.array([self._pre_x_index >> q & 3 for q in last], dtype=int)
-        self._segments = _segments(last, self._pre_x_index, self.n)
+        self._steps = _chain(first, last, self._pre_x_index, self.n)
         self._kets = np.empty((2, 1 << self.n), dtype=complex)
         self._bras = np.empty((2, 1 << self.n), dtype=complex)
+
+    def _closed_form(self, ket: np.ndarray, mats: np.ndarray, bras) -> tuple[complex, np.ndarray]:
+        """The amplitude and the peaking gates' environments that the last
+        two layers give (zero for the body's gates), from the ket entering
+        them; writes the conjugated bra entering L_a into bras[0]
+        (_closed_layers)."""
+        envs = np.zeros((len(mats), 4, 4), dtype=complex)
+        rows = mats[self._last, self._last_rows]
+        amp, c = _closed_layers(ket, mats[self._first], rows, self._steps, bras, envs[self._first])
+        envs[self._last, self._last_rows] = c
+        return amp, envs
 
     def value_and_gradient(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
         rows = peaking_rows(vec, len(self.positions))
@@ -499,9 +582,7 @@ class PeakObjective:
         # conj(u^dag) = u.T; conjugation only flips signs, so every result
         # keeps the bits of an unconjugated sweep.
         bc, spare_b = self._bras
-        amp, c = _closed_layer(k, mats[self._last, self._last_rows], self._segments, self._bras)
-        envs = np.zeros((len(rows), 4, 4), dtype=complex)
-        envs[self._last, self._last_rows] = amp.conjugate() * c
+        amp, envs = self._closed_form(k, mats, self._bras)
 
         # Op idx's environment pairs the bra after it with the ket before it:
         # the random half's output for the first op, the forward pass's

@@ -6,10 +6,10 @@ within rounding.
 The unconjugated sweep below is PeakObjective.value_and_gradient as it
 would run with the bra not held conjugated: the bra moves by u^dag and
 each environment is taken on a conjugated copy of it.  It takes the last
-layer in closed form by sim._closed_layer, walks the engine's own op list
-with the same known kets, and takes the gradient through
-gates.gate_gradients, as the engine does, and the conjugated sweep must
-match it bit for bit.
+two layers in closed form by the engine's own chain (sim._closed_layers),
+walks the engine's own op list with the same known kets, and takes the
+gradient through gates.gate_gradients, as the engine does, and the
+conjugated sweep must match it bit for bit.
 
 The per-gate sweep is the gradient with no fused ops: every gate applied
 and its environment taken on its own by the einsum kernels.  The fused
@@ -46,9 +46,7 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
     for u, q in zip(matrices, qubits):
         kets.append(sim.apply_gate_matrix(kets[-1], u, q, n))
     bras = np.empty((2, 1 << n), dtype=complex)
-    amp, c = sim._closed_layer(kets[-1], mats[engine._last, engine._last_rows], engine._segments, bras)
-    envs = np.zeros((len(mats), 4, 4), dtype=complex)
-    envs[engine._last, engine._last_rows] = amp.conjugate() * c
+    amp, envs = engine._closed_form(kets[-1], mats, bras)
     b = bras[0].conj()
     op_envs = [None] * len(matrices)
     for idx in range(len(matrices) - 1, -1, -1):
@@ -115,3 +113,23 @@ def per_gate_value_and_gradient(circuit: Circuit, vec: np.ndarray) -> tuple[floa
         envs[idx] = reference_pair_environment(b, k, q, n)
         b = reference_apply_gate_matrix(b, ud, q, n)
     return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
+
+
+def per_gate_closed_form(circuit: Circuit, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ket entering the peaking half's last two layers (its only layer
+    when it has one) and the bra entering them, as the per-gate sweep holds
+    it: amp |s> moved back by u^dag one gate at a time."""
+    n = circuit.n
+    random_half = [g for layer in circuit.layers[: circuit.random_depth] for g in layer]
+    peaking = list(circuit.peaking_placements())
+    body = len(peaking) - sum(len(layer) for layer in circuit.layers[circuit.random_depth :][-2:])
+    mats = gate_factors(peaking_rows(vec, len(peaking))).unitaries
+    k = _per_gate_forward(_zero_state(n), _unitaries(random_half), random_half, n)
+    ket = _per_gate_forward(k, mats[:body], peaking[:body], n)
+    k = _per_gate_forward(ket, mats[body:], peaking[body:], n)
+    s = circuit.target.index ^ sum(1 << q for q in circuit.final_x)
+    b = np.zeros_like(k)
+    b[s] = k[s]
+    for idx in range(len(peaking) - 1, body - 1, -1):
+        b = reference_apply_gate_matrix(b, mats[idx].conj().T, peaking[idx].qubit_low, n)
+    return ket, b

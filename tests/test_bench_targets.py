@@ -57,9 +57,9 @@ def test_decompose_gate_result_fits_the_cnot_hook(bench_modules):
     assert len(counters.decomposed) == 2
 
 
-def _pair_kernel_calls(monkeypatch, n):
+def _pair_kernel_calls(monkeypatch, n, d=8):
     """sim.apply_gate_matrix calls made by PeakObjective's set-up, one
-    value_and_gradient and one run, on a derived (n, 8) cell."""
+    value_and_gradient and one run, on a derived (n, d) cell."""
     from prcbench import sim
     from prcbench.circuits import build_reference_circuit, derive_subcircuit
     from prcbench.optimize import peaking_vector
@@ -72,7 +72,7 @@ def _pair_kernel_calls(monkeypatch, n):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sim, "apply_gate_matrix", counting)
-    circ = derive_subcircuit(build_reference_circuit(n, 8, seed=1), n, 8)
+    circ = derive_subcircuit(build_reference_circuit(n, d, seed=1), n, d)
     engine = sim.PeakObjective(circ)
     counts = [len(calls)]
     engine.value_and_gradient(peaking_vector(circ))
@@ -87,16 +87,16 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
     # through the module attribute: one call per op (a lone gate, or two
     # side-by-side gates of a layer fused into a block) in run and in the
     # random half PeakObjective replays once.  Each value_and_gradient
-    # applies only the body, the peaking ops before the last layer, which
-    # it takes in closed form: body ops forward, body - 2 for the ket (the
-    # first and last body ops' kets are known) and body - 1 for the bra
-    # (none after the first op).
+    # applies only the body, the peaking ops before the last two layers,
+    # which it takes in closed form: body ops forward, body - 2 for the ket
+    # (the first and last body ops' kets are known) and body - 1 for the
+    # bra (none after the first op).
     from prcbench import sim
 
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 12)
     random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
     peaking_ops = len(engine.ops.gates)
-    body = len(sim.OpList(circ.layers[circ.random_depth : -1], circ.n).gates)
+    body = len(sim.OpList(circ.layers[circ.random_depth : -2], circ.n).gates)
     assert peaking_ops < len(engine.positions) and 2 <= body < peaking_ops
     assert counts == [random_ops, 3 * body - 3, random_ops + peaking_ops]
 
@@ -105,8 +105,21 @@ def test_pair_kernel_calls_count_gates_below_the_fusion_cut_over(monkeypatch):
     # Below 2**10 amplitudes no gates are fused: one call per gate.
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 9)
     gates, peaking = circ.num_placements(), len(engine.positions)
-    body = peaking - len(circ.layers[-1])
+    body = peaking - len(circ.layers[-1]) - len(circ.layers[-2])
+    assert body >= 2
     assert counts == [gates - peaking, 3 * body - 3, gates]
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_two_layer_peaking_half_makes_no_pair_kernel_call(monkeypatch, n):
+    # A peaking half of two layers is all closed form: value_and_gradient
+    # applies no op at all, on either side of the fusion cut-over.
+    from prcbench import sim
+
+    circ, engine, counts = _pair_kernel_calls(monkeypatch, n, d=4)
+    random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
+    assert circ.d - circ.random_depth == 2 and engine.ops.gates
+    assert counts == [random_ops, 0, random_ops + len(engine.ops.gates)]
 
 
 @pytest.mark.parametrize("name", ["wide_readout", "deep_gradient"])
@@ -128,19 +141,41 @@ def test_setup_spans_fire(bench_modules, tmp_path, name):
     assert [s for s in expected if not calls[f"{s}.calls"]] == []
 
 
-def test_walkthrough_spans_fire(bench_modules, tmp_path):
-    # One set-up and one run of the README pipeline under the tracer fire
-    # every span the walkthrough expects, so no span is silenced by a call
-    # that stops reaching a traced function.
+@pytest.fixture(scope="module")
+def walkthrough_run(bench_modules, tmp_path_factory):
+    """One set-up and one run of the README pipeline at seed 7 under the
+    tracer: the workload, its output directory, the commands' results and
+    the traced call counts."""
     spans, workloads = bench_modules
     workload = workloads.WORKLOADS["walkthrough"](BENCH_DIR.parent)
+    work = tmp_path_factory.mktemp("walkthrough")
     tracer = spans.Tracer()
     tracer.install()
     try:
-        inputs, _ = workload.setup(7, tmp_path / "work")
-        results = workload.run(inputs, tmp_path / "out")
+        inputs, _ = workload.setup(7, work / "work")
+        results = workload.run(inputs, work / "out")
     finally:
         tracer.uninstall()
+    return workload, work / "out", results, tracer.summarize([0])
+
+
+def test_walkthrough_spans_fire(walkthrough_run):
+    # Every span the walkthrough expects fires, so no span is silenced by a
+    # call that stops reaching a traced function.
+    workload, _, results, calls = walkthrough_run
     assert [(command, rc) for command, rc, _ in results if rc != 0] == []
-    calls = tracer.summarize([0])
     assert [s for s in workload.expected_spans if not calls[f"{s}.calls"]] == []
+
+
+def test_walkthrough_matrices_load(walkthrough_run):
+    # The depth and width matrices the walkthrough writes at seed 7 pass
+    # every load check, their records' metrics against their top counts
+    # included, and load back to the same bytes.
+    from prcbench import harness
+
+    _, out, _, _ = walkthrough_run
+    for label in ("depth", "width"):
+        path = out / f"{label}.json"
+        matrix = harness.load_matrix(path)
+        assert any(cell.records for cell in matrix.cells.values())
+        assert harness.matrix_to_json(matrix) == path.read_text(encoding="utf-8")

@@ -137,6 +137,29 @@ def test_bench_deterministic_across_jobs(tiny_suite, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_bench_warns_about_target_mismatch_cells(tiny_suite, tmp_path, capsys):
+    # An unoptimized (3, 4) cell at seed 0 stores a profile whose target is
+    # not its argmax: bench names it in one stderr warning and otherwise
+    # runs as it would; the optimized tiny suite gives no warning.
+    suite_dir = tmp_path / "suite"
+    assert main(["generate", "--qubits", "3", "--depths", "4", "--seed", "0", "--no-optimize",
+                 "--out-dir", str(suite_dir)]) == 0
+    assert json.loads((suite_dir / "prc_n3_d4.json").read_text())["profile"]["target_mismatch"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reps": 2, "threshold": 1, "master_seed": 5}))
+    capsys.readouterr()
+    for suite, warnings in ((suite_dir, 1), (tiny_suite, 0)):
+        out = tmp_path / f"matrix{warnings}.json"
+        assert main(["bench", "--suite", str(suite / "suite.json"), "--config", str(config),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == warnings
+        assert all(line.startswith("warning: cell n=3 d=4: target ") for line in lines)
+        assert "(target_mismatch)" in captured.err or not warnings
+        assert "warning" not in captured.out and captured.out.endswith(f"wrote matrix {out}\n")
+
+
 def test_bench_malformed_config_exit_2(tiny_suite, tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("{nope")

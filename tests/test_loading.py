@@ -228,6 +228,58 @@ class TestRecordRules:
         with pytest.raises(SchemaError, match=rf"^cells\[1\]\.{message}"):
             matrix_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "cell,edit,message",
+        [
+            # The target is listed with a competitor, so the counts fix the
+            # metrics; this record once loaded claiming p_hat_peak 0.739.
+            (0, lambda r: r.update(top_counts=[["11", 399], ["00", 61]]),
+             r"metrics\.identified: True, but its top_counts give False"),
+            (0, lambda r: r["metrics"].update(p_hat_peak=0.5),
+             r"metrics\.p_hat_peak: 0\.5, but its top_counts give 0\.7388888888888889"),
+            (0, lambda r: r["metrics"].update(p_hat_second=0.5),
+             r"metrics\.p_hat_second: 0\.5, but its top_counts give 0\.11296296296296296"),
+            (0, lambda r: r["metrics"].update(c_exp=0.5),
+             r"metrics\.c_exp: 0\.5, but its top_counts give 0\.7347826086956522"),
+            # Fewer than top_k entries list every shot; then they fix the
+            # metrics even with the target alone.
+            (0, lambda r: r.update(top_counts=[["00", 399]]),
+             r"top_counts: the counts sum to 399, but fewer than top_k = 2 entries list all 540 shots"),
+            (0, lambda r: r.update(top_counts=[["00", 540]]),
+             r"metrics\.p_hat_peak: 0\.7388888888888889, but its top_counts give 1\.0"),
+            # A target missing from top_k entries out-counts none of them.
+            (1, lambda r: r["metrics"].update(identified=True),
+             r"metrics\.identified: True, but the target is not among its top_k = 2 top_counts"),
+            (0, lambda r: r["metrics"].update(f=0.5), r"metrics\.f: 0\.5, but its f_raw clamps to 0\.0"),
+        ],
+        ids=["found_swapped_counts", "p_hat_peak", "p_hat_second", "c_exp", "complete_counts_sum",
+             "complete_counts_fix_metrics", "unlisted_target_identified", "f_is_clamped_f_raw"],
+    )
+    def test_metrics_follow_from_top_counts(self, matrices, cell, edit, message):
+        doc = json.loads(matrix_to_json(matrices[0]))
+        record = doc["cells"][cell]["records"][cell]
+        assert record["target"] == "00" and len(record["top_counts"]) == 2
+        assert (record["top_counts"][0][0] == "00") == (cell == 0)
+        edit(record)
+        with pytest.raises(SchemaError, match=rf"^cells\[{cell}\]\.records\[{cell}\]\.{message}"):
+            matrix_from_dict(doc)
+
+    @pytest.mark.parametrize("top_k", [0, 1, 3, 8])
+    def test_written_records_load_at_every_top_k(self, saved, top_k):
+        # No entries, the target alone, and every outcome listed (8 covers
+        # all of a 3-qubit cell's outcomes) all pass the metrics rules.
+        suite, _ = saved
+        config = BenchConfig(qubits=(2, 3), depths=(2, 4), reps=2, threshold=1, top_k=top_k,
+                             noise=NoiseSpec(p2=0.05, readout_eps=0.02))
+        matrix = run_matrix(suite.as_mapping(), config)
+        assert matrix_from_dict(json.loads(matrix_to_json(matrix))) == matrix
+
+    def test_exact_record_f_is_clamped_f_raw(self, matrices):
+        doc = json.loads(matrix_to_json(matrices[1]))
+        doc["cells"][0]["records"][0]["metrics"]["f"] = 0.5
+        with pytest.raises(SchemaError, match=r"^cells\[0\]\.records\[0\]\.metrics\.f: 0\.5, but"):
+            matrix_from_dict(doc)
+
     def test_counts_in_rank_order_load(self, matrices):
         doc = json.loads(matrix_to_json(matrices[0]))
         doc["cells"][1]["records"][1]["top_counts"] = [["10", 290], ["01", 290]]

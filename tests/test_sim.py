@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_state, histogram, reference_sample
 from gate_reference import reference_derivatives, reference_matrix, same_bits
 from kernel_reference import (
+    per_gate_closed_form,
     per_gate_run,
     per_gate_value_and_gradient,
     reverse_qubits,
@@ -25,10 +26,11 @@ from prcbench.circuits import (
     build_reference_circuit,
     derive_subcircuit,
     peaking_params,
+    peaking_rows,
     retarget,
 )
 from prcbench.errors import CapacityError
-from prcbench.gates import GateParams, haar_random_unitary, kak_decompose
+from prcbench.gates import GateParams, gate_factors, haar_random_unitary, kak_decompose
 from prcbench.optimize import peaking_vector, with_peaking_vector
 
 
@@ -348,14 +350,21 @@ def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
     return layer
 
 
-def _draw_circuit(data, n: int, max_random: int, max_peaking: int, min_peaking: int = 1) -> Circuit:
+def _draw_circuit(
+    data, n: int, max_random: int, max_peaking: int, min_peaking: int = 1, brick: bool = False
+) -> Circuit:
     """Multi-gate layers of random gates, a random target and trailing NOTs;
-    the first peaking layer starts with a side-by-side pair."""
+    the first peaking layer starts with a side-by-side pair.  With
+    ``brick``, the last two layers are full brick layers instead, one at
+    even and one at odd qubit_lows, in either order."""
     random_half = [_draw_layer(data, n) for _ in range(data.draw(st.integers(0, max_random)))]
     peaking_half = [
         _draw_layer(data, n, pair_first=t == 0)
         for t in range(data.draw(st.integers(min_peaking, max_peaking)))
     ]
+    if brick:
+        offset = data.draw(st.integers(0, 1))
+        peaking_half[-2:] = [list(range(o, n - 1, 2)) for o in (offset, 1 - offset)][-len(peaking_half) :]
     final_x = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     layers = tuple(
@@ -374,7 +383,7 @@ def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
     # Multi-gate layers at random positions, with a random half, target and
     # trailing NOTs, so every kernel layout, blocks and lone gates, and both
     # sweeps' buffers are exercised.
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=3)
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=4)
     engine = sim.PeakObjective(circ)
     vec = peaking_vector(circ)
     p, grad = engine.value_and_gradient(vec)
@@ -383,31 +392,49 @@ def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
     assert same_bits(grad, grad_ref)
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(n=st.sampled_from([2, 3, 9, 12, 16]), one_layer=st.booleans(), data=st.data())
-def test_closed_form_last_layer_matches_the_per_gate_sweep(n, one_layer, data):
-    # The last peaking layer holds lone gates, side-by-side pairs and idle
-    # qubits, the target may be reached through trailing NOTs, and a
-    # peaking half of one layer leaves the sweep no body at all.
-    min_peaking, max_peaking = (1, 1) if one_layer else (2, 3)
-    circ = _draw_circuit(data, n, max_random=2, min_peaking=min_peaking, max_peaking=max_peaking)
-    last = [g.qubit_low for g in circ.layers[-1]]
-    event("body: none" if circ.d - circ.random_depth == 1 else "body: some")
-    event(f"last layer: {len(last)} gates on {2 * len(last)} of {n} qubits")
-    event("side-by-side pair in the last layer" if any(q + 2 in last for q in last) else "no pair")
+def _idle_in(q: int, first: list[int], last: list[int]) -> str:
+    """Which of the last two layers leave qubit q idle."""
+    idle = [name for name, layer in (("L_a", first), ("L_b", last)) if q not in layer and q - 1 not in layer]
+    return " and ".join(idle) or "neither layer"
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.sampled_from([2, 3, 5, 9, 12, 16]), data=st.data())
+def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
+    # The last two peaking layers, L_a and L_b, hold lone gates,
+    # side-by-side pairs and idle qubits; an L_a gate may straddle two L_b
+    # gates or sit on the same qubits as one, the target may be reached
+    # through trailing NOTs, and a peaking half of one or two layers leaves
+    # the sweep no body at all (L_a is empty for one).
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=4, brick=data.draw(st.booleans()))
+    peaking = circ.layers[circ.random_depth :]
+    first, last = [[g.qubit_low for g in layer] for layer in ((), *peaking)[-2:]]
+    event(f"peaking layers: {len(peaking)}")
+    if any(q - 1 in last and q + 1 in last for q in first):
+        event("an L_a gate straddles two L_b gates")
+    if set(first) & set(last):
+        event("an L_a gate and an L_b gate on the same qubits")
+    event(f"top qubit idle in {_idle_in(n - 1, first, last)}")
+    event(f"bottom qubit idle in {_idle_in(0, first, last)}")
     event("trailing NOTs" if circ.final_x else "no trailing NOTs")
     engine = sim.PeakObjective(circ)
     vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
     p, grad = engine.value_and_gradient(vec)
     p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
     assert abs(p - p_ref) <= 1e-12
-    assert np.max(np.abs(grad - grad_ref)) <= 1e-12
+    assert np.max(np.abs(grad - grad_ref), initial=0) <= 1e-12
+    # The conjugated bra the chain writes is the per-gate sweep's bra
+    # entering L_a, conjugated.
+    ket, bra = per_gate_closed_form(circ, vec)
+    bras = np.empty((2, 1 << n), dtype=complex)
+    engine._closed_form(ket, gate_factors(peaking_rows(vec, len(engine.positions))).unitaries, bras)
+    assert np.max(np.abs(bras[0] - bra.conj())) <= 1e-12
 
 
 @settings(max_examples=10, deadline=None, database=None)
 @given(n=st.sampled_from([10, 12, 16]), data=st.data())
 def test_fused_ops_match_the_per_gate_sweep(n, data):
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=3)
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=4)
     engine = sim.PeakObjective(circ)
     assert any(len(gates) == 2 for gates in engine.ops.gates)
     vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
