@@ -124,10 +124,10 @@ def _is_bits(text: str, n: int) -> bool:
 
 def _record_problem(r: RunRecord, j: int, cell: _StoredCell, config: BenchConfig) -> str | None:
     """What is wrong with record j of a stored cell, as "field: reason".  A
-    record belongs to its cell, reps count 0, 1, ... in order, sampled
-    records draw at least one shot and exact-mode ones none, bitstrings are
-    n characters of 0 and 1, top_counts is what ShotHistogram.top could
-    have written (none in exact mode, else at most top_k distinct outcomes
+    record belongs to its cell, reps count 0, 1, ... in order, its seed is
+    derived_seed's, sampled records draw shot_policy's shots and exact-mode
+    ones none, bitstrings are n characters of 0 and 1, top_counts is what
+    ShotHistogram.top could have written (none in exact mode, else at most top_k distinct outcomes
     with counts in 1..shots and a sum of at most shots, ranked by count
     descending and then by basis index ascending), and the metrics do not
     contradict them (_counted_metrics_problem)."""
@@ -140,6 +140,11 @@ def _record_problem(r: RunRecord, j: int, cell: _StoredCell, config: BenchConfig
         return f"shots: {r.shots}, but an exact-mode matrix draws no shots"
     if not config.exact and r.shots < 1:
         return f"shots: {r.shots} is below 1"
+    shots, seed = shot_policy(cell.n, cell.d, config), derived_seed(config, cell.n, cell.d, j)
+    if not config.exact and r.shots != shots:
+        return f"shots: {r.shots}, but shot_policy gives {shots}"
+    if r.seed != seed:
+        return f"seed: {r.seed}, but derived_seed gives {seed}"
     if not _is_bits(r.target, cell.n):
         return f"target: {r.target!r} is not {cell.n} characters of 0 and 1"
     total, seen, previous = 0, set(), ()
@@ -217,8 +222,8 @@ def _cell_problem(cell: _StoredCell, config: BenchConfig) -> str | None:
 class _StoredMatrix:
     """A matrix document's fields: cells cover qubits x depths, the config's
     grid, once each; each cell's records fit it (_record_problem) and its
-    summary fits them (_cell_problem); and no row executes a cell after
-    skipping one, as report.skip_boundary assumes."""
+    summary fits them (_cell_problem); and each row skips the cells that
+    _run_row skips, replayed on the row's executed cells."""
 
     config: BenchConfig
     qubits: tuple[int, ...]
@@ -249,15 +254,17 @@ class _StoredMatrix:
             if problem:
                 raise ValueError(f"cells[{i}].{problem}")
         index = {key: i for i, key in enumerate(keys)}
+        missed = CellResult(STATUS_NON_IDENTIFIED, (), None, 0)
         for n in self.qubits:
-            skipped = False
-            for d in self.depths:
-                i = index[(n, d)]
-                if self.cells[i].status == STATUS_SKIPPED:
-                    skipped = True
-                elif skipped:
-                    raise ValueError(f"cells[{i}].status: {self.cells[i].status!r} at depth {d}, "
-                                     f"but an earlier depth of row n={n} is skipped")
+            row = [index[(n, d)] for d in self.depths]
+            # A cell the row skipped, but the replay runs, counts as a miss.
+            ran = iter([self.cells[i] for i in row if self.cells[i].status != STATUS_SKIPPED])
+            replay = _run_row(self.config, lambda *_: next(ran, missed), [(None, None)] * len(row))
+            for i, d, want in zip(row, self.depths, replay):
+                if self.cells[i].status != want.status:
+                    act = "skips" if want.status == STATUS_SKIPPED else "runs"
+                    raise ValueError(f"cells[{i}].status: {self.cells[i].status!r} at depth {d}, but "
+                                     f"skip_window = {self.config.skip_window} {act} it in row n={n}")
 
 
 def shot_policy(n: int, d: int, config: BenchConfig) -> int:

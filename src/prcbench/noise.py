@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, GatePlacement
+from .circuits import Circuit, _layout, _place
 from .errors import read_fields
 from .gates import GateParams
 from .sim import ProbabilityDistribution, ShotHistogram
@@ -128,20 +128,10 @@ def perturb_coherent(circuit: Circuit, delta: float, rng: np.random.Generator) -
         return circuit
     # One (G, 3) draw takes the same normals, in placement order, as G
     # draws of 3 would.
-    factors = iter((1.0 + delta * rng.standard_normal((circuit.num_placements(), 3))).tolist())
-    layers = tuple(
-        tuple(
-            GatePlacement(
-                g.qubit_low,
-                GateParams(
-                    g.params.pre,
-                    tuple(float(a * s) for a, s in zip(g.params.entangling, next(factors))),
-                    g.params.post,
-                    g.params.phase,
-                ),
-            )
-            for g in layer
-        )
-        for layer in circuit.layers
+    factors = (1.0 + delta * rng.standard_normal((circuit.num_placements(), 3))).tolist()
+    params = (
+        GateParams(g.params.pre, tuple(float(a * s) for a, s in zip(g.params.entangling, f)),
+                   g.params.post, g.params.phase)
+        for g, f in zip(circuit.placements(), factors)
     )
-    return replace(circuit, layers=layers)
+    return replace(circuit, layers=_place(_layout(circuit.layers), params))

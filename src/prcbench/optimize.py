@@ -10,6 +10,7 @@ apart from the gradient-norm test, so the package needs only numpy.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -425,28 +426,26 @@ def peak_profile(circuit: Circuit) -> PeakProfile:
     the actual argmax and flags the mismatch; an under-optimized circuit is
     data, not an error.
     """
-    if circuit.n > PROFILE_SCAN_LIMIT:
-        raise CapacityError(
-            f"peak profile scans the full distribution; {circuit.n} > {PROFILE_SCAN_LIMIT} qubits"
-        )
+    _require_scannable(circuit.n)
     probs = sim.full_distribution(circuit).probs
     # The last maximum, as a stable sort ranks tied maxima.
     i_peak = probs.size - 1 - int(np.argmax(probs[::-1]))
     p_peak, p_second = _peak_and_second(probs, i_peak)
-    return PeakProfile(
-        target=circuit.target,
-        p_peak=p_peak,
-        p_second=p_second,
-        r_p=_dominance(p_peak, p_second),
-        c_max=contrast_from_probabilities(p_peak, p_second),
-        argmax=BitString.from_index(i_peak, circuit.n),
-        target_mismatch=(i_peak != circuit.target.index),
-    )
+    return _profile(circuit.target, p_peak, p_second, BitString.from_index(i_peak, circuit.n))
 
 
-def _dominance(p_peak: float, p_second: float) -> float:
-    """r_p: p_peak / p_second, infinite when nothing competes."""
-    return math.inf if p_second == 0.0 else p_peak / p_second
+def _require_scannable(n: int) -> None:
+    """Raise CapacityError when peak_profile cannot scan n qubits."""
+    if n > PROFILE_SCAN_LIMIT:
+        raise CapacityError(f"peak profile scans the full distribution; {n} > {PROFILE_SCAN_LIMIT} qubits")
+
+
+def _profile(target: BitString, p_peak: float, p_second: float, argmax: BitString) -> PeakProfile:
+    """The profile with r_p (p_peak / p_second, infinite when p_second is 0),
+    c_max and target_mismatch derived from the other four fields."""
+    r_p = math.inf if p_second == 0.0 else p_peak / p_second
+    c_max = contrast_from_probabilities(p_peak, p_second)
+    return PeakProfile(target, p_peak, p_second, r_p, c_max, argmax, argmax != target)
 
 
 def profile_to_dict(profile: PeakProfile) -> dict:
@@ -463,10 +462,9 @@ def profile_from_dict(doc: dict, where: str = "profile", target: BitString | Non
     """Inverse of profile_to_dict; errors name their path, ``<where>.<field>``.
 
     The profile's target must be ``target`` when one is given (its circuit's),
-    and its derived fields what peak_profile derives from the others: c_max
-    the contrast of p_peak and p_second, r_p their ratio (null when p_second
-    is 0) and target_mismatch whether argmax differs from target.  The writer
-    uses the same formulas and a JSON float round trip is exact, so each
+    and its derived fields c_max, r_p and target_mismatch what _profile
+    derives from the others, compared as profile_to_dict writes them.  The
+    writer calls _profile too and a JSON float round trip is exact, so each
     check is exact.
     """
     bits = read_bitstring
@@ -475,27 +473,16 @@ def profile_from_dict(doc: dict, where: str = "profile", target: BitString | Non
         raise SchemaError(
             f"{where}.target: {profile.target.text} differs from the circuit's target {target.text}"
         )
-    p_peak, p_second = profile.p_peak, profile.p_second
-    given = "p_peak and p_second give"
     try:
-        c_max = contrast_from_probabilities(p_peak, p_second)
+        derived = _profile(profile.target, profile.p_peak, profile.p_second, profile.argmax)
     except UndefinedMetricError as exc:
         raise SchemaError(f"{where}.c_max: {exc}") from exc
-    if profile.c_max != c_max:
-        raise SchemaError(f"{where}.c_max: {profile.c_max!r}, but {given} {c_max!r}")
-    r_p = _dominance(p_peak, p_second)
-    if profile.r_p != r_p:
-        stored, derived = _dominance_text(profile.r_p), _dominance_text(r_p)
-        raise SchemaError(f"{where}.r_p: {stored}, but {given} {derived}")
-    mismatch = profile.argmax != profile.target
-    if profile.target_mismatch != mismatch:
-        raise SchemaError(
-            f"{where}.target_mismatch: {profile.target_mismatch!r}, but argmax "
-            f"{profile.argmax.text} and target {profile.target.text} give {mismatch!r}"
-        )
+    except ValueError as exc:  # a p_second below 0, within the slack, can push c_max past 1
+        raise SchemaError(f"{where}.{exc}") from exc
+    stored, want = profile_to_dict(profile), profile_to_dict(derived)
+    for name, sources in (("c_max", "p_peak and p_second"), ("r_p", "p_peak and p_second"),
+                          ("target_mismatch", "argmax and target")):
+        if stored[name] != want[name]:
+            raise SchemaError(f"{where}.{name}: {json.dumps(stored[name])}, but {sources} give "
+                              f"{json.dumps(want[name])}")
     return profile
-
-
-def _dominance_text(r_p: float) -> str:
-    """r_p as profile_to_dict writes it."""
-    return "null" if math.isinf(r_p) else repr(r_p)

@@ -107,23 +107,15 @@ def _axis_labels(qubits, depths, title: str) -> list[str]:
 def skip_boundary(matrix: BenchmarkMatrix) -> list[tuple[float, float]]:
     """Vertices of the staircase separating executed cells from skipped
     ones, in SVG coordinates (qubits increase upward, so the smallest n is
-    the bottom row).  The protocol guarantees executed cells form a prefix
-    of each row."""
-    depths = list(matrix.depths)
-    qubits = list(matrix.qubits)
-    executed_cols = {}
-    for n in qubits:
-        count = 0
-        for d in depths:
-            if matrix.cells[(n, d)].status != STATUS_SKIPPED:
-                count += 1
-            else:
-                break
-        executed_cols[n] = count
+    the bottom row).  Executed cells form a prefix of each row, as the
+    protocol runs them and matrix loading checks, so a row's executed cells
+    count its columns left of the line."""
+    executed_cols = {n: sum(matrix.cells[(n, d)].status != STATUS_SKIPPED for d in matrix.depths)
+                     for n in matrix.qubits}
 
     points: list[tuple[float, float]] = []
     # Walk rows from the top of the plot (largest n) downward.
-    for row, n in enumerate(reversed(qubits)):
+    for row, n in enumerate(reversed(matrix.qubits)):
         x = MARGIN_LEFT + executed_cols[n] * CELL
         y_top = MARGIN_TOP + row * CELL
         y_bot = y_top + CELL

@@ -185,7 +185,7 @@ class _CountsView(Mapping):
 
 
 def apply_gate_matrix(
-    state: np.ndarray, u: np.ndarray, qubit_low: int, n: int, out: np.ndarray | None = None
+    state: np.ndarray, u: np.ndarray, qubit_low: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Apply an op to a flat state, writing into ``out`` (a new array if
     None), which must not overlap ``state``: a 4x4 gate on (qubit_low,
@@ -248,18 +248,15 @@ class OpList:
         self._low = np.array([g[0] for g in blocks], dtype=int)
         self._high = np.array([g[1] for g in blocks], dtype=int)
 
-    def matrices(self, mats: np.ndarray, count: int | None = None) -> list[np.ndarray]:
-        """The first ``count`` ops' matrices (every op's by default), in
-        order, from the (G, 4, 4) stack of gate unitaries; their blocks are
-        built by one stacked _kron."""
-        ops = self.gates[:count]
-        blocks = sum(len(g) == 2 for g in ops)
-        kron = iter(_kron(mats[self._high[:blocks]], mats[self._low[:blocks]]) if blocks else ())
-        return [mats[g[0]] if len(g) == 1 else next(kron) for g in ops]
+    def matrices(self, mats: np.ndarray) -> list[np.ndarray]:
+        """Every op's matrix, in order, from the (G, 4, 4) stack of gate
+        unitaries; the blocks are built by one stacked _kron."""
+        kron = iter(_kron(mats[self._high], mats[self._low]) if len(self._low) else ())
+        return [mats[g[0]] if len(g) == 1 else next(kron) for g in self.gates]
 
     def gate_environments(self, op_envs, mats: np.ndarray, envs: np.ndarray) -> None:
-        """Write the 4x4 environments of the first len(op_envs) ops' gates
-        into the (G, 4, 4) array ``envs``, from each op's environment.
+        """Write the 4x4 environments of every op's gates into the (G, 4, 4)
+        array ``envs``, from each op's environment.
 
         Read a block's environment as E[i_high, i_low, j_high, j_low].
         Since <b|kron(u_high, du_low)|k> = sum E * u_high * du_low, the low
@@ -275,17 +272,16 @@ class OpList:
                 blocks.append(env)
         if blocks:
             blocks = np.reshape(blocks, (-1, 4, 4, 4, 4))
-            low, high = self._low[: len(blocks)], self._high[: len(blocks)]
-            envs[low] = np.einsum("bhk,bhlkm->blm", mats[high], blocks)
-            envs[high] = np.einsum("blm,bhlkm->bhk", mats[low], blocks)
+            envs[self._low] = np.einsum("bhk,bhlkm->blm", mats[self._high], blocks)
+            envs[self._high] = np.einsum("blm,bhlkm->bhk", mats[self._low], blocks)
 
 
-def _apply_ops(state: np.ndarray, matrices, qubits, n: int, buffers) -> np.ndarray:
+def _apply_ops(state: np.ndarray, matrices, qubits, buffers) -> np.ndarray:
     """Apply ops in order, op i writing into buffers[i % 2]; state must not
     be buffers[0].  Returns the final state, which is state itself when
     there are no ops."""
     for i, (u, q) in enumerate(zip(matrices, qubits)):
-        state = apply_gate_matrix(state, u, q, n, out=buffers[i % 2])
+        state = apply_gate_matrix(state, u, q, out=buffers[i % 2])
     return state
 
 
@@ -296,7 +292,7 @@ def _run_layers(layers, n: int) -> np.ndarray:
     rows = np.array([g.params.to_vector() for layer in layers for g in layer])
     mats = gate_matrices(rows.reshape(-1, PARAMS_PER_GATE))
     zero = _zero_state(n)
-    return _apply_ops(zero, ops.matrices(mats), ops.qubits, n, (np.empty_like(zero), zero))
+    return _apply_ops(zero, ops.matrices(mats), ops.qubits, (np.empty_like(zero), zero))
 
 
 def run(circuit: Circuit) -> np.ndarray:
@@ -355,9 +351,7 @@ def sample(dist: ProbabilityDistribution, shots: int, rng: np.random.Generator) 
     return ShotHistogram(dist.n, drawn[starts], np.diff(starts, append=shots))
 
 
-def _pair_environment(
-    bc: np.ndarray, k: np.ndarray, qubit_low: int, n: int, d: int = 4
-) -> np.ndarray:
+def _pair_environment(bc: np.ndarray, k: np.ndarray, qubit_low: int, d: int = 4) -> np.ndarray:
     """env[i, j] = sum_rest bc_(rest, i) k_(rest, j) over the d amplitudes
     of an op at qubit_low (d = 4 for a gate, 16 for a block), for a bra held
     conjugated, bc = conj(b), so <b|A|k> = sum_ij A[i, j] env[i, j] for any
@@ -540,7 +534,9 @@ class PeakObjective:
         self.positions = [g.qubit_low for g in circuit.peaking_placements()]
         self.num_params = len(self.positions) * PARAMS_PER_GATE
         peaking = circuit.layers[circuit.random_depth :]
-        self.ops = OpList(peaking, circuit.n)
+        # The body's ops: every peaking layer but the last two.  Fusion
+        # never crosses a layer, so they number gates as the peaking half does.
+        self.ops = OpList(peaking[:-2], circuit.n)
         self._psi_random = _run_layers(circuit.layers[: circuit.random_depth], circuit.n)
         self._psi_random.flags.writeable = False
         # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
@@ -549,7 +545,6 @@ class PeakObjective:
         # empty when the peaking half has one layer.
         first, last = [[g.qubit_low for g in layer] for layer in ((), (), *peaking)[-2:]]
         body_gates = len(self.positions) - len(first) - len(last)
-        self._body_ops = sum(g[0] < body_gates for g in self.ops.gates)
         self._first = slice(body_gates, body_gates + len(first))
         self._last = np.arange(body_gates + len(first), len(self.positions))
         self._last_rows = np.array([self._pre_x_index >> q & 3 for q in last], dtype=int)
@@ -574,9 +569,9 @@ class PeakObjective:
             return float(np.abs(self._psi_random[self._pre_x_index]) ** 2), np.zeros(0)
         factors = gate_factors(rows)
         mats = factors.unitaries
-        matrices, qubits, n = self.ops.matrices(mats, self._body_ops), self.ops.qubits, self.n
+        matrices, qubits = self.ops.matrices(mats), self.ops.qubits
         body = len(matrices)
-        k = _apply_ops(self._psi_random, matrices, qubits, n, self._kets)
+        k = _apply_ops(self._psi_random, matrices, qubits, self._kets)
 
         # The bra is held conjugated, so it moves back through an op u by
         # conj(u^dag) = u.T; conjugation only flips signs, so every result
@@ -596,10 +591,10 @@ class PeakObjective:
             if idx == 0:
                 k = self._psi_random
             elif idx < body - 1:
-                k, spare_k = apply_gate_matrix(k, u.conj().T, q, n, out=spare_k), k
-            op_envs[idx] = _pair_environment(bc, k, q, n, len(u))
+                k, spare_k = apply_gate_matrix(k, u.conj().T, q, out=spare_k), k
+            op_envs[idx] = _pair_environment(bc, k, q, len(u))
             if idx:
-                bc, spare_b = apply_gate_matrix(bc, u.T, q, n, out=spare_b), bc
+                bc, spare_b = apply_gate_matrix(bc, u.T, q, out=spare_b), bc
         self.ops.gate_environments(op_envs, mats, envs)
         return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 

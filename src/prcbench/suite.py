@@ -25,6 +25,7 @@ from .optimize import (
     _PROBABILITY_SLACK,
     OptimizerConfig,
     PeakProfile,
+    _require_scannable,
     objective,
     optimize,
     peak_profile,
@@ -78,10 +79,11 @@ def generate_suite(
 ) -> Suite:
     """Build the reference circuit at the grid's maximum size, then derive
     and (optionally) optimize every requested cell.  Deterministic for a
-    fixed seed regardless of job count."""
+    fixed seed regardless of job count; too wide a grid to profile raises first."""
     qubits = tuple(sorted(set(int(q) for q in qubits)))
     depths = tuple(sorted(set(int(d) for d in depths)))
     optimizer = (optimizer or OptimizerConfig()) if optimize_cells else None
+    _require_scannable(max(qubits))
     reference = build_reference_circuit(max(qubits), max(depths), seed)
     keys = [(n, d) for n in qubits for d in depths]
     build = partial(_build_cell, reference, optimizer)

@@ -32,6 +32,22 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def optimize_calls(monkeypatch) -> list:
+    """The calls suite generation makes to optimize, which is patched to
+    record each one and fail it, so a cell that reaches it costs nothing."""
+    from prcbench import suite
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        raise AssertionError("optimize ran")
+
+    monkeypatch.setattr(suite, "optimize", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_circuit():
     """Unoptimized (4, 6) circuit derived from a reference."""

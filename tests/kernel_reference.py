@@ -41,10 +41,10 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
     n = engine.n
     factors = gate_factors(peaking_rows(vec, len(engine.positions)))
     mats = factors.unitaries
-    matrices, qubits = engine.ops.matrices(mats, engine._body_ops), engine.ops.qubits
+    matrices, qubits = engine.ops.matrices(mats), engine.ops.qubits
     kets = [engine._psi_random]
     for u, q in zip(matrices, qubits):
-        kets.append(sim.apply_gate_matrix(kets[-1], u, q, n))
+        kets.append(sim.apply_gate_matrix(kets[-1], u, q))
     bras = np.empty((2, 1 << n), dtype=complex)
     amp, envs = engine._closed_form(kets[-1], mats, bras)
     b = bras[0].conj()
@@ -53,10 +53,10 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
         q, ud = qubits[idx], matrices[idx].conj().T
         # The first and last body ops' kets are the forward pass's; the
         # others are moved back from the next op's.
-        k = kets[idx] if idx in (0, len(matrices) - 1) else sim.apply_gate_matrix(k, ud, q, n)
-        op_envs[idx] = sim._pair_environment(b.conj(), k, q, n, len(ud))
+        k = kets[idx] if idx in (0, len(matrices) - 1) else sim.apply_gate_matrix(k, ud, q)
+        op_envs[idx] = sim._pair_environment(b.conj(), k, q, len(ud))
         if idx:
-            b = sim.apply_gate_matrix(b, ud, q, n)
+            b = sim.apply_gate_matrix(b, ud, q)
     engine.ops.gate_environments(op_envs, mats, envs)
     return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 

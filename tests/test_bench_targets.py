@@ -95,9 +95,10 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
 
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 12)
     random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
-    peaking_ops = len(engine.ops.gates)
+    peaking_ops = len(sim.OpList(circ.layers[circ.random_depth :], circ.n).gates)
     body = len(sim.OpList(circ.layers[circ.random_depth : -2], circ.n).gates)
     assert peaking_ops < len(engine.positions) and 2 <= body < peaking_ops
+    assert len(engine.ops.gates) == body
     assert counts == [random_ops, 3 * body - 3, random_ops + peaking_ops]
 
 
@@ -118,8 +119,9 @@ def test_two_layer_peaking_half_makes_no_pair_kernel_call(monkeypatch, n):
 
     circ, engine, counts = _pair_kernel_calls(monkeypatch, n, d=4)
     random_ops = len(sim.OpList(circ.layers[: circ.random_depth], circ.n).gates)
-    assert circ.d - circ.random_depth == 2 and engine.ops.gates
-    assert counts == [random_ops, 0, random_ops + len(engine.ops.gates)]
+    peaking_ops = len(sim.OpList(circ.layers[circ.random_depth :], circ.n).gates)
+    assert circ.d - circ.random_depth == 2 and peaking_ops and not engine.ops.gates
+    assert counts == [random_ops, 0, random_ops + peaking_ops]
 
 
 @pytest.mark.parametrize("name", ["wide_readout", "deep_gradient"])

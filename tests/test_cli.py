@@ -364,3 +364,11 @@ def test_negative_stop_tol_after_a_space(tmp_path, flag, tol):
             "--stage2-iters", "2", flag, tol, "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert json.loads((tmp_path / "suite.json").read_text())["optimizer"]["stop_tol"] == -0.001
+
+
+def test_generate_past_the_profile_scan_limit_exits_1_and_writes_nothing(tmp_path, capsys, optimize_calls):
+    out = tmp_path / "suite"
+    assert main(["generate", "--qubits", "2,21", "--depths", "2", "--stage1-iters", "0",
+                 "--stage2-iters", "0", "--out-dir", str(out)]) == 1
+    assert "21 > 20 qubits" in capsys.readouterr().err
+    assert optimize_calls == [] and not out.exists()

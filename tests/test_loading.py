@@ -48,6 +48,17 @@ def matrices(saved):
 
 
 @pytest.fixture(scope="module")
+def skipping(saved):
+    # Exact mode at p2 = 1 leaves the uniform distribution, which identifies
+    # no rep, so skip_window = 1 skips each row's second depth; the same
+    # config with skip_window = 2 runs it.
+    suite, _ = saved
+    grid = dict(qubits=(2, 3), depths=(2, 4), reps=2, threshold=1, exact=True, noise=NoiseSpec(p2=1.0))
+    return [json.loads(matrix_to_json(run_matrix(suite.as_mapping(), BenchConfig(**grid, skip_window=w))))
+            for w in (1, 2)]
+
+
+@pytest.fixture(scope="module")
 def circuit_doc():
     circuit = derive_subcircuit(build_reference_circuit(3, 5, seed=2), 3, 5)
     return circuit_to_dict(retarget(circuit, BitString.from_text("101")))
@@ -179,8 +190,9 @@ class TestRejectedInputs:
 
 class TestRecordRules:
     """A matrix record belongs to its cell: its n and d are the cell's, reps
-    count 0, 1, ... in order, sampled records draw at least one shot, its
-    bitstrings are n characters of 0 and 1, and its top counts are what
+    count 0, 1, ... in order, its seed is derived_seed's, sampled records
+    draw shot_policy's shots, its bitstrings are n characters of 0 and 1,
+    and its top counts are what
     ShotHistogram.top(top_k) could have written.  Each rule names the
     record's field.  The edited record holds 580 shots and top counts
     [["01", 408], ["10", 68]] under top_k = 2."""
@@ -193,6 +205,10 @@ class TestRecordRules:
             (lambda r: r.update(rep=0), r"records\[1\]\.rep: 0, but record 1 holds rep 1"),
             (lambda r: r.update(shots=-5), r"records\[1\]\.shots: -5 is below 1"),
             (lambda r: r.update(shots=0), r"records\[1\]\.shots: 0 is below 1"),
+            # Both loaded before the loader called the writer's rules.
+            (lambda r: r.update(shots=r["shots"] + 1000),
+             r"records\[1\]\.shots: 1580, but shot_policy gives 580$"),
+            (lambda r: r.update(seed=12345), r"records\[1\]\.seed: 12345, but derived_seed gives [0-9]+$"),
             (lambda r: r.update(target="2x"),
              r"records\[1\]\.target: '2x' is not 2 characters of 0 and 1"),
             (lambda r: r.update(target="001"), r"records\[1\]\.target: '001' is not 2 characters"),
@@ -216,7 +232,8 @@ class TestRecordRules:
             (lambda r: r.update(top_counts=[["01", 100], ["10", 100]]),
              r"records\[1\]\.top_counts\[1\]: out of rank order"),
         ],
-        ids=["n", "d", "rep", "negative_shots", "zero_shots", "target_chars", "target_length",
+        ids=["n", "d", "rep", "negative_shots", "zero_shots", "shots_off_policy", "seed", "target_chars",
+             "target_length",
              "top_counts_key", "top_counts_count", "top_counts_past_top_k",
              "top_counts_listed_twice", "top_counts_zero_count", "top_counts_above_shots",
              "top_counts_sum_past_shots", "top_counts_count_order", "top_counts_tie_order"],
@@ -308,8 +325,8 @@ class TestCellSummaryRules:
     """A stored cell's summary is what its records give: an executed cell
     holds `reps` records, and its identified reps, mean f and status follow
     from them by the threshold rule; a skipped cell holds no records, 0
-    identified reps and no mean f; and no row executes a cell after a
-    skipped one.  Each rule names the cell's field."""
+    identified reps and no mean f; and each row skips the cells the skip rule
+    skips.  Each rule names the cell's field."""
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -342,20 +359,40 @@ class TestCellSummaryRules:
         ],
         ids=["identified_reps", "mean_f", "records"],
     )
-    def test_skipped_cell(self, matrices, edit, message):
-        doc = json.loads(matrix_to_json(matrices[0]))
+    def test_skipped_cell(self, skipping, edit, message):
+        # A cell the writer skipped; the records edit takes those of the
+        # same cell run under skip_window 2.
+        doc, unskipped = copy.deepcopy(skipping[0]), skipping[1]
         cell = doc["cells"][1]
-        records = cell["records"]
-        _skip(cell)
+        assert (cell["n"], cell["d"], cell["status"]) == (2, 4, "skipped")
         assert matrix_from_dict(doc).cells[(2, 4)].status == "skipped"
-        edit(cell, records)
+        edit(cell, unskipped["cells"][1]["records"])
         with pytest.raises(SchemaError, match=rf"^cells\[1\]\.{message}"):
             matrix_from_dict(doc)
 
     def test_executed_cell_after_a_skipped_one(self, matrices):
         doc = json.loads(matrix_to_json(matrices[0]))
         _skip(doc["cells"][0])
-        message = r"^cells\[1\]\.status: 'non_identified' at depth 4, but an earlier depth of row n=2"
+        message = r"^cells\[0\]\.status: 'skipped' at depth 2, but skip_window = 5 runs it in row n=2$"
+        with pytest.raises(SchemaError, match=message):
+            matrix_from_dict(doc)
+
+    def test_skipped_cell_the_protocol_runs(self, matrices):
+        # Cell (2, 4) follows one identified cell, so skip_window 5 runs it;
+        # marked skipped, it once loaded and drew a staircase no run made.
+        doc = json.loads(matrix_to_json(matrices[0]))
+        assert doc["cells"][0]["status"] == "identified"
+        _skip(doc["cells"][1])
+        message = r"^cells\[1\]\.status: 'skipped' at depth 4, but skip_window = 5 runs it in row n=2$"
+        with pytest.raises(SchemaError, match=message):
+            matrix_from_dict(doc)
+
+    def test_executed_cell_the_protocol_skips(self, skipping):
+        # The (2, 4) cell run under skip_window 2, put where skip_window 1
+        # skipped it.
+        doc = copy.deepcopy(skipping[0])
+        doc["cells"][1] = skipping[1]["cells"][1]
+        message = r"^cells\[1\]\.status: 'non_identified' at depth 4, but skip_window = 1 skips it in row n=2$"
         with pytest.raises(SchemaError, match=message):
             matrix_from_dict(doc)
 

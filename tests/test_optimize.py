@@ -220,11 +220,14 @@ class TestPeakProfile:
             ({"r_p": None}, r"r_p: null, but p_peak and p_second give 3\.0"),
             ({"p_second": 0.0, "c_max": 1.0}, r"r_p: 3\.0, but p_peak and p_second give null"),
             ({"target_mismatch": True},
-             r"target_mismatch: True, but argmax 000 and target 000 give False"),
+             r"target_mismatch: true, but argmax and target give false"),
             ({"p_peak": 0.0, "p_second": 0.0, "r_p": None, "c_max": 0.0},
              r"c_max: target and strongest competitor both have zero mass"),
+            # p_second may round below 0 by the slack, and then the contrast
+            # is no probability.
+            ({"p_peak": 5e-10, "p_second": -1e-10}, r"c_max: 1\.5 is outside \[0, 1\]"),
         ],
-        ids=["c_max", "r_p_null", "r_p_not_null", "target_mismatch", "no_mass"],
+        ids=["c_max", "r_p_null", "r_p_not_null", "target_mismatch", "no_mass", "negative_p_second"],
     )
     def test_contradictory_profile_names_the_field(self, values, message):
         doc = {"target": "000", "p_peak": 0.75, "p_second": 0.25, "r_p": 3.0,

@@ -320,12 +320,12 @@ class TestPeakGradient:
         for idx in range(len(engine.positions) - 1, -1, -1):
             q = engine.positions[idx]
             ud = mats[idx].conj().T
-            k = sim.apply_gate_matrix(k, ud, q, n)
-            env = sim._pair_environment(b.conj(), k, q, n)
+            k = sim.apply_gate_matrix(k, ud, q)
+            env = sim._pair_environment(b.conj(), k, q)
             ref[16 * idx : 16 * idx + 16] = 2.0 * np.real(
                 np.einsum("ij,mij->m", env, reference_derivatives(params[idx]))
             )
-            b = sim.apply_gate_matrix(b, ud, q, n)
+            b = sim.apply_gate_matrix(b, ud, q)
         p, grad = engine.value_and_gradient(vec)
         # p is the last layer's closed-form contraction, not sim.run's
         # amplitude, so the two agree within rounding.
@@ -436,7 +436,7 @@ def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
 def test_fused_ops_match_the_per_gate_sweep(n, data):
     circ = _draw_circuit(data, n, max_random=2, max_peaking=4)
     engine = sim.PeakObjective(circ)
-    assert any(len(gates) == 2 for gates in engine.ops.gates)
+    assert any(len(gates) == 2 for gates in sim.OpList(circ.layers[circ.random_depth :], n).gates)
     vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
     p, grad = engine.value_and_gradient(vec)
     p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
@@ -491,12 +491,12 @@ class TestPairKernels:
         for q in positions:
             expected = reference_apply_gate_matrix(state, u, q, n)
             out = np.full_like(state, np.nan)
-            assert sim.apply_gate_matrix(state, u, q, n, out=out) is out
+            assert sim.apply_gate_matrix(state, u, q, out=out) is out
             assert np.max(np.abs(out - expected)) <= 1e-13
-            fresh = sim.apply_gate_matrix(state, u, q, n)
+            fresh = sim.apply_gate_matrix(state, u, q)
             assert not np.shares_memory(fresh, state)
             assert np.max(np.abs(fresh - expected)) <= 1e-13
-            env = sim._pair_environment(bra.conj(), state, q, n, d)
+            env = sim._pair_environment(bra.conj(), state, q, d)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n, d))) <= 1e-13
         assert np.array_equal(state, before) and np.array_equal(bra, bra_before)
 
@@ -506,9 +506,9 @@ class TestPairKernels:
         u = haar_random_unitary(rng)
         state, bra = _random_state(rng, n), _random_state(rng, n)
         for q in range(n - 1):
-            got = sim.apply_gate_matrix(state, u, q, n)
+            got = sim.apply_gate_matrix(state, u, q)
             assert np.max(np.abs(got - reference_apply_gate_matrix(state, u, q, n))) <= 1e-13
-            env = sim._pair_environment(bra.conj(), state, q, n)
+            env = sim._pair_environment(bra.conj(), state, q)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
 
 

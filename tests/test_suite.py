@@ -4,8 +4,8 @@ import re
 import pytest
 
 from prcbench.circuits import circuit_to_json
-from prcbench.errors import SchemaError
-from prcbench.optimize import OptimizerConfig, objective
+from prcbench.errors import CapacityError, SchemaError
+from prcbench.optimize import PROFILE_SCAN_LIMIT, OptimizerConfig, objective
 from prcbench.sim import NUMERICS
 from prcbench.suite import generate_suite, load_suite, save_suite
 
@@ -176,3 +176,12 @@ def test_saving_a_loaded_suite_writes_the_same_bytes(tmp_path, optimize_cells):
     assert names == sorted(p.name for p in second.parent.iterdir())
     for name in names:
         assert (second.parent / name).read_bytes() == (first.parent / name).read_bytes()
+
+
+def test_a_grid_past_the_profile_scan_limit_fails_before_any_optimization(optimize_calls):
+    # The (21, 2) cell could not be profiled, so no smaller cell is
+    # optimized first.
+    assert PROFILE_SCAN_LIMIT == 20
+    with pytest.raises(CapacityError, match=r"^peak profile scans the full distribution; 21 > 20 qubits$"):
+        generate_suite((2, 21), (2,), seed=0, optimizer=OptimizerConfig(stage1_iters=0, stage2_iters=0))
+    assert optimize_calls == []
