@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -449,8 +449,12 @@ def _profile(target: BitString, p_peak: float, p_second: float, argmax: BitStrin
 
 
 def profile_to_dict(profile: PeakProfile) -> dict:
-    doc = asdict(profile) | {"target": profile.target.text, "argmax": profile.argmax.text}
-    return doc | {"r_p": None if np.isinf(profile.r_p) else profile.r_p}
+    """The profile's fields in order, its bitstrings as text and an
+    infinite r_p as None; read from the instance, with no deep copy."""
+    return vars(profile) | {
+        "target": profile.target.text, "argmax": profile.argmax.text,
+        "r_p": None if np.isinf(profile.r_p) else profile.r_p,
+    }
 
 
 def _read_dominance(value, path: str) -> float:

@@ -15,27 +15,27 @@ kernels pick a layout by position:
   those rows and multiplied by kron(u, I_(2**q)).T in one GEMM;
 - anywhere else: np.matmul(u, blocks).
 
-The gradient's environment follows the same split: one (d * 2**q)-square
-GEMM over the rows and a trace over the inner index, else a batched matmul
+The gradient's overlaps follow the same split: one (d * 2**q)-square GEMM
+over the rows and a trace over the inner index, else a batched matmul
 summed over blocks, and one einsum on states below 2**10 amplitudes.  A
-block's 16x16 environment gives each of its gates' 4x4 environments by a
-contraction with the other gate, and gates.gate_gradients turns the 4x4
-environments into the gradient.
+block's 16x16 overlap gives each of its gates' 4x4 overlaps by a partial
+trace, and gates.gate_gradients turns the gates' environments into the
+gradient.
 
 The gradient never applies the peaking half's last two layers: the
 target bra is a product state until it meets a gate, and through two
 layers of disjoint gates it stays a chain with at most one open wire of
 dimension 2.  So the amplitude, both layers' environments and the bra
 entering them come in closed form from the ket before them
-(_closed_layers), by small GEMMs over shrinking views of that ket.  For a
-body (every peaking op but the last two layers') of B >= 2 ops, an
-evaluation makes B forward passes, B - 2 ket passes, B - 1 bra passes and
-B environment contractions; a peaking half of one or two layers makes no
-pass at all.  Both kernels write into buffers the caller owns where they
-can: ``run`` ping-pongs between the zero state and one more vector, and
-``PeakObjective`` keeps two ket and two bra buffers across evaluations,
-and takes the closed form inside the bra buffers.  Its
-working set is five state vectors, which sets MAX_QUBITS.  NUMERICS names
+(_closed_layers), by small GEMMs over shrinking views of that ket.  The
+rest, the body, is swept layer by layer, each gate's environment taken at
+a boundary of its layer (PeakObjective): 20 state passes per evaluation on
+a (16, 10) cell's body of three 4-op layers, and none for a peaking half
+of one or two layers.  Both kernels write into buffers the caller owns
+where they can: ``run`` ping-pongs between the zero state and one more
+vector, and ``PeakObjective`` keeps three ket and two bra buffers across
+evaluations, and takes the closed form inside the bra buffers.  Its
+working set is six state vectors, which sets MAX_QUBITS.  NUMERICS names
 the rounding of these kernels, of the gate construction, gradient and KAK
 decomposition in gates, and of the optimizer's path, and the random stream
 of the sampled readout channel (noise.readout_flip); it changes whenever
@@ -69,13 +69,15 @@ from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_ma
 # bit, so the version now also names the sampled-readout stream (optimizer
 # results and exact-mode matrices are as at 7); 9: as 8, with the peaking
 # half's last two layers taken in closed form as one chain of small GEMMs
-# (_closed_layers), so the adjoint sweep covers only the ops before them.
+# (_closed_layers), so the adjoint sweep covers only the ops before them;
+# 10: as 9, with each body gate's environment taken at a layer boundary
+# from an overlap and its own matrix, in fewer passes (PeakObjective).
 # Suite manifests and matrix provenance record it; documents without it are
 # numerics 1.
-NUMERICS = 9
+NUMERICS = 10
 
-# Memory guard.  A gradient evaluation holds five state vectors (the random
-# half's output, two ket and two bra buffers): 5 * 2**24 * 16 B = 1.25 GiB.
+# Memory guard.  A gradient evaluation holds six state vectors (the random
+# half's output, three ket and two bra buffers): 6 * 2**24 * 16 B = 1.5 GiB.
 MAX_QUBITS = 24
 
 # Kernel cut-overs, measured per call on one BLAS thread.  For an op of
@@ -234,9 +236,10 @@ class OpList:
         fuse = 1 << n >= _EINSUM_MAX_AMPLITUDES
         self.gates: list[tuple[int, ...]] = []
         self.qubits: list[int] = []
+        self.layers: list[range] = []  # each layer's op numbers
         start = 0
         for layer in layers:
-            i = 0
+            first, i = len(self.gates), 0
             while i < len(layer):
                 q = layer[i].qubit_low
                 width = 2 if fuse and i + 1 < len(layer) and layer[i + 1].qubit_low == q + 2 else 1
@@ -244,6 +247,7 @@ class OpList:
                 self.qubits.append(q)
                 i += width
             start += len(layer)
+            self.layers.append(range(first, len(self.gates)))
         blocks = [g for g in self.gates if len(g) == 2]
         self._low = np.array([g[0] for g in blocks], dtype=int)
         self._high = np.array([g[1] for g in blocks], dtype=int)
@@ -254,26 +258,27 @@ class OpList:
         kron = iter(_kron(mats[self._high], mats[self._low]) if len(self._low) else ())
         return [mats[g[0]] if len(g) == 1 else next(kron) for g in self.gates]
 
-    def gate_environments(self, op_envs, mats: np.ndarray, envs: np.ndarray) -> None:
-        """Write the 4x4 environments of every op's gates into the (G, 4, 4)
-        array ``envs``, from each op's environment.
+    def gate_overlaps(self, op_overlaps) -> np.ndarray:
+        """The (G, 4, 4) overlaps of every op's gates (_pair_environment on
+        each gate's two qubits), from each op's.
 
-        Read a block's environment as E[i_high, i_low, j_high, j_low].
-        Since <b|kron(u_high, du_low)|k> = sum E * u_high * du_low, the low
-        gate's environment is E contracted with u_high over the high
-        indices, and the high gate's is E contracted with u_low over the
-        low ones.
+        Read a block's 16x16 overlap as Y[i_high, i_low, j_high, j_low].
+        The other gate's qubits pair up like the rest of the state, so the
+        low gate's overlap is the trace over the high indices and the high
+        gate's the trace over the low ones.
         """
+        overlaps = np.empty((len(self.gates) + len(self._low), 4, 4), dtype=complex)
         blocks = []
-        for g, env in zip(self.gates, op_envs):
+        for g, y in zip(self.gates, op_overlaps):
             if len(g) == 1:
-                envs[g[0]] = env
+                overlaps[g[0]] = y
             else:
-                blocks.append(env)
+                blocks.append(y)
         if blocks:
             blocks = np.reshape(blocks, (-1, 4, 4, 4, 4))
-            envs[self._low] = np.einsum("bhk,bhlkm->blm", mats[self._high], blocks)
-            envs[self._high] = np.einsum("blm,bhlkm->bhk", mats[self._low], blocks)
+            overlaps[self._low] = np.einsum("bhlhm->blm", blocks)
+            overlaps[self._high] = np.einsum("bhlkl->bhk", blocks)
+        return overlaps
 
 
 def _apply_ops(state: np.ndarray, matrices, qubits, buffers) -> np.ndarray:
@@ -517,16 +522,26 @@ class PeakObjective:
     those two layers, L_a and L_b, in closed form as one chain
     (_closed_layers), which gives the amplitude, both layers' gate
     environments and the conjugated bra entering L_a; and runs the adjoint
-    reverse sweep over the body.  The sweep takes every op's environment,
-    16x16 for a block and 4x4 for a lone gate, and moves the ket and the
-    bra back only where it must: the ket before the first op is the random
-    half's output, the ket before the last body op is still in the forward
-    pass's spare buffer, and no bra move follows the first op.  For a body of B >= 2 ops that is B forward passes, B - 2
-    ket passes and B - 1 bra passes.  The gradient then comes from every
-    gate's 4x4 environment at once, taken through the gate's local factors
-    (gates.gate_gradients), so no derivative matrices are built.
-    The kets and bras ping-pong between buffers the objective owns, so one
-    object must not evaluate in two threads at once.
+    reverse sweep over the body's layers.
+
+    The gates of one layer act on disjoint qubits and commute, so a gate
+    u's environment comes from a bra and a ket held at either boundary of
+    its layer (boundary j is the state after body layer j, boundary 0 the
+    random half's output): E = Y conj(u) from their overlap Y
+    (_pair_environment, split into gates by OpList.gate_overlaps) at the
+    boundary after it, or E = conj(u) X from their overlap X at the one
+    before it.  Body layer j takes its overlaps at boundary j when it is
+    the last layer or odd, else at boundary j - 1: layers 1 and 2 at
+    boundary 1, 3 and 4 at boundary 3, and so on.  The forward pass keeps
+    the ket at boundary 1 in a third buffer, so the bra moves back through
+    every body layer but the first and the ket only to the odd boundaries
+    from 3 up.  For body layers of B_1, .., B_L ops that is B_1 + .. + B_L
+    forward passes, B_2 + .. + B_L bra passes, B_4 + .. + B_L ket passes
+    and one overlap per op.  The gradient then comes from every gate's 4x4
+    environment at once, taken through the gate's local factors
+    (gates.gate_gradients), so no derivative matrices are built.  The kets
+    and bras ping-pong between buffers the objective owns, so one object
+    must not evaluate in two threads at once.
     """
 
     def __init__(self, circuit: Circuit):
@@ -536,7 +551,12 @@ class PeakObjective:
         peaking = circuit.layers[circuit.random_depth :]
         # The body's ops: every peaking layer but the last two.  Fusion
         # never crosses a layer, so they number gates as the peaking half does.
-        self.ops = OpList(peaking[:-2], circuit.n)
+        body = peaking[:-2]
+        self.ops = OpList(body, circuit.n)
+        # Whether each body gate's environment is taken after its layer (the
+        # last and the odd ones) or before it, as a (G_body, 1, 1) mask.
+        after = [j == len(body) or j % 2 for j, layer in enumerate(body, 1) for _ in layer]
+        self._after = np.array(after, dtype=bool).reshape(-1, 1, 1)
         self._psi_random = _run_layers(circuit.layers[: circuit.random_depth], circuit.n)
         self._psi_random.flags.writeable = False
         # The trailing NOTs only permute amplitudes: <s|X psi> = psi[s ^ mask].
@@ -549,7 +569,9 @@ class PeakObjective:
         self._last = np.arange(body_gates + len(first), len(self.positions))
         self._last_rows = np.array([self._pre_x_index >> q & 3 for q in last], dtype=int)
         self._steps = _chain(first, last, self._pre_x_index, self.n)
-        self._kets = np.empty((2, 1 << self.n), dtype=complex)
+        # Two ket buffers for the forward pass and, from two body layers,
+        # a third that keeps the ket at boundary 1.
+        self._kets = [np.empty(1 << self.n, dtype=complex) for _ in range(2 + (len(body) >= 2))]
         self._bras = np.empty((2, 1 << self.n), dtype=complex)
 
     def _closed_form(self, ket: np.ndarray, mats: np.ndarray, bras) -> tuple[complex, np.ndarray]:
@@ -569,33 +591,45 @@ class PeakObjective:
             return float(np.abs(self._psi_random[self._pre_x_index]) ** 2), np.zeros(0)
         factors = gate_factors(rows)
         mats = factors.unitaries
-        matrices, qubits = self.ops.matrices(mats), self.ops.qubits
-        body = len(matrices)
-        k = _apply_ops(self._psi_random, matrices, qubits, self._kets)
+        ops, kets = self.ops, self._kets
+        matrices, qubits = ops.matrices(mats), ops.qubits
+        # The first layer's last op writes into kets[-1], which keeps the
+        # ket at boundary 1 for the rest of the evaluation.
+        first = len(ops.layers[0]) if ops.layers else 0
+        buffers = (kets[-1], kets[0]) if first % 2 else (kets[0], kets[-1])
+        k1 = _apply_ops(self._psi_random, matrices[:first], qubits[:first], buffers)
+        k = _apply_ops(k1, matrices[first:], qubits[first:], kets[:2])
 
         # The bra is held conjugated, so it moves back through an op u by
         # conj(u^dag) = u.T; conjugation only flips signs, so every result
         # keeps the bits of an unconjugated sweep.
         bc, spare_b = self._bras
         amp, envs = self._closed_form(k, mats, self._bras)
-
-        # Op idx's environment pairs the bra after it with the ket before it:
-        # the random half's output for the first op, the forward pass's
-        # spare buffer for the last, and the ket moved back otherwise.
-        # dp/dtheta = 2 Re <b|dU|k> is then taken through every gate's
-        # factors at once.
-        k, spare_k = self._kets[body % 2], self._kets[(body - 1) % 2]
-        op_envs = [None] * body
-        for idx in range(body - 1, -1, -1):
-            q, u = qubits[idx], matrices[idx]
-            if idx == 0:
-                k = self._psi_random
-            elif idx < body - 1:
-                k, spare_k = apply_gate_matrix(k, u.conj().T, q, out=spare_k), k
-            op_envs[idx] = _pair_environment(bc, k, q, len(u))
-            if idx:
+        spare_k = kets[1] if k is kets[0] else kets[0]
+        overlaps = [None] * len(matrices)
+        last = len(ops.layers)
+        for j in range(last, 0, -1):
+            # Bra and ket are at boundary j: body layer j takes its overlaps
+            # here if it is the last or odd, and so does an even layer j + 1
+            # below the last.  Then both move back through layer j, the ket
+            # only while it is needed above boundary 1, whose ket is kept.
+            if j == last or j % 2:
+                stop = ops.layers[j if j + 1 < last else j - 1].stop
+                for i in range(ops.layers[j - 1].start, stop):
+                    overlaps[i] = _pair_environment(bc, k, qubits[i], len(matrices[i]))
+            for i in reversed(ops.layers[j - 1] if j > 1 else ()):
+                u, q = matrices[i], qubits[i]
                 bc, spare_b = apply_gate_matrix(bc, u.T, q, out=spare_b), bc
-        self.ops.gate_environments(op_envs, mats, envs)
+                if j > 3:
+                    k, spare_k = apply_gate_matrix(k, u.conj().T, q, out=spare_k), k
+            if j == 2:
+                k = k1
+        # A gate's environment is Y conj(u) from an overlap taken after its
+        # layer, conj(u) X from one taken before; dp/dtheta = 2 Re <b|dU|k>
+        # is then taken through every gate's factors at once.
+        y = ops.gate_overlaps(overlaps)
+        u = mats[: len(y)].conj()
+        envs[: len(y)] = np.where(self._after, y @ u, u @ y)
         return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 
 

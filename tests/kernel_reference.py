@@ -5,9 +5,10 @@ within rounding.
 
 The unconjugated sweep below is PeakObjective.value_and_gradient as it
 would run with the bra not held conjugated: the bra moves by u^dag and
-each environment is taken on a conjugated copy of it.  It takes the last
-two layers in closed form by the engine's own chain (sim._closed_layers),
-walks the engine's own op list with the same known kets, and takes the
+each overlap is taken on a conjugated copy of it.  It takes the last two
+layers in closed form by the engine's own chain (sim._closed_layers),
+walks the engine's own op list on the same layer-boundary schedule with
+the same kept ket, splits blocks by OpList.gate_overlaps and takes the
 gradient through gates.gate_gradients, as the engine does, and the
 conjugated sweep must match it bit for bit.
 
@@ -41,23 +42,42 @@ def unconjugated_value_and_gradient(engine: sim.PeakObjective, vec: np.ndarray) 
     n = engine.n
     factors = gate_factors(peaking_rows(vec, len(engine.positions)))
     mats = factors.unitaries
-    matrices, qubits = engine.ops.matrices(mats), engine.ops.qubits
-    kets = [engine._psi_random]
-    for u, q in zip(matrices, qubits):
-        kets.append(sim.apply_gate_matrix(kets[-1], u, q))
+    ops = engine.ops
+    matrices, qubits = ops.matrices(mats), ops.qubits
+    k, boundaries = engine._psi_random, []
+    for layer in ops.layers:
+        for i in layer:
+            k = sim.apply_gate_matrix(k, matrices[i], qubits[i])
+        boundaries.append(k)
     bras = np.empty((2, 1 << n), dtype=complex)
-    amp, envs = engine._closed_form(kets[-1], mats, bras)
+    amp, envs = engine._closed_form(k, mats, bras)
     b = bras[0].conj()
-    op_envs = [None] * len(matrices)
-    for idx in range(len(matrices) - 1, -1, -1):
-        q, ud = qubits[idx], matrices[idx].conj().T
-        # The first and last body ops' kets are the forward pass's; the
-        # others are moved back from the next op's.
-        k = kets[idx] if idx in (0, len(matrices) - 1) else sim.apply_gate_matrix(k, ud, q)
-        op_envs[idx] = sim._pair_environment(b.conj(), k, q, len(ud))
-        if idx:
-            b = sim.apply_gate_matrix(b, ud, q)
-    engine.ops.gate_environments(op_envs, mats, envs)
+    # Body layer j takes its overlaps at boundary j when it is the last or
+    # odd, else at boundary j - 1.  The bra moves back through every layer
+    # but the first, the ket to the odd boundaries from 3 up; boundary 1's
+    # ket is the forward pass's.
+    last = len(ops.layers)
+    overlaps = [None] * len(matrices)
+    after = [j == last or j % 2 for j in range(1, last + 1)]
+    for j in range(last, 0, -1):
+        # At boundary j: layer j if it takes its overlaps after itself, and
+        # layer j + 1 if it takes them before.
+        for t in (j, j + 1):
+            if t <= last and after[t - 1] == (t == j):
+                for i in ops.layers[t - 1]:
+                    overlaps[i] = sim._pair_environment(b.conj(), k, qubits[i], len(matrices[i]))
+        for i in reversed(ops.layers[j - 1] if j > 1 else ()):
+            ud = matrices[i].conj().T
+            b = sim.apply_gate_matrix(b, ud, qubits[i])
+            if j > 3:
+                k = sim.apply_gate_matrix(k, ud, qubits[i])
+        if j == 2:
+            k = boundaries[0]
+    y = ops.gate_overlaps(overlaps)
+    for j, layer in enumerate(ops.layers, 1):
+        for g in (g for i in layer for g in ops.gates[i]):
+            u = mats[g].conj()
+            envs[g] = y[g] @ u if after[j - 1] else u @ y[g]
     return float(np.abs(amp) ** 2), gate_gradients(factors, envs).reshape(-1)
 
 

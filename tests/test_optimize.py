@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ class TestPeakProfile:
         prof = peak_profile(circ)
         again = profile_from_dict(profile_to_dict(prof))
         assert again == prof
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(n=st.integers(2, 5), d=st.integers(2, 6), seed=st.integers(0, 2**16),
+           mirror=st.booleans(), target=st.integers(0, 31))
+    def test_profile_dict_matches_the_deep_copied_fields(self, n, d, seed, mirror, target):
+        # profile_to_dict reads the fields off the profile; it writes the
+        # bytes that dataclasses.asdict's deep copy of them gave.
+        circ = derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d)
+        if mirror and d % 2 == 0:
+            circ = build_exact_inverse_peaking(circ)
+        prof = peak_profile(retarget(circ, BitString.from_index(target % (1 << n), n)))
+        copied = asdict(prof) | {"target": prof.target.text, "argmax": prof.argmax.text}
+        copied |= {"r_p": None if math.isinf(prof.r_p) else prof.r_p}
+        doc = profile_to_dict(prof)
+        assert json.dumps(doc) == json.dumps(copied)
+        assert list(doc) == [f.name for f in fields(prof)]
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(n=st.integers(2, 5), d=st.integers(2, 6), seed=st.integers(0, 2**16),

@@ -381,15 +381,29 @@ def _draw_circuit(
 @given(n=st.sampled_from([4, 9, 12, 16]), data=st.data())
 def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
     # Multi-gate layers at random positions, with a random half, target and
-    # trailing NOTs, so every kernel layout, blocks and lone gates, and both
-    # sweeps' buffers are exercised.
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=4)
+    # trailing NOTs, and bodies of up to five layers, so every kernel layout,
+    # blocks and lone gates, and both sweeps' buffers are exercised.
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=7)
     engine = sim.PeakObjective(circ)
     vec = peaking_vector(circ)
     p, grad = engine.value_and_gradient(vec)
     p_ref, grad_ref = unconjugated_value_and_gradient(engine, vec)
     assert p == p_ref
     assert same_bits(grad, grad_ref)
+
+
+def _sweep_events(engine: sim.PeakObjective) -> None:
+    """Which parts of the layer-boundary schedule a body exercises: its
+    depth's parity, a ket moved back (four body layers or more), and a
+    block in a layer that takes its overlaps before itself (even, not last)."""
+    layers = engine.ops.layers
+    if layers:
+        event(f"{'odd' if len(layers) % 2 else 'even'} body depth")
+    if len(layers) >= 4:
+        event("ket moved back")
+    before = [layer for j, layer in enumerate(layers, 1) if j % 2 == 0 and j < len(layers)]
+    if any(len(engine.ops.gates[i]) == 2 for layer in before for i in layer):
+        event("a fused block in a before-form layer")
 
 
 def _idle_in(q: int, first: list[int], last: list[int]) -> str:
@@ -405,8 +419,9 @@ def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
     # side-by-side pairs and idle qubits; an L_a gate may straddle two L_b
     # gates or sit on the same qubits as one, the target may be reached
     # through trailing NOTs, and a peaking half of one or two layers leaves
-    # the sweep no body at all (L_a is empty for one).
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=4, brick=data.draw(st.booleans()))
+    # the sweep no body at all (L_a is empty for one).  Bodies of one to
+    # five layers cover both parities and a ket moved back.
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=7, brick=data.draw(st.booleans()))
     peaking = circ.layers[circ.random_depth :]
     first, last = [[g.qubit_low for g in layer] for layer in ((), *peaking)[-2:]]
     event(f"peaking layers: {len(peaking)}")
@@ -418,6 +433,7 @@ def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
     event(f"bottom qubit idle in {_idle_in(0, first, last)}")
     event("trailing NOTs" if circ.final_x else "no trailing NOTs")
     engine = sim.PeakObjective(circ)
+    _sweep_events(engine)
     vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
     p, grad = engine.value_and_gradient(vec)
     p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
@@ -434,8 +450,9 @@ def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
 @settings(max_examples=10, deadline=None, database=None)
 @given(n=st.sampled_from([10, 12, 16]), data=st.data())
 def test_fused_ops_match_the_per_gate_sweep(n, data):
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=4)
+    circ = _draw_circuit(data, n, max_random=2, max_peaking=7)
     engine = sim.PeakObjective(circ)
+    _sweep_events(engine)
     assert any(len(gates) == 2 for gates in sim.OpList(circ.layers[circ.random_depth :], n).gates)
     vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
     p, grad = engine.value_and_gradient(vec)

@@ -132,20 +132,20 @@ def test_peak_probability_rounded_above_one_loads(saved_suite):
 def test_manifest_records_numerics_and_older_manifests_load_as_numerics_1(saved_suite):
     suite, manifest = saved_suite
     doc = json.loads(manifest.read_text())
-    assert doc["numerics"] == NUMERICS == suite.numerics == 9
-    assert load_suite(manifest).numerics == 9
+    assert doc["numerics"] == NUMERICS == suite.numerics == 10
+    assert load_suite(manifest).numerics == 10
     del doc["numerics"]
     manifest.write_text(json.dumps(doc))
     assert load_suite(manifest).numerics == 1
 
 
-@pytest.mark.parametrize("value", [0, 10, "2", 2.0, True, None])
+@pytest.mark.parametrize("value", [0, 11, "2", 2.0, True, None])
 def test_unknown_numerics_names_manifest(saved_suite, value):
     _, manifest = saved_suite
     doc = json.loads(manifest.read_text())
     doc["numerics"] = value
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=r"suite\.json: numerics: .* is not a numerics version 1\.\.9"):
+    with pytest.raises(SchemaError, match=r"suite\.json: numerics: .* is not a numerics version 1\.\.10"):
         load_suite(manifest)
 
 
