@@ -100,6 +100,8 @@ class Circuit:
             raise InvalidDimensionError(f"n: need at least 2 qubits, got {self.n}")
         if len(self.layers) != self.d:
             raise ValueError(f"layers: {len(self.layers)} layers do not match depth {self.d}")
+        if not 0 <= self.random_depth <= self.d:
+            raise ValueError(f"random_depth: {self.random_depth} is outside 0..{self.d}")
         if len(self.target) != self.n:
             raise ValueError(f"target: {len(self.target)} bits do not match {self.n} qubits")
         for t, layer in enumerate(self.layers):

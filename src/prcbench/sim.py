@@ -395,7 +395,7 @@ def _pair(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 def _chain(first, last, target: int, n: int) -> list[tuple]:
     """The steps of _closed_layers for layers L_a and L_b with gates at
     qubit_lows ``first`` and ``last`` and the bitstring ``target``: L_a's
-    gates and idle qubits from the top down, as (gate, row, pair, wire, view).
+    gates and idle qubits from the top down, as (gate, row, pair, wire).
 
     <s|L_b is a chain of factors M[i, x, o] on qubit x, with wires i in and
     o out: <b| (1, 2, 1) on an idle qubit whose target bit is b; the
@@ -406,9 +406,7 @@ def _chain(first, last, target: int, n: int) -> list[tuple]:
     ``pair`` is its two factors as P (_pair), or with a row, the (4, P.size)
     map r_j -> P, and ``wire`` the dimension of o.  An idle qubit under the
     identity is no step, as the next step reads the wire as the top bit of
-    its ket; one under <b| has ``pair`` <b| as (1, 2) and ``view`` b:b + 1,
-    the rows it keeps of the ket read as (2, -1).  ``view`` is None for
-    every other step."""
+    its ket; one under <b| has ``pair`` <b| as (1, 2), a GEMM like a row's."""
     gates = {q + 1: a for a, q in enumerate(first)}
     tops = {q + 1 for q in last}
     bottoms = {q: j for j, q in enumerate(last)}
@@ -426,14 +424,14 @@ def _chain(first, last, target: int, n: int) -> list[tuple]:
             else:
                 entries = [[e if isinstance(f, int) else f for f in factors] for e in _ENTRIES]
                 pair = np.array([_pair(*m).reshape(-1) for m in entries])
-            steps.append((gates[q], row, pair, 2 if factors[1] is _WIRE else 1, None))
+            steps.append((gates[q], row, pair, 2 if factors[1] is _WIRE else 1))
             q -= 2
             continue
-        f, bit = factor(q), target >> q & 1
+        f = factor(q)
         if isinstance(f, int):
-            steps.append((-1, f, None, 1, None))
+            steps.append((-1, f, None, 1))
         elif f is not _WIRE:
-            steps.append((-1, -1, _UNITS[bit][None], 1, slice(bit, bit + 1)))
+            steps.append((-1, -1, _UNITS[target >> q & 1][None], 1))
         q -= 1
     return steps
 
@@ -453,7 +451,7 @@ def _closed_layers(
     with every step above it, t_i of shape (w_in, 2**m), to t_(i + 1) =
     G_i t_i by one small GEMM, with G_i[o, (i, k)] = (P u)[(o, i), k] for
     an L_a gate u and its qubits' factors P, r_j for an idle qubit under
-    r_j, or by a view for one under <b|; the last t is the amplitude.
+    r_j, or <b| for one under <b|; the last t is the amplitude.
     Going back up, below_i is conj(amp) times the contraction of every
     step below i, so d_i = below_i t_i^T is conj(amp) times the derivative
     of the amplitude by G_i.  That gives gate u's environment P^T d_i and
@@ -472,7 +470,7 @@ def _closed_layers(
     out, scratch = buffers
     tops, gs, ps = [], [], []
     t, free = ket.reshape(1, -1), scratch
-    for gate, row, pair, wire, view in steps:
+    for gate, row, pair, wire in steps:
         tops.append(t)
         p = None
         if gate >= 0:
@@ -482,12 +480,9 @@ def _closed_layers(
             g = pair if row < 0 else rows[row][None]
         ps.append(p)
         gs.append(g)
-        if view is not None:
-            t = t.reshape(2, -1)[view]
-        else:
-            size = len(g) * (t.size // g.shape[1])
-            product = free[:size].reshape(len(g), -1)
-            t, free = np.matmul(g, t.reshape(g.shape[1], -1), out=product), free[size:]
+        size = len(g) * (t.size // g.shape[1])
+        product = free[:size].reshape(len(g), -1)
+        t, free = np.matmul(g, t.reshape(g.shape[1], -1), out=product), free[size:]
     amp = t[0, 0]
     c = np.empty((len(rows), 4), dtype=complex)
     # Step i's below lands in buffers[0] for even i, so the first (the
@@ -495,9 +490,9 @@ def _closed_layers(
     below = (scratch[-1:] if len(steps) % 2 else out[:1]).reshape(1, 1)
     below[0, 0] = amp.conjugate()
     for i in range(len(steps) - 1, -1, -1):
-        gate, row, pair, _, view = steps[i]
+        gate, row, pair, _ = steps[i]
         top, g, p = tops[i], gs[i], ps[i]
-        if view is None:
+        if gate >= 0 or row >= 0:
             d = below @ top.reshape(g.shape[1], -1).T
             if gate < 0:
                 c[row] = d.reshape(4)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from kernel_reference import sweep_passes
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -82,25 +84,13 @@ def _pair_kernel_calls(monkeypatch, n, d=8):
     return circ, engine, counts
 
 
-def _sweep_passes(circ) -> int:
-    """sim.apply_gate_matrix calls one value_and_gradient makes, from each
-    body layer's op count (the body is every peaking layer but the last
-    two, which are taken in closed form): every body op forward, the bra
-    back through every body layer but the first and the ket back through
-    every body layer from the fourth."""
-    from prcbench import sim
-
-    ops = [len(sim.OpList([layer], circ.n).gates) for layer in circ.layers[circ.random_depth : -2]]
-    return sum(ops) + sum(ops[1:]) + sum(ops[3:])
-
-
 def test_pair_kernel_calls_count_gates(monkeypatch):
     # The benchmark counts sim.apply_gate_matrix calls as pair-kernel work
     # through the module attribute: one call per op (a lone gate, or two
     # side-by-side gates of a layer fused into a block) in run and in the
     # random half PeakObjective replays once.  Each value_and_gradient
     # applies only the body, whose gates take their environments at layer
-    # boundaries (_sweep_passes).
+    # boundaries (kernel_reference.sweep_passes).
     from prcbench import sim
 
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 12)
@@ -109,7 +99,7 @@ def test_pair_kernel_calls_count_gates(monkeypatch):
     body = len(sim.OpList(circ.layers[circ.random_depth : -2], circ.n).gates)
     assert peaking_ops < len(engine.positions) and 2 <= body < peaking_ops
     assert len(engine.ops.gates) == body
-    assert counts == [random_ops, _sweep_passes(circ), random_ops + peaking_ops]
+    assert counts == [random_ops, sweep_passes(circ), random_ops + peaking_ops]
 
 
 def test_pair_kernel_calls_count_gates_below_the_fusion_cut_over(monkeypatch):
@@ -118,7 +108,7 @@ def test_pair_kernel_calls_count_gates_below_the_fusion_cut_over(monkeypatch):
     gates, peaking = circ.num_placements(), len(engine.positions)
     body = peaking - len(circ.layers[-1]) - len(circ.layers[-2])
     assert body >= 2
-    assert counts == [gates - peaking, _sweep_passes(circ), gates]
+    assert counts == [gates - peaking, sweep_passes(circ), gates]
 
 
 def test_deep_gradient_cell_makes_20_passes_per_evaluation(monkeypatch):
@@ -127,7 +117,7 @@ def test_deep_gradient_cell_makes_20_passes_per_evaluation(monkeypatch):
     # 12 forward and 8 bra passes, and no ket pass.
     circ, engine, counts = _pair_kernel_calls(monkeypatch, 16, d=10)
     assert [len(layer) for layer in engine.ops.layers] == [4, 4, 4]
-    assert counts[1] == _sweep_passes(circ) == 20
+    assert counts[1] == sweep_passes(circ) == 20
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -136,7 +126,7 @@ def test_one_layer_body_makes_only_its_forward_passes(monkeypatch, n):
     # where the forward pass and the closed form leave the ket and the bra.
     circ, engine, counts = _pair_kernel_calls(monkeypatch, n, d=6)
     assert len(engine.ops.layers) == 1
-    assert counts[1] == len(engine.ops.gates) == _sweep_passes(circ)
+    assert counts[1] == len(engine.ops.gates) == sweep_passes(circ)
 
 
 @pytest.mark.parametrize("n", [5, 12])

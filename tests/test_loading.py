@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prcbench.circuits import (
+    ROLE_PEAKING,
+    ROLE_RANDOM,
     BitString,
     build_reference_circuit,
     circuit_from_dict,
@@ -164,6 +166,26 @@ class TestRejectedInputs:
     def test_circuit(self, circuit_doc, edit, message):
         with pytest.raises(SchemaError, match=f"^{message}"):
             circuit_from_dict(_edited(circuit_doc, edit))
+
+    @pytest.mark.parametrize("random_depth", [-1, 0, 5, 6])
+    def test_circuit_random_depth_within_the_layers(self, circuit_doc, random_depth):
+        # The roles follow random_depth, so only its range can reject the
+        # document; outside 0..d, Circuit.role and peaking_placements would
+        # disagree about which gates are peaking.
+        def edit(doc):
+            doc["random_depth"] = random_depth
+            for t, layer in enumerate(doc["layers"]):
+                for g in layer:
+                    g["role"] = ROLE_RANDOM if t < random_depth else ROLE_PEAKING
+
+        assert circuit_doc["d"] == 5
+        doc = _edited(circuit_doc, edit)
+        if 0 <= random_depth <= 5:
+            circuit = circuit_from_dict(doc)
+            assert len(list(circuit.peaking_placements())) == sum(map(len, doc["layers"][random_depth:]))
+        else:
+            with pytest.raises(SchemaError, match=rf"^random_depth: {random_depth} is outside 0\.\.5"):
+                circuit_from_dict(doc)
 
     @pytest.mark.parametrize(
         "edit,message",

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from conftest import brute_force_state, histogram, reference_sample
 from gate_reference import reference_derivatives, reference_matrix, same_bits
 from kernel_reference import (
-    per_gate_closed_form,
     per_gate_run,
     per_gate_value_and_gradient,
     reverse_qubits,
     reference_apply_gate_matrix,
     reference_pair_environment,
-    unconjugated_value_and_gradient,
+    sweep_passes,
 )
 from prcbench import sim
 from prcbench.circuits import (
@@ -333,13 +332,70 @@ class TestPeakGradient:
         assert np.max(np.abs(grad - ref)) <= 1e-12
 
 
-def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
+def _circuit(n: int, layouts, random_depth: int, final_x, rng) -> Circuit:
+    """Random gates at the qubit_lows of ``layouts``, one list per layer,
+    the first ``random_depth`` of them the random half, a random target and
+    trailing NOTs on ``final_x``."""
+    layers = tuple(
+        tuple(GatePlacement(q, GateParams.from_vector(rng.uniform(-np.pi, np.pi, 16))) for q in layout)
+        for layout in layouts
+    )
+    return Circuit(
+        n=n, d=len(layers), random_depth=random_depth, layers=layers,
+        target=BitString.from_index(int(rng.integers(1 << n)), n), final_x=tuple(final_x),
+    )
+
+
+def _brick(n: int, depth: int, last: int) -> list[list[int]]:
+    """qubit_lows of ``depth`` brick layers, the last starting at ``last``."""
+    return [list(range((last + depth - 1 - t) % 2, n - 1, 2)) for t in range(depth)]
+
+
+# The adjoint sweep's schedule cases: (n, peaking layouts, trailing NOTs).
+# Brick peaking halves of depth 1 to 7 at n = 5 (no fused ops) and n = 12
+# (fused blocks) give bodies of 0 to 5 layers: both parities, a ket moved
+# back from four body layers, and blocks in after-form (odd or last) and
+# before-form (even, not last) layers.  Their last two layers, L_a and L_b,
+# swap offsets with the depth, so the top and bottom qubits are idle in L_a
+# only, in L_b only, or, at depth 1 where L_a is empty, in both, and from
+# depth 2 L_a gates straddle two L_b gates.  The hand-laid layouts add an
+# L_a gate on the same qubits as an L_b gate, and qubits idle in both layers
+# below the top.
+SWEEP_CASES = {
+    **{
+        f"brick-n{n}-depth{depth}": (n, _brick(n, depth, depth % 2), (0,) if depth % 2 else ())
+        for n in (5, 12)
+        for depth in range(1, 8)
+    },
+    "same-qubits": (6, [[0, 2, 4], [1, 3], [0, 3], [0, 2, 4]], (1, 5)),
+    "idle-in-both": (11, [[0, 2, 4, 6, 8], [1, 5], [0, 6, 8]], (3, 10)),
+}
+
+
+@pytest.mark.parametrize("n,peaking,final_x", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+def test_sweep_case_matches_the_per_gate_oracle(monkeypatch, n, peaking, final_x):
+    circ = _circuit(n, _brick(n, 2, 0) + peaking, 2, final_x, np.random.default_rng(len(peaking)))
+    engine = sim.PeakObjective(circ)
+    vec = peaking_vector(circ)
+    calls = []
+    kernel = sim.apply_gate_matrix
+    monkeypatch.setattr(sim, "apply_gate_matrix", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+    p, grad = engine.value_and_gradient(vec)
+    assert len(calls) == sweep_passes(circ)
+    p_ref, grad_ref, ket, bra = per_gate_value_and_gradient(circ, vec)
+    assert abs(p - p_ref) <= 1e-12
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-12
+    # The conjugated bra the chain writes is the oracle's bra entering L_a,
+    # conjugated.
+    bras = np.empty((2, 1 << n), dtype=complex)
+    engine._closed_form(ket, gate_factors(peaking_rows(vec, len(engine.positions))).unitaries, bras)
+    assert np.max(np.abs(bras[0] - bra.conj())) <= 1e-12
+
+
+def _draw_layer(data, n: int) -> list[int]:
     """qubit_lows of one layer: gates apart by gaps of 0 to 2 qubits, so a
-    layer holds side-by-side pairs, lone gates and gaps; with
-    ``pair_first``, its first two gates are a side-by-side pair at 0."""
+    layer holds side-by-side pairs, lone gates and gaps."""
     gaps = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=n // 2))
-    if pair_first:
-        gaps[:1] = [0, 0]
     layer, q = [], 0
     for gap in gaps:
         q += gap
@@ -350,116 +406,49 @@ def _draw_layer(data, n: int, pair_first: bool = False) -> list[int]:
     return layer
 
 
-def _draw_circuit(
-    data, n: int, max_random: int, max_peaking: int, min_peaking: int = 1, brick: bool = False
-) -> Circuit:
-    """Multi-gate layers of random gates, a random target and trailing NOTs;
-    the first peaking layer starts with a side-by-side pair.  With
-    ``brick``, the last two layers are full brick layers instead, one at
-    even and one at odd qubit_lows, in either order."""
-    random_half = [_draw_layer(data, n) for _ in range(data.draw(st.integers(0, max_random)))]
-    peaking_half = [
-        _draw_layer(data, n, pair_first=t == 0)
-        for t in range(data.draw(st.integers(min_peaking, max_peaking)))
-    ]
-    if brick:
-        offset = data.draw(st.integers(0, 1))
-        peaking_half[-2:] = [list(range(o, n - 1, 2)) for o in (offset, 1 - offset)][-len(peaking_half) :]
-    final_x = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+def _draw_circuit(data, n: int, pair_first: bool = False) -> Circuit:
+    """Zero to two random and one to seven peaking layers at random layouts,
+    with random parameters, target and trailing NOTs; with ``pair_first``
+    the first peaking layer starts with a side-by-side pair."""
+    random_depth = data.draw(st.integers(0, 2))
+    layouts = [_draw_layer(data, n) for _ in range(random_depth + data.draw(st.integers(1, 7)))]
+    if pair_first:
+        layouts[random_depth] = [0, 2] + [q for q in layouts[random_depth] if q > 3]
+    final_x = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    layers = tuple(
-        tuple(GatePlacement(q, GateParams.from_vector(rng.uniform(-np.pi, np.pi, 16))) for q in layer)
-        for layer in random_half + peaking_half
-    )
-    return Circuit(
-        n=n, d=len(layers), random_depth=len(random_half), layers=layers,
-        target=BitString.from_index(int(rng.integers(1 << n)), n), final_x=tuple(sorted(final_x)),
-    )
+    return _circuit(n, layouts, random_depth, final_x, rng)
 
 
-@settings(max_examples=16, deadline=None, database=None)
-@given(n=st.sampled_from([4, 9, 12, 16]), data=st.data())
-def test_conjugated_bra_sweep_is_bit_identical_to_the_unconjugated_one(n, data):
-    # Multi-gate layers at random positions, with a random half, target and
-    # trailing NOTs, and bodies of up to five layers, so every kernel layout,
-    # blocks and lone gates, and both sweeps' buffers are exercised.
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=7)
+def _assert_matches_the_per_gate_oracle(circ: Circuit) -> None:
+    """p, the gradient, the bra entering L_a and the run's state agree with
+    the schedule-free per-gate oracle."""
     engine = sim.PeakObjective(circ)
     vec = peaking_vector(circ)
     p, grad = engine.value_and_gradient(vec)
-    p_ref, grad_ref = unconjugated_value_and_gradient(engine, vec)
-    assert p == p_ref
-    assert same_bits(grad, grad_ref)
-
-
-def _sweep_events(engine: sim.PeakObjective) -> None:
-    """Which parts of the layer-boundary schedule a body exercises: its
-    depth's parity, a ket moved back (four body layers or more), and a
-    block in a layer that takes its overlaps before itself (even, not last)."""
-    layers = engine.ops.layers
-    if layers:
-        event(f"{'odd' if len(layers) % 2 else 'even'} body depth")
-    if len(layers) >= 4:
-        event("ket moved back")
-    before = [layer for j, layer in enumerate(layers, 1) if j % 2 == 0 and j < len(layers)]
-    if any(len(engine.ops.gates[i]) == 2 for layer in before for i in layer):
-        event("a fused block in a before-form layer")
-
-
-def _idle_in(q: int, first: list[int], last: list[int]) -> str:
-    """Which of the last two layers leave qubit q idle."""
-    idle = [name for name, layer in (("L_a", first), ("L_b", last)) if q not in layer and q - 1 not in layer]
-    return " and ".join(idle) or "neither layer"
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(n=st.sampled_from([2, 3, 5, 9, 12, 16]), data=st.data())
-def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
-    # The last two peaking layers, L_a and L_b, hold lone gates,
-    # side-by-side pairs and idle qubits; an L_a gate may straddle two L_b
-    # gates or sit on the same qubits as one, the target may be reached
-    # through trailing NOTs, and a peaking half of one or two layers leaves
-    # the sweep no body at all (L_a is empty for one).  Bodies of one to
-    # five layers cover both parities and a ket moved back.
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=7, brick=data.draw(st.booleans()))
-    peaking = circ.layers[circ.random_depth :]
-    first, last = [[g.qubit_low for g in layer] for layer in ((), *peaking)[-2:]]
-    event(f"peaking layers: {len(peaking)}")
-    if any(q - 1 in last and q + 1 in last for q in first):
-        event("an L_a gate straddles two L_b gates")
-    if set(first) & set(last):
-        event("an L_a gate and an L_b gate on the same qubits")
-    event(f"top qubit idle in {_idle_in(n - 1, first, last)}")
-    event(f"bottom qubit idle in {_idle_in(0, first, last)}")
-    event("trailing NOTs" if circ.final_x else "no trailing NOTs")
-    engine = sim.PeakObjective(circ)
-    _sweep_events(engine)
-    vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
-    p, grad = engine.value_and_gradient(vec)
-    p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
+    p_ref, grad_ref, ket, bra = per_gate_value_and_gradient(circ, vec)
     assert abs(p - p_ref) <= 1e-12
     assert np.max(np.abs(grad - grad_ref), initial=0) <= 1e-12
-    # The conjugated bra the chain writes is the per-gate sweep's bra
-    # entering L_a, conjugated.
-    ket, bra = per_gate_closed_form(circ, vec)
-    bras = np.empty((2, 1 << n), dtype=complex)
+    bras = np.empty((2, 1 << circ.n), dtype=complex)
     engine._closed_form(ket, gate_factors(peaking_rows(vec, len(engine.positions))).unitaries, bras)
     assert np.max(np.abs(bras[0] - bra.conj())) <= 1e-12
+    assert np.max(np.abs(sim.run(circ) - per_gate_run(circ))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.sampled_from([2, 3, 5, 9, 12, 16]), data=st.data())
+def test_closed_form_last_layer_matches_the_per_gate_sweep(n, data):
+    # Random layouts of the last two peaking layers and of the body before
+    # them, on both sides of the fusion cut-over; SWEEP_CASES holds the
+    # schedule's corner cases.
+    _assert_matches_the_per_gate_oracle(_draw_circuit(data, n))
 
 
 @settings(max_examples=10, deadline=None, database=None)
 @given(n=st.sampled_from([10, 12, 16]), data=st.data())
 def test_fused_ops_match_the_per_gate_sweep(n, data):
-    circ = _draw_circuit(data, n, max_random=2, max_peaking=7)
-    engine = sim.PeakObjective(circ)
-    _sweep_events(engine)
+    circ = _draw_circuit(data, n, pair_first=True)
     assert any(len(gates) == 2 for gates in sim.OpList(circ.layers[circ.random_depth :], n).gates)
-    vec = peaking_vector(circ) + np.random.default_rng(n).uniform(-0.5, 0.5, engine.num_params)
-    p, grad = engine.value_and_gradient(vec)
-    p_ref, grad_ref = per_gate_value_and_gradient(circ, vec)
-    assert abs(p - p_ref) <= 1e-12
-    assert np.max(np.abs(grad - grad_ref)) <= 1e-12
-    assert np.max(np.abs(sim.run(circ) - per_gate_run(circ))) <= 1e-12
+    _assert_matches_the_per_gate_oracle(circ)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
@@ -491,6 +480,13 @@ def _random_state(rng, n):
     return state / np.linalg.norm(state)
 
 
+def _conjugation_keeps_bits(b: np.ndarray, u: np.ndarray, q: int) -> bool:
+    """Whether the bra PeakObjective holds conjugated moves back through u
+    by u.T to the bits of b moved by u^dag, conjugated, so the sweep's
+    results keep the bits of an unconjugated one."""
+    return same_bits(sim.apply_gate_matrix(b.conj(), u.T, q), sim.apply_gate_matrix(b, u.conj().T, q).conj())
+
+
 class TestPairKernels:
     # An op of width d takes the GEMM layout at qubit_low q only when
     # d * 2**q <= 32 and the state holds 64 rows of d * 2**q amplitudes, so
@@ -515,6 +511,7 @@ class TestPairKernels:
             assert np.max(np.abs(fresh - expected)) <= 1e-13
             env = sim._pair_environment(bra.conj(), state, q, d)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n, d))) <= 1e-13
+            assert _conjugation_keeps_bits(bra, u, q)
         assert np.array_equal(state, before) and np.array_equal(bra, bra_before)
 
     @pytest.mark.parametrize("n", [4, 9])
@@ -527,6 +524,7 @@ class TestPairKernels:
             assert np.max(np.abs(got - reference_apply_gate_matrix(state, u, q, n))) <= 1e-13
             env = sim._pair_environment(bra.conj(), state, q)
             assert np.max(np.abs(env - reference_pair_environment(bra, state, q, n))) <= 1e-13
+            assert _conjugation_keeps_bits(bra, u, q)
 
 
 class TestPeakObjectiveBuffers:
