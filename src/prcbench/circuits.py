@@ -218,11 +218,9 @@ def _fill_rng(seed: int, role_tag: int, layer_in_half: int, qubit_low: int) -> n
 def build_reference_circuit(n_max: int, d_max: int, seed: int) -> Circuit:
     """Full-size circuit whose gates are all Haar random; smaller benchmark
     circuits are carved out of it so difficulty grows incrementally."""
-    if n_max < 2 or d_max < 2:
-        raise InvalidDimensionError(f"need n >= 2 and d >= 2, got n={n_max}, d={d_max}")
+    layout = brickwall_layout(n_max, d_max)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     rd = random_depth_for(d_max)
-    layout = brickwall_layout(n_max, d_max)
     # Every Haar gate is drawn in layout order, then all are decomposed at once.
     unitaries = np.stack([haar_random_unitary(rng) for row in layout for _ in row])
     return Circuit(
@@ -247,14 +245,12 @@ def derive_subcircuit(reference: Circuit, n: int, d: int) -> Circuit:
     """
     if n > reference.n or d > reference.d:
         raise InvalidDimensionError("requested size exceeds the reference circuit")
-    if n < 2 or d < 2:
-        raise InvalidDimensionError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    layout = brickwall_layout(n, d)
     rd = random_depth_for(d)
     rd_ref = reference.random_depth
     fill_seed = reference.seed if reference.seed is not None else 0
 
     by_slot = _by_slot(reference.layers)
-    layout = brickwall_layout(n, d)
     slots, fills = [], []
     for t, row in enumerate(layout):
         tag, j = (0, t) if t < rd else (1, t - rd)

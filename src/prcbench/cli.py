@@ -49,40 +49,24 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"cannot parse range {text!r}: {exc}") from exc
 
 
-def _int_at_least(lowest: int):
-    """An argparse type for integers of at least ``lowest``, so a value
-    below it is a usage error (exit 2)."""
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind(text)`` when ``ok`` holds for it, else a
+    usage error (exit 2) saying the value must be ``what``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """An argparse type for finite numbers above 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-_positive_float.__name__ = "float"
-
-
-def _finite_float(text: str) -> float:
-    """An argparse type for finite numbers (0 and below included)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-_finite_float.__name__ = "float"
+_AT_LEAST_0 = _checked(int, lambda v: v >= 0, "at least 0")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_FINITE = _checked(float, math.isfinite, "a finite number")
 
 
 def _cmd_generate(args) -> int:
@@ -90,20 +74,13 @@ def _cmd_generate(args) -> int:
     depths = _parse_range(args.depths)
     if min(qubits) < 2 or min(depths) < 2:
         raise UsageError("qubit counts and depths must be at least 2")
-    optimizer = OptimizerConfig(
+    optimizer = None if args.no_optimize else OptimizerConfig(
         stage1_iters=args.stage1_iters,
         stage2_iters=args.stage2_iters,
         adam_step=args.adam_step,
         stop_tol=args.stop_tol,
     )
-    suite = generate_suite(
-        qubits,
-        depths,
-        seed=args.seed,
-        optimizer=optimizer,
-        jobs=args.jobs,
-        optimize_cells=not args.no_optimize,
-    )
+    suite = generate_suite(qubits, depths, seed=args.seed, optimizer=optimizer, jobs=args.jobs)
     manifest = save_suite(suite, args.out_dir)
     for (n, d), cell in suite.cells.items():
         print(f"n={n:2d} d={d:2d}  p_peak={cell.profile.p_peak:.6f}  r_p={cell.profile.r_p:.1f}")
@@ -231,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--depths", required=True, help="range like 2..10 or list 2,6,10")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", default=_default_out_dir())
-    gen.add_argument("--stage1-iters", type=_int_at_least(0), default=5000)
-    gen.add_argument("--stage2-iters", type=_int_at_least(0), default=10000)
-    gen.add_argument("--adam-step", type=_positive_float, default=0.01)
-    gen.add_argument("--stop-tol", type=_finite_float, default=1e-8)
-    gen.add_argument("--jobs", type=_int_at_least(1), default=1)
+    gen.add_argument("--stage1-iters", type=_AT_LEAST_0, default=5000)
+    gen.add_argument("--stage2-iters", type=_AT_LEAST_0, default=10000)
+    gen.add_argument("--adam-step", type=_POSITIVE, default=0.01)
+    gen.add_argument("--stop-tol", type=_FINITE, default=1e-8)
+    gen.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     gen.add_argument("--no-optimize", action="store_true", help="skip peaking optimization")
     gen.set_defaults(func=_cmd_generate)
 
@@ -244,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="benchmark config JSON")
     bench.add_argument("--out", required=True, help="matrix JSON output path")
     bench.add_argument("--csv", default=None, help="optional flat CSV output path")
-    bench.add_argument("--jobs", type=_int_at_least(1), default=1)
+    bench.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     bench.set_defaults(func=_cmd_bench)
 
     rep = sub.add_parser("report", help="render SVG reports from matrix files")
@@ -252,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("inputs", nargs="+", help="matrix JSON file(s)")
     rep.add_argument("--out", required=True, help="SVG output path")
     rep.add_argument("--cell", default=None, help="histogram mode: cell as n,d")
-    rep.add_argument("--rep", type=_int_at_least(0), default=0,
+    rep.add_argument("--rep", type=_AT_LEAST_0, default=0,
                      help="histogram mode: repetition index")
-    rep.add_argument("--top-k", type=_int_at_least(1), default=10,
+    rep.add_argument("--top-k", type=_AT_LEAST_1, default=10,
                      help="histogram mode: bars to draw")
     rep.set_defaults(func=_cmd_report)
 
@@ -283,7 +260,7 @@ def main(argv=None) -> int:
     except (UsageError, InvalidDimensionError) as exc:  # ahead of ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, SchemaError, KeyError, ValueError) as exc:
+    except (OSError, SchemaError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,14 +92,13 @@ def read_value(hint, value, path: str, ignore=None):
     and str (a bool is no int), finite float, tuple[X, ...] and tuple[X, Y]
     (from lists, or tuples as to_dict leaves them), dict, X | None and
     dataclasses."""
-    if hint is float:
-        _expect(type(value) in (int, float), path, "a number", value)
+    if hint in _KINDS:
+        _expect(_is_kind(hint, value), path, _KINDS[hint], value)
+        if hint is not float:
+            return value
         if not abs(value) <= sys.float_info.max:  # also NaN, and ints beyond a float
             raise SchemaError(f"{path}: {reprlib.repr(value)} is not finite")
         return float(value)
-    if hint in _KINDS:
-        _expect(type(value) is hint, path, _KINDS[hint], value)
-        return value
     origin, args = _shape(hint)
     if origin is types.UnionType:
         if value is None:
@@ -117,7 +116,34 @@ def read_value(hint, value, path: str, ignore=None):
     return read_fields(hint, value, f"{path}.", ignore)  # a dataclass
 
 
-_KINDS = {bool: "a boolean", int: "an integer", str: "a string"}
+def check_fields(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass ``obj``
+    whose value read_value would refuse for its kind, so that a config
+    built in code obeys the reader's rules.  A tuple field is checked item
+    by item; ranges and finiteness are left to the class."""
+    for f, hint in _field_specs(type(obj)):
+        _check_kind(hint, getattr(obj, f.name), f.name)
+
+
+def _check_kind(hint, value, path: str) -> None:
+    origin, args = _shape(hint)
+    if origin is tuple:
+        if type(value) not in (list, tuple):
+            raise ValueError(f"{path}: expected a tuple, got {reprlib.repr(value)}")
+        hints = args[:1] * len(value) if args[1:] == (...,) else args
+        for i, (item_hint, item) in enumerate(zip(hints, value)):
+            _check_kind(item_hint, item, f"{path}[{i}]")
+    elif hint in _KINDS and not _is_kind(hint, value):
+        raise ValueError(f"{path}: expected {_KINDS[hint]}, got {reprlib.repr(value)}")
+
+
+# The scalar kinds, as JSON has them: a bool is no int, and a number is
+# an int or a float.
+_KINDS = {bool: "a boolean", int: "an integer", str: "a string", float: "a number"}
+
+
+def _is_kind(hint, value) -> bool:
+    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 @functools.cache

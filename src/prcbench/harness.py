@@ -15,7 +15,7 @@ from . import metrics as metrics_mod
 from . import noise as noise_mod
 from . import sim
 from .circuits import BitString, Circuit
-from .errors import read_fields, read_json, read_tagged
+from .errors import check_fields, read_fields, read_json, read_tagged
 from .metrics import RunMetrics
 from .noise import NoiseSpec
 from .optimize import PeakProfile
@@ -44,6 +44,7 @@ class BenchConfig:
     top_k: int = 5
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("qubits", "depths"):
             values = getattr(self, name)
             if not values:
@@ -457,10 +458,7 @@ def matrix_to_csv(matrix: BenchmarkMatrix) -> str:
     """Flat companion table: one row per cell."""
     lines = ["n,d,status,identified_reps,mean_f,shots"]
     for (n, d), cell in matrix.cells.items():
-        if cell.status == STATUS_SKIPPED:
-            shots = ""
-        else:
-            shots = str(cell.records[0].shots) if cell.records else ""
+        shots = str(cell.records[0].shots) if cell.records else ""
         mean_f = "" if cell.mean_f is None else f"{cell.mean_f:.6f}"
         lines.append(f"{n},{d},{cell.status},{cell.identified_reps},{mean_f},{shots}")
     return "\n".join(lines) + "\n"

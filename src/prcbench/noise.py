@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .circuits import Circuit, _layout, _place
-from .errors import read_fields
+from .errors import check_fields, read_fields
 from .gates import GateParams
 from .sim import ProbabilityDistribution, ShotHistogram
 
@@ -35,6 +35,7 @@ class NoiseSpec:
     coherent_delta: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("p1", "p2", "readout_eps"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -112,7 +113,7 @@ def readout_confusion(dist: ProbabilityDistribution, eps: float) -> ProbabilityD
         raise ValueError("eps must lie in [0, 1]")
     if eps == 0.0:
         return dist
-    probs = dist.probs.copy()
+    probs = dist.probs
     for q in range(dist.n):
         p = probs.reshape(-1, 2, 1 << q)
         probs = ((1 - eps) * p + eps * p[:, ::-1, :]).reshape(-1)

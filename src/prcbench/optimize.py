@@ -20,7 +20,7 @@ from . import sim
 from .circuits import (BitString, Circuit, _layout, _place, peaking_params, peaking_vector,
                        read_bitstring)
 from .errors import (CapacityError, NothingToOptimizeError, SchemaError, UndefinedMetricError,
-                     read_fields, read_value)
+                     check_fields, read_fields, read_value)
 from .metrics import _peak_and_second, contrast_from_probabilities
 
 PROFILE_SCAN_LIMIT = 20  # full-distribution scan caps at 2**20 entries
@@ -53,6 +53,7 @@ class OptimizerConfig:
     stop_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.stage1_iters < 0 or self.stage2_iters < 0:
             raise ValueError("stage1_iters and stage2_iters must be non-negative")
         if not 0.0 < self.adam_step < math.inf:
@@ -116,43 +117,36 @@ def optimize(
             best_p, best_x, best_grad = p, x.copy(), grad
         return p, grad
 
-    iterations_stage1 = 0
-    if float(np.linalg.norm(g0)) > config.stop_tol and config.stage1_iters > 0:
+    def neg_value_and_grad(xk: np.ndarray) -> tuple[float, np.ndarray]:
+        p, grad = eval_at(xk)
+        return -p, -grad
 
-        def neg_value_and_grad(xk: np.ndarray) -> tuple[float, np.ndarray]:
-            p, grad = eval_at(xk)
-            return -p, -grad
+    iterations_stage1 = _lbfgs(
+        neg_value_and_grad, x0, -p0, -g0, config.stage1_iters, config.stop_tol,
+        lambda: trace_vals.append(best_p),
+    )
 
-        iterations_stage1 = _lbfgs(
-            neg_value_and_grad, x0, -p0, -g0, config.stage1_iters, config.stop_tol,
-            lambda: trace_vals.append(best_p),
-        )
-
-    iterations_stage2 = 0
-    if config.stage2_iters > 0:
-        x, grad = best_x.copy(), best_grad
-        if float(np.linalg.norm(grad)) > config.stop_tol:
-            m = np.zeros_like(x)
-            v = np.zeros_like(x)
-            b1, b2 = ADAM_BETA1, ADAM_BETA2
-            for step in range(1, config.stage2_iters + 1):
-                m = b1 * m + (1 - b1) * grad
-                v = b2 * v + (1 - b2) * grad * grad
-                m_hat = m / (1 - b1**step)
-                v_hat = v / (1 - b2**step)
-                x = x + config.adam_step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                iterations_stage2 = step
-                p, grad = eval_at(x)
-                trace_vals.append(best_p)
-                if float(np.linalg.norm(grad)) <= config.stop_tol:
-                    break
+    x, grad = best_x.copy(), best_grad
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    step = 0
+    while step < config.stage2_iters and float(np.linalg.norm(grad)) > config.stop_tol:
+        step += 1
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        m_hat = m / (1 - b1**step)
+        v_hat = v / (1 - b2**step)
+        x = x + config.adam_step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p, grad = eval_at(x)
+        trace_vals.append(best_p)
 
     final_circuit = with_peaking_vector(circuit, best_x)
     trace = OptimizationTrace(
         objective_values=tuple(trace_vals),
         final_objective=best_p,
         iterations_stage1=iterations_stage1,
-        iterations_stage2=iterations_stage2,
+        iterations_stage2=step,
     )
     return final_circuit, trace
 
@@ -166,12 +160,12 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: floa
     pairs; the first one starts at the step 1 / ||g||, later ones at 1.  A
     failed search leaves x where it was: with pairs in memory, they are
     dropped and the iteration retries along -g, and with none, the run ends.
-    It also ends after ``maxiter`` iterations, once ||g||_2 <= gtol, or once
-    the relative reduction of f falls to LBFGS_FTOL.
+    It also ends after ``maxiter`` iterations, once ||g||_2 <= gtol (before
+    the first, too), or once the relative reduction of f falls to LBFGS_FTOL.
     """
     memory = _Memory(x.size)
     iterations = 0
-    while iterations < maxiter:
+    while iterations < maxiter and float(np.linalg.norm(g)) > gtol:
         d = memory.direction(g) if memory.k else -g
         gd = float(g @ d)
         found = None
@@ -187,7 +181,7 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: floa
         iterations += 1
         callback()
         f_old, f, y, g = f, f_new, g_new - g, g_new
-        if float(np.linalg.norm(g)) <= gtol or f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+        if f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
             break
         # s.y through the search's directional derivatives, as L-BFGS-B
         # takes it; the Wolfe curvature condition keeps it positive.

@@ -53,27 +53,10 @@ from .circuits import BitString, Circuit, peaking_rows, peaking_vector
 from .errors import CapacityError, SchemaError
 from .gates import PARAMS_PER_GATE, _kron, gate_factors, gate_gradients, gate_matrices
 
-# Version of the simulator's and optimizer's floating-point results.
-# 1: every gate applied by one einsum; 2: the position-aware kernels below;
-# 3: the same kernels as 2, with stage 1 on prcbench's own L-BFGS
-# (optimize._lbfgs) instead of scipy's L-BFGS-B; 4: as 3, with side-by-side
-# gates of a layer fused into 16x16 blocks on states of at least 2**10
-# amplitudes; 5: as 4, with gates built in closed form and the gradient
-# taken through their local factors (gates.gate_gradients); 6: as 5, with
-# the peaking half's last layer taken in closed form, the sweep's known kets
-# reused instead of recomputed, and gates.gate_gradients row-invariant; 7:
-# as 6, with gates.kak_decompose in plain stacked numpy (one ZYZ split, the
-# global phase read from the reconstruction), so the version now also names
-# the rounding of every decomposed gate; 8: as 7, with noise.readout_flip
-# drawing geometric gaps between flipped bits instead of one uniform per
-# bit, so the version now also names the sampled-readout stream (optimizer
-# results and exact-mode matrices are as at 7); 9: as 8, with the peaking
-# half's last two layers taken in closed form as one chain of small GEMMs
-# (_closed_layers), so the adjoint sweep covers only the ops before them;
-# 10: as 9, with each body gate's environment taken at a layer boundary
-# from an overlap and its own matrix, in fewer passes (PeakObjective).
-# Suite manifests and matrix provenance record it; documents without it are
-# numerics 1.
+# Version of the simulator's and optimizer's floating-point results, as the
+# module docstring defines them; README's "Conventions worth knowing" gives
+# what each version changed.  Suite manifests and matrix provenance record
+# it; documents without it are numerics 1.
 NUMERICS = 10
 
 # Memory guard.  A gradient evaluation holds six state vectors (the random

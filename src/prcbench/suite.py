@@ -73,16 +73,15 @@ def generate_suite(
     qubits,
     depths,
     seed: int,
-    optimizer: OptimizerConfig | None = None,
+    optimizer: OptimizerConfig | None = OptimizerConfig(),
     jobs: int = 1,
-    optimize_cells: bool = True,
 ) -> Suite:
     """Build the reference circuit at the grid's maximum size, then derive
-    and (optionally) optimize every requested cell.  Deterministic for a
-    fixed seed regardless of job count; too wide a grid to profile raises first."""
+    every requested cell and optimize it with ``optimizer``, or not at all
+    when it is None.  Deterministic for a fixed seed regardless of job
+    count; too wide a grid to profile raises first."""
     qubits = tuple(sorted(set(int(q) for q in qubits)))
     depths = tuple(sorted(set(int(d) for d in depths)))
-    optimizer = (optimizer or OptimizerConfig()) if optimize_cells else None
     _require_scannable(max(qubits))
     reference = build_reference_circuit(max(qubits), max(depths), seed)
     keys = [(n, d) for n in qubits for d in depths]

@@ -13,7 +13,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+# tests/ holds the reference modules, and benchmarks/ the QASM reader the
+# exporter's round trips replay through.
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "benchmarks")]
 
 from prcbench.circuits import build_reference_circuit, derive_subcircuit
 from prcbench.sim import ShotHistogram

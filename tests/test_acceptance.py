@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qasm_replay import replay_distribution
+from qasm_reader import replay_distribution
 
 from prcbench import sim
 from prcbench.circuits import (
@@ -111,7 +111,7 @@ def suite_protocol():
         [8],
         list(range(2, 19, 2)),
         seed=3,
-        optimize_cells=False,
+        optimizer=None,
     )
 
 

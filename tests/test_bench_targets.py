@@ -3,7 +3,6 @@ path.  These checks make a rename of a traced function, or a set-up span
 that stops firing, fail the test suite instead of a traced benchmark run."""
 
 import importlib
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,11 +14,8 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 @pytest.fixture(scope="module")
 def bench_modules():
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        yield importlib.import_module("spans"), importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH_DIR))
+    # tests/conftest.py puts benchmarks/ on the path.
+    return importlib.import_module("spans"), importlib.import_module("workloads")
 
 
 def test_every_span_target_resolves(bench_modules):

@@ -372,3 +372,15 @@ def test_generate_past_the_profile_scan_limit_exits_1_and_writes_nothing(tmp_pat
                  "--stage2-iters", "0", "--out-dir", str(out)]) == 1
     assert "21 > 20 qubits" in capsys.readouterr().err
     assert optimize_calls == [] and not out.exists()
+
+
+def test_filesystem_errors_exit_1_without_a_traceback(tiny_suite, tmp_path, capsys):
+    # An --out-dir that is a file, and a matrix path that is a directory.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["generate", "--qubits", "2", "--depths", "2", "--stage1-iters", "0",
+                  "--stage2-iters", "0", "--out-dir", str(taken)],
+                 ["report", "--mode", "heatmap", str(tiny_suite), "--out", str(tmp_path / "h.svg")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -22,7 +22,7 @@ from prcbench.circuits import (
     derive_subcircuit,
     retarget,
 )
-from prcbench.errors import SchemaError
+from prcbench.errors import SchemaError, read_fields
 from prcbench.harness import BenchConfig, matrix_from_dict, matrix_to_json, run_matrix
 from prcbench.noise import NoiseSpec
 from prcbench.optimize import OptimizerConfig, profile_from_dict, profile_to_dict
@@ -36,7 +36,7 @@ REPLACEMENTS = ["text", 0.5, True, None, [1], math.nan]
 def saved(tmp_path_factory):
     # Unoptimized cells under a named optimizer, so the manifest fuzz has an
     # optimizer object to mutate without paying for optimization.
-    suite = generate_suite((2, 3), (2, 4), seed=3, optimize_cells=False)
+    suite = generate_suite((2, 3), (2, 4), seed=3, optimizer=None)
     suite = replace(suite, optimizer=OptimizerConfig(stage1_iters=10, stage2_iters=5))
     return suite, save_suite(suite, tmp_path_factory.mktemp("suite"))
 
@@ -100,6 +100,28 @@ class TestBenchConfigRules:
         # built in code, the config itself must.
         with pytest.raises(ValueError, match=f"^shot_base must be non-negative and finite, got {value}"):
             BenchConfig(shot_base=value)
+
+
+@pytest.mark.parametrize(
+    "cls,values,message",
+    [
+        (OptimizerConfig, {"stage1_iters": 3.0}, "stage1_iters: expected an integer, got 3.0"),
+        (BenchConfig, {"master_seed": 1.5}, "master_seed: expected an integer, got 1.5"),
+        (BenchConfig, {"reps": 2.0}, "reps: expected an integer, got 2.0"),
+        (BenchConfig, {"threshold": True}, "threshold: expected an integer, got True"),
+        (BenchConfig, {"exact": 1}, "exact: expected a boolean, got 1"),
+        (BenchConfig, {"qubits": (2, 3.0)}, "qubits[1]: expected an integer, got 3.0"),
+        (NoiseSpec, {"p2": True}, "p2: expected a number, got True"),
+    ],
+    ids=["float_iters", "float_seed", "float_reps", "bool_threshold", "int_exact", "float_qubit",
+         "bool_rate"],
+)
+def test_configs_built_in_code_take_the_kinds_the_reader_takes(cls, values, message):
+    # Such a config once wrote a document its loader refused, or crashed a run.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**values)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        read_fields(cls, values, "")
 
 
 class TestRejectedInputs:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_state
 from gate_reference import entangling_core
-from qasm_replay import replay_distribution
+from qasm_reader import replay_distribution
 
 from prcbench import sim
 from prcbench.circuits import (

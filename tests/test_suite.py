@@ -12,7 +12,7 @@ from prcbench.suite import generate_suite, load_suite, save_suite
 
 @pytest.fixture
 def saved_suite(tmp_path):
-    suite = generate_suite((2, 3), (4,), seed=5, optimize_cells=False)
+    suite = generate_suite((2, 3), (4,), seed=5, optimizer=None)
     return suite, save_suite(suite, tmp_path)
 
 
@@ -162,12 +162,12 @@ def test_saved_bytes_do_not_depend_on_jobs(tmp_path):
         assert (dirs[1] / name).read_bytes() == (dirs[0] / name).read_bytes()
 
 
-@pytest.mark.parametrize("optimize_cells", [True, False], ids=["optimized", "no_optimize"])
-def test_saving_a_loaded_suite_writes_the_same_bytes(tmp_path, optimize_cells):
+@pytest.mark.parametrize("optimizer", [OptimizerConfig(stage1_iters=3, stage2_iters=2, stop_tol=-1e-3), None],
+                         ids=["optimized", "no_optimize"])
+def test_saving_a_loaded_suite_writes_the_same_bytes(tmp_path, optimizer):
     # The manifest's optimizer comes from the suite, so it survives a load.
-    optimizer = OptimizerConfig(stage1_iters=3, stage2_iters=2, stop_tol=-1e-3)
-    suite = generate_suite((2, 3), (4,), seed=4, optimizer=optimizer, optimize_cells=optimize_cells)
-    assert suite.optimizer == (optimizer if optimize_cells else None)
+    suite = generate_suite((2, 3), (4,), seed=4, optimizer=optimizer)
+    assert suite.optimizer == optimizer
     first = save_suite(suite, tmp_path / "first")
     loaded = load_suite(first)
     assert loaded.optimizer == suite.optimizer
