@@ -18,7 +18,7 @@ from . import harness, metrics, qasm, report
 from .circuits import BitString
 from .errors import InvalidDimensionError, SchemaError, read_fields, read_json
 from .harness import BenchConfig
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, _require_scannable
 from .suite import generate_suite, load_suite, save_suite, suite_hash
 
 ENV_OUTPUT_DIR = "PRCBENCH_OUTPUT_DIR"
@@ -80,6 +80,10 @@ def _cmd_generate(args) -> int:
         adam_step=args.adam_step,
         stop_tol=args.stop_tol,
     )
+    # An --out-dir that cannot be made fails before any cell is optimized,
+    # and a grid too wide to profile before the directory is made.
+    _require_scannable(max(qubits))
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     suite = generate_suite(qubits, depths, seed=args.seed, optimizer=optimizer, jobs=args.jobs)
     manifest = save_suite(suite, args.out_dir)
     for (n, d), cell in suite.cells.items():

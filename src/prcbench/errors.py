@@ -8,7 +8,7 @@ import reprlib
 import sys
 import types
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 
@@ -120,7 +120,8 @@ def check_fields(obj) -> None:
     """Raise ValueError naming the first field of the dataclass ``obj``
     whose value read_value would refuse for its kind, so that a config
     built in code obeys the reader's rules.  A tuple field is checked item
-    by item; ranges and finiteness are left to the class."""
+    by item, and a dataclass field takes only an instance of its class;
+    ranges and finiteness are left to the class."""
     for f, hint in _field_specs(type(obj)):
         _check_kind(hint, getattr(obj, f.name), f.name)
 
@@ -135,6 +136,8 @@ def _check_kind(hint, value, path: str) -> None:
             _check_kind(item_hint, item, f"{path}[{i}]")
     elif hint in _KINDS and not _is_kind(hint, value):
         raise ValueError(f"{path}: expected {_KINDS[hint]}, got {reprlib.repr(value)}")
+    elif is_dataclass(hint) and not isinstance(value, hint):
+        raise ValueError(f"{path}: expected a {hint.__name__}, got {reprlib.repr(value)}")
 
 
 # The scalar kinds, as JSON has them: a bool is no int, and a number is

@@ -1,11 +1,17 @@
-"""Peaking-half optimization (limited-memory BFGS followed by Adam) and
-circuit-intrinsic peak profiles.
+"""Peaking-half optimization (limited-memory BFGS, then Adam where L-BFGS
+ran out of iterations) and circuit-intrinsic peak profiles.
 
 Stage 1 is L-BFGS as L-BFGS-B runs it on a problem without bounds (Byrd,
 Lu, Nocedal & Zhu 1995): memory 20, the compact form of the inverse
 Hessian, and Moré & Thuente's line search (1994) with L-BFGS-B's settings.
 It follows scipy's ``minimize(method="L-BFGS-B")`` on the same problem,
 apart from the gradient-norm test, so the package needs only numpy.
+
+Stage 2 is Adam, and it runs only when stage 1 stopped on its iteration
+cap or made no iteration.  Adam moves each parameter by about
+``adam_step`` whatever the gradient's size (Kingma & Ba 2015), so after
+L-BFGS has converged it would circle the maximum without raising the best
+p.
 """
 
 from __future__ import annotations
@@ -93,10 +99,13 @@ def optimize(
     """Maximize the target-bitstring probability over the peaking half.
 
     Stage 1 runs unconstrained limited-memory BFGS on -p (the parameters are
-    periodic angles, so box constraints would be vacuous); stage 2 polishes
-    with Adam.  Both stages stop early once the Euclidean norm of the
-    gradient, ||g||_2, is at most ``stop_tol``, and the best parameters seen
-    anywhere are returned, so the reported objective can never decrease.
+    periodic angles, so box constraints would be vacuous).  Stage 2 polishes
+    with Adam from the best point for up to ``stage2_iters`` steps, but only
+    when stage 1 ended on ``stage1_iters`` or made no iteration; after any
+    other stop (converged, or a failed search) it makes none.  Both stages
+    stop early once the Euclidean norm of the gradient, ||g||_2, is at most
+    ``stop_tol``, and the best parameters seen anywhere are returned, so the
+    reported objective can never decrease.
     """
     config = config or OptimizerConfig()
     if not any(True for _ in circuit.peaking_placements()):
@@ -121,17 +130,18 @@ def optimize(
         p, grad = eval_at(xk)
         return -p, -grad
 
-    iterations_stage1 = _lbfgs(
+    iterations_stage1, reason = _lbfgs(
         neg_value_and_grad, x0, -p0, -g0, config.stage1_iters, config.stop_tol,
         lambda: trace_vals.append(best_p),
     )
+    stage2_iters = config.stage2_iters if reason == "cap" or not iterations_stage1 else 0
 
     x, grad = best_x.copy(), best_grad
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     step = 0
-    while step < config.stage2_iters and float(np.linalg.norm(grad)) > config.stop_tol:
+    while step < stage2_iters and float(np.linalg.norm(grad)) > config.stop_tol:
         step += 1
         m = b1 * m + (1 - b1) * grad
         v = b2 * v + (1 - b2) * grad * grad
@@ -151,21 +161,33 @@ def optimize(
     return final_circuit, trace
 
 
-def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: float, callback) -> int:
+def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: float,
+           callback) -> tuple[int, str]:
     """Minimize ``fun`` (value and gradient of one vector) from x, where
     (f, g) = fun(x), on L-BFGS-B's path for a problem without bounds, and
-    return the iterations made.  ``callback()`` runs after each iteration.
+    return (iterations made, why the run ended).  ``callback()`` runs after
+    each iteration.
 
     Each iteration searches along -H g for the compact-form H of the newest
     pairs; the first one starts at the step 1 / ||g||, later ones at 1.  A
     failed search leaves x where it was: with pairs in memory, they are
-    dropped and the iteration retries along -g, and with none, the run ends.
-    It also ends after ``maxiter`` iterations, once ||g||_2 <= gtol (before
-    the first, too), or once the relative reduction of f falls to LBFGS_FTOL.
+    dropped and the iteration retries along -g, and with none, the run ends
+    ("search").  Before each iteration, the run ends after ``maxiter``
+    iterations ("cap"), once ||g||_2 <= gtol ("gradient"), or once the last
+    iteration's relative reduction of f fell to LBFGS_FTOL ("ftol"), tested
+    in that order: scipy's ``minimize`` stops on its iteration limit before
+    L-BFGS-B's own tests see the iteration.
     """
     memory = _Memory(x.size)
     iterations = 0
-    while iterations < maxiter and float(np.linalg.norm(g)) > gtol:
+    reduced = True
+    while True:
+        if iterations >= maxiter:
+            return iterations, "cap"
+        if float(np.linalg.norm(g)) <= gtol:
+            return iterations, "gradient"
+        if not reduced:
+            return iterations, "ftol"
         d = memory.direction(g) if memory.k else -g
         gd = float(g @ d)
         found = None
@@ -174,21 +196,19 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray, maxiter: int, gtol: floa
             found = _line_search(fun, x, f, gd, d, stp)
         if found is None:
             if not memory.k:
-                break
+                return iterations, "search"
             memory.k = 0
             continue
         stp, x, f_new, g_new, gd_new = found
         iterations += 1
         callback()
         f_old, f, y, g = f, f_new, g_new - g, g_new
-        if f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
-            break
+        reduced = f_old - f > LBFGS_FTOL * max(abs(f_old), abs(f), 1.0)
         # s.y through the search's directional derivatives, as L-BFGS-B
         # takes it; the Wolfe curvature condition keeps it positive.
         sy = (gd_new - gd) * stp
         if sy > _EPS * -gd * stp:
             memory.push(stp * d, y, sy)
-    return iterations
 
 
 class _Memory:

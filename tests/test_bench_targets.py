@@ -183,6 +183,16 @@ def test_walkthrough_spans_fire(walkthrough_run):
     assert [s for s in workload.expected_spans if not calls[f"{s}.calls"]] == []
 
 
+def test_walkthrough_makes_736_evaluations(walkthrough_run):
+    # generate's grid (qubits 2..5, depths 4 and 10, seed 7, 120 L-BFGS and
+    # 80 Adam iterations, no gradient test): 6 of its 8 cells converge in
+    # L-BFGS and make no Adam step, and the two that reach the cap run all
+    # 80.
+    _, _, _, calls = walkthrough_run
+    assert calls["optimize.optimize.calls"] == 8
+    assert calls["sim.PeakObjective.value_and_gradient.calls"] == 736
+
+
 def test_walkthrough_matrices_load(walkthrough_run):
     # The depth and width matrices the walkthrough writes at seed 7 pass
     # every load check, their records' metrics against their top counts

@@ -374,6 +374,23 @@ def test_generate_past_the_profile_scan_limit_exits_1_and_writes_nothing(tmp_pat
     assert optimize_calls == [] and not out.exists()
 
 
+def test_generate_into_a_file_exits_1_before_optimizing(tmp_path, capsys, monkeypatch):
+    # The output directory is made before generate_suite runs, so a path
+    # that names a file costs no optimization.
+    from prcbench import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generate_suite ran")
+
+    monkeypatch.setattr(cli, "generate_suite", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["generate", "--qubits", "2..5", "--depths", "4,10", "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def test_filesystem_errors_exit_1_without_a_traceback(tiny_suite, tmp_path, capsys):
     # An --out-dir that is a file, and a matrix path that is a directory.
     taken = tmp_path / "taken"

@@ -126,15 +126,17 @@ class _Recorder:
 def test_reaches_the_minimizer_of_a_convex_quadratic(seed):
     quad = _Recorder(12, seed)
     f0, g0 = quad(quad.x0)
-    iterations = _lbfgs(quad, quad.x0, f0, g0, 200, 0.0, quad.accepted)
+    iterations, reason = _lbfgs(quad, quad.x0, f0, g0, 200, 0.0, quad.accepted)
     assert iterations == len(quad.values) - 1 < 200
+    # With the gradient test off, the run ends on the relative reduction.
+    assert reason == "ftol"
     assert np.max(np.abs(quad.last[0] - quad.x_star)) <= 1e-10
 
 
 def test_honours_maxiter():
     quad = _Recorder(12, 0)
     f0, g0 = quad(quad.x0)
-    assert _lbfgs(quad, quad.x0, f0, g0, 3, 0.0, quad.accepted) == 3
+    assert _lbfgs(quad, quad.x0, f0, g0, 3, 0.0, quad.accepted) == (3, "cap")
     assert len(quad.values) == 4
 
 
@@ -143,8 +145,8 @@ def test_stops_on_the_relative_reduction():
     # lowers f by at most LBFGS_FTOL relative, and at no earlier one.
     quad = _Recorder(12, 1)
     f0, g0 = quad(quad.x0)
-    iterations = _lbfgs(quad, quad.x0, f0, g0, 10_000, -1.0, quad.accepted)
-    assert iterations < 10_000
+    iterations, reason = _lbfgs(quad, quad.x0, f0, g0, 10_000, -1.0, quad.accepted)
+    assert iterations < 10_000 and reason == "ftol"
     small = [a - b <= LBFGS_FTOL * max(abs(a), abs(b), 1.0) for a, b in zip(quad.values, quad.values[1:])]
     assert small[-1] and not any(small[:-1])
 

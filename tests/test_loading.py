@@ -103,24 +103,31 @@ class TestBenchConfigRules:
 
 
 @pytest.mark.parametrize(
-    "cls,values,message",
+    "cls,values,message,read_message",
     [
-        (OptimizerConfig, {"stage1_iters": 3.0}, "stage1_iters: expected an integer, got 3.0"),
-        (BenchConfig, {"master_seed": 1.5}, "master_seed: expected an integer, got 1.5"),
-        (BenchConfig, {"reps": 2.0}, "reps: expected an integer, got 2.0"),
-        (BenchConfig, {"threshold": True}, "threshold: expected an integer, got True"),
-        (BenchConfig, {"exact": 1}, "exact: expected a boolean, got 1"),
-        (BenchConfig, {"qubits": (2, 3.0)}, "qubits[1]: expected an integer, got 3.0"),
-        (NoiseSpec, {"p2": True}, "p2: expected a number, got True"),
+        (OptimizerConfig, {"stage1_iters": 3.0}, "stage1_iters: expected an integer, got 3.0", None),
+        (BenchConfig, {"master_seed": 1.5}, "master_seed: expected an integer, got 1.5", None),
+        (BenchConfig, {"reps": 2.0}, "reps: expected an integer, got 2.0", None),
+        (BenchConfig, {"threshold": True}, "threshold: expected an integer, got True", None),
+        (BenchConfig, {"exact": 1}, "exact: expected a boolean, got 1", None),
+        (BenchConfig, {"qubits": (2, 3.0)}, "qubits[1]: expected an integer, got 3.0", None),
+        (NoiseSpec, {"p2": True}, "p2: expected a number, got True", None),
+        # JSON holds a nested config as an object, so the reader asks for one.
+        (BenchConfig, {"noise": None}, "noise: expected a NoiseSpec, got None",
+         "noise: expected an object, got None"),
+        (BenchConfig, {"noise": "x"}, "noise: expected a NoiseSpec, got 'x'",
+         "noise: expected an object, got 'x'"),
     ],
     ids=["float_iters", "float_seed", "float_reps", "bool_threshold", "int_exact", "float_qubit",
-         "bool_rate"],
+         "bool_rate", "none_noise", "str_noise"],
 )
-def test_configs_built_in_code_take_the_kinds_the_reader_takes(cls, values, message):
-    # Such a config once wrote a document its loader refused, or crashed a run.
+def test_configs_built_in_code_take_the_kinds_the_reader_takes(cls, values, message, read_message):
+    # Such a config once wrote a document its loader refused, or crashed a
+    # run.  The reader's message is the constructor's where read_message is
+    # None.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**values)
-    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(read_message or message)}$"):
         read_fields(cls, values, "")
 
 

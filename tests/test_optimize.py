@@ -105,6 +105,35 @@ class TestOptimize:
         assert objective(opt) == pytest.approx(trace.final_objective, abs=1e-12)
 
 
+class TestStageTwoRule:
+    """Adam runs only where L-BFGS stopped on its cap or made no iteration."""
+
+    CELL = (3, 4, 9)
+
+    def _optimize(self, config):
+        n, d, seed = self.CELL
+        return optimize(derive_subcircuit(build_reference_circuit(n, d, seed=seed), n, d), config)[1]
+
+    def test_no_adam_after_lbfgs_converges(self):
+        # With the gradient test off, the relative reduction ends stage 1
+        # before its cap, and then stage 2 makes no step.
+        trace = self._optimize(OptimizerConfig(stage1_iters=300, stage2_iters=200, stop_tol=0.0))
+        assert 0 < trace.iterations_stage1 < 300
+        assert trace.iterations_stage2 == 0
+        assert len(trace.objective_values) == trace.iterations_stage1 + 1
+
+    def test_adam_runs_its_budget_after_the_cap(self):
+        trace = self._optimize(OptimizerConfig(stage1_iters=3, stage2_iters=20, stop_tol=0.0))
+        assert (trace.iterations_stage1, trace.iterations_stage2) == (3, 20)
+        assert len(trace.objective_values) == 1 + 3 + 20
+
+    def test_adam_alone_without_stage_one(self):
+        # deep_gradient's configuration: no L-BFGS, a fixed number of Adam steps.
+        trace = self._optimize(OptimizerConfig(stage1_iters=0, stage2_iters=20, stop_tol=0.0))
+        assert (trace.iterations_stage1, trace.iterations_stage2) == (0, 20)
+        assert len(trace.objective_values) == 1 + 20
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(stage1_iters=-1)
