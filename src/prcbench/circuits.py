@@ -21,8 +21,6 @@ ROLE_PEAKING = "peaking-half"
 
 CIRCUIT_SCHEMA = "prc-circuit/1"
 
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class BitString:
@@ -312,25 +310,21 @@ def retarget(circuit: Circuit, s: BitString) -> Circuit:
         return replace(circuit, target=s)
 
     last = circuit.layers[-1]
-    fused, ops = [], []
+    fused, masks = [], []
     for i, g in enumerate(last):
         lo, hi = g.qubit_low, g.qubit_low + 1
-        fuse_lo, fuse_hi = lo in flips, hi in flips
+        mask = (lo in flips) | (hi in flips) << 1
         flips.discard(lo)
         flips.discard(hi)
-        if not (fuse_lo or fuse_hi):
-            continue
-        op = np.eye(4, dtype=complex)
-        if fuse_lo:
-            op = np.kron(np.eye(2), _X2) @ op
-        if fuse_hi:
-            op = np.kron(_X2, np.eye(2)) @ op
-        fused.append(i)
-        ops.append(op)
+        if mask:
+            fused.append(i)
+            masks.append(mask)
     new_last = list(last)
     if fused:
+        # NOTs after a gate only permute its rows: (X m)[i] = m[i ^ mask].
         rows = np.stack([last[i].params.to_vector() for i in fused])
-        for i, params in zip(fused, kak_decompose(np.stack(ops) @ gate_matrices(rows))):
+        permuted = [m[np.arange(4) ^ mask] for m, mask in zip(gate_matrices(rows), masks)]
+        for i, params in zip(fused, kak_decompose(np.stack(permuted))):
             new_last[i] = replace(last[i], params=params)
     layers = circuit.layers[:-1] + (tuple(new_last),)
 

@@ -96,12 +96,10 @@ def _cmd_bench(args) -> int:
     try:
         config_doc = read_json(args.config)
         config = read_fields(BenchConfig, config_doc, f"{args.config}: ")
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return 2
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {args.config}") from exc
     except SchemaError as exc:
-        print(f"malformed config {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"malformed config {exc}") from exc
 
     suite = load_suite(args.suite)
     # A config without a grid runs the suite's.
@@ -164,16 +162,13 @@ def _cmd_report(args) -> int:
             raise UsageError(f"cannot parse --cell {args.cell!r}") from exc
         matrix = harness.load_matrix(args.inputs[0])
         if key not in matrix.cells:
-            print(f"cell {key} not present in matrix", file=sys.stderr)
-            return 1
+            raise KeyError(f"cell {key} not present in matrix")
         cell = matrix.cells[key]
-        if not cell.records or args.rep >= len(cell.records):
-            print(f"cell {key} has no record for rep {args.rep}", file=sys.stderr)
-            return 1
+        if args.rep >= len(cell.records):
+            raise KeyError(f"cell {key} has no record for rep {args.rep}")
         record = cell.records[args.rep]
         if not record.top_counts:
-            print(f"cell {key} rep {args.rep} carries no histogram entries", file=sys.stderr)
-            return 1
+            raise ValueError(f"cell {key} rep {args.rep} carries no histogram entries")
         top_counts = [(BitString.from_text(t), c) for t, c in record.top_counts]
         target = BitString.from_text(record.target)
         svg = report.render_histogram(top_counts, target, record.shots, args.top_k)
@@ -264,8 +259,9 @@ def main(argv=None) -> int:
     except (UsageError, InvalidDimensionError) as exc:  # ahead of ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, SchemaError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, KeyError, ValueError) as exc:
+        # A KeyError's str() is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

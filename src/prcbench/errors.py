@@ -93,7 +93,8 @@ def read_value(hint, value, path: str, ignore=None):
     (from lists, or tuples as to_dict leaves them), dict, X | None and
     dataclasses."""
     if hint in _KINDS:
-        _expect(_is_kind(hint, value), path, _KINDS[hint], value)
+        kinds = (int, float) if hint is float else (hint,)
+        _expect(type(value) in kinds, path, _KINDS[hint], value)
         if hint is not float:
             return value
         if not abs(value) <= sys.float_info.max:  # also NaN, and ints beyond a float
@@ -117,36 +118,26 @@ def read_value(hint, value, path: str, ignore=None):
 
 
 def check_fields(obj) -> None:
-    """Raise ValueError naming the first field of the dataclass ``obj``
-    whose value read_value would refuse for its kind, so that a config
-    built in code obeys the reader's rules.  A tuple field is checked item
-    by item, and a dataclass field takes only an instance of its class;
-    ranges and finiteness are left to the class."""
+    """Raise ValueError, with read_value's message, at the first field of
+    the dataclass ``obj`` that read_value would refuse, so that a config
+    built in code obeys the reader's rules.  A dataclass field takes only
+    an instance of its class, which checks itself; ranges are left to the
+    class."""
     for f, hint in _field_specs(type(obj)):
-        _check_kind(hint, getattr(obj, f.name), f.name)
-
-
-def _check_kind(hint, value, path: str) -> None:
-    origin, args = _shape(hint)
-    if origin is tuple:
-        if type(value) not in (list, tuple):
-            raise ValueError(f"{path}: expected a tuple, got {reprlib.repr(value)}")
-        hints = args[:1] * len(value) if args[1:] == (...,) else args
-        for i, (item_hint, item) in enumerate(zip(hints, value)):
-            _check_kind(item_hint, item, f"{path}[{i}]")
-    elif hint in _KINDS and not _is_kind(hint, value):
-        raise ValueError(f"{path}: expected {_KINDS[hint]}, got {reprlib.repr(value)}")
-    elif is_dataclass(hint) and not isinstance(value, hint):
-        raise ValueError(f"{path}: expected a {hint.__name__}, got {reprlib.repr(value)}")
+        value = getattr(obj, f.name)
+        if is_dataclass(hint):
+            if not isinstance(value, hint):
+                raise ValueError(f"{f.name}: expected a {hint.__name__}, got {reprlib.repr(value)}")
+            continue
+        try:
+            read_value(hint, value, f.name)
+        except SchemaError as exc:
+            raise ValueError(str(exc)) from None
 
 
 # The scalar kinds, as JSON has them: a bool is no int, and a number is
 # an int or a float.
 _KINDS = {bool: "a boolean", int: "an integer", str: "a string", float: "a number"}
-
-
-def _is_kind(hint, value) -> bool:
-    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 @functools.cache

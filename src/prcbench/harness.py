@@ -4,7 +4,6 @@ policy, adaptive row skipping, aggregation, and matrix persistence."""
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -59,8 +58,8 @@ class BenchConfig:
             raise ValueError("threshold must lie in 1..reps")
         if self.skip_window < 1:
             raise ValueError("skip_window must be at least 1")
-        if not 0.0 <= self.shot_base < math.inf:
-            raise ValueError(f"shot_base must be non-negative and finite, got {self.shot_base}")
+        if self.shot_base < 0.0:
+            raise ValueError(f"shot_base must be non-negative, got {self.shot_base}")
         if self.min_shots < 1:
             raise ValueError("min_shots must be at least 1")
         if self.max_shots < self.min_shots:

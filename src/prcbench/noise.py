@@ -40,8 +40,8 @@ class NoiseSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.coherent_delta < math.inf:
-            raise ValueError(f"coherent_delta must be non-negative and finite, got {self.coherent_delta}")
+        if self.coherent_delta < 0.0:
+            raise ValueError(f"coherent_delta must be non-negative, got {self.coherent_delta}")
 
     def to_dict(self) -> dict:
         return asdict(self)

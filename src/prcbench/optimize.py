@@ -56,18 +56,14 @@ class OptimizerConfig:
     stage1_iters: int = 5000
     stage2_iters: int = 10000
     adam_step: float = 0.01
-    stop_tol: float = 1e-8
+    stop_tol: float = 1e-8  # zero or below is valid: it turns the gradient test off
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.stage1_iters < 0 or self.stage2_iters < 0:
             raise ValueError("stage1_iters and stage2_iters must be non-negative")
-        if not 0.0 < self.adam_step < math.inf:
-            raise ValueError(f"adam_step must be positive and finite, got {self.adam_step}")
-        # A NaN tolerance would stop both stages before they start.  Zero or
-        # below is valid: it turns the gradient test off.
-        if not math.isfinite(self.stop_tol):
-            raise ValueError(f"stop_tol must be finite, got {self.stop_tol}")
+        if self.adam_step <= 0.0:
+            raise ValueError(f"adam_step must be positive, got {self.adam_step}")
 
 
 @dataclass(frozen=True)

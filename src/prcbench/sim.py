@@ -95,6 +95,11 @@ class ProbabilityDistribution:
     probs: np.ndarray
     n: int
 
+    def __post_init__(self) -> None:
+        shape = np.shape(self.probs)
+        if shape != (2**self.n,):
+            raise ValueError(f"probs has shape {shape}, not ({2**self.n},) for n = {self.n}")
+
 
 class ShotHistogram:
     """Sampled outcome counts as two aligned int64 arrays: the distinct basis

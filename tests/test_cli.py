@@ -193,6 +193,52 @@ def test_bench_missing_suite_file_exit_1(tiny_suite, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "config,code,message",
+    [
+        (None, 2, "config file not found: {config}"),
+        ("{nope", 2, "malformed config {config}: not valid JSON: Expecting property name enclosed "
+                     "in double quotes: line 1 column 2 (char 1)"),
+        ('{"reps": "many"}', 2, "malformed config {config}: reps: expected an integer, got 'many'"),
+        ('{"qubits": [9], "depths": [2, 4]}', 1, "suite is missing circuits for cells [(9, 2), (9, 4)]"),
+    ],
+    ids=["missing_config", "invalid_json", "malformed_config", "grid_wider_than_suite"],
+)
+def test_bench_failure_prints_one_error_line(tiny_suite, tmp_path, capsys, config, code, message):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config)
+    assert main(["bench", "--suite", str(tiny_suite / "suite.json"), "--config", str(path),
+                 "--out", str(tmp_path / "m.json")]) == code
+    assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
+
+
+@pytest.fixture(scope="module")
+def bare_matrix(tiny_suite, tmp_path_factory):
+    # top_k 0 keeps no histogram entries in any record.
+    out = tmp_path_factory.mktemp("bare")
+    (out / "config.json").write_text(json.dumps({"reps": 2, "threshold": 1, "top_k": 0}))
+    assert main(["bench", "--suite", str(tiny_suite / "suite.json"), "--config",
+                 str(out / "config.json"), "--out", str(out / "m.json")]) == 0
+    return out / "m.json"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--cell", "9,9"], "cell (9, 9) not present in matrix"),
+        (["--cell", "2,2", "--rep", "2"], "cell (2, 2) has no record for rep 2"),
+        (["--cell", "2,2"], "cell (2, 2) rep 0 carries no histogram entries"),
+    ],
+    ids=["missing_cell", "missing_rep", "no_histogram_entries"],
+)
+def test_report_failure_prints_one_error_line(bare_matrix, tmp_path, capsys, flags, message):
+    out = tmp_path / "h.svg"
+    assert main(["report", "--mode", "histogram", str(bare_matrix), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_report_delta_wrong_arity_exit_2(tiny_suite, tmp_path):
     out = tmp_path / "d.svg"
     assert main(["report", "--mode", "delta", "whatever.json", "--out", str(out)]) == 2

@@ -137,14 +137,8 @@ class TestStageTwoRule:
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(stage1_iters=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^adam_step must be positive, got 0.0$"):
         OptimizerConfig(adam_step=0.0)
-    for step in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="adam_step must be positive and finite"):
-            OptimizerConfig(adam_step=step)
-    for tol in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="stop_tol must be finite"):
-            OptimizerConfig(stop_tol=tol)
     # Zero or below runs every iteration; a manifest may record either.
     assert OptimizerConfig(stop_tol=0.0).stop_tol == 0.0
     assert OptimizerConfig(stop_tol=-1.0).stop_tol == -1.0

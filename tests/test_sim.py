@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -110,6 +111,14 @@ def test_trailing_nots_permute_the_state_bit_for_bit(n, d, seed, target, empty_l
 
 
 class TestSampling:
+    @pytest.mark.parametrize("probs", [np.eye(8)[7], np.full(2, 0.5), np.full((2, 2), 0.25)],
+                             ids=["three_bits", "one_bit", "matrix"])
+    def test_distribution_must_hold_2_to_the_n_entries(self, probs):
+        # Eight entries on two qubits once sampled outcome 7 and labelled it 11.
+        message = f"probs has shape {probs.shape}, not (4,) for n = 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sim.ProbabilityDistribution(probs, 2)
+
     def test_point_mass(self, rng):
         dist = sim.ProbabilityDistribution(np.array([0.0, 0.0, 1.0, 0.0]), 2)
         hist = sim.sample(dist, 100, rng)
