@@ -207,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--depths", required=True, help="range like 2..10 or list 2,6,10")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", default=_default_out_dir())
-    gen.add_argument("--stage1-iters", type=_AT_LEAST_0, default=5000)
-    gen.add_argument("--stage2-iters", type=_AT_LEAST_0, default=10000)
-    gen.add_argument("--adam-step", type=_POSITIVE, default=0.01)
-    gen.add_argument("--stop-tol", type=_FINITE, default=1e-8)
+    gen.add_argument("--stage1-iters", type=_AT_LEAST_0, default=OptimizerConfig.stage1_iters)
+    gen.add_argument("--stage2-iters", type=_AT_LEAST_0, default=OptimizerConfig.stage2_iters)
+    gen.add_argument("--adam-step", type=_POSITIVE, default=OptimizerConfig.adam_step)
+    gen.add_argument("--stop-tol", type=_FINITE, default=OptimizerConfig.stop_tol)
     gen.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     gen.add_argument("--no-optimize", action="store_true", help="skip peaking optimization")
     gen.set_defaults(func=_cmd_generate)

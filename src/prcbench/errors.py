@@ -118,11 +118,12 @@ def read_value(hint, value, path: str, ignore=None):
 
 
 def check_fields(obj) -> None:
-    """Raise ValueError, with read_value's message, at the first field of
-    the dataclass ``obj`` that read_value would refuse, so that a config
-    built in code obeys the reader's rules.  A dataclass field takes only
-    an instance of its class, which checks itself; ranges are left to the
-    class."""
+    """Store on each field of the frozen dataclass ``obj`` what read_value
+    reads from it (lists become tuples, integers in number fields floats),
+    so that a config built in code holds what the reader builds; raise
+    ValueError, with read_value's message, at the first field it refuses.
+    A dataclass field takes only an instance of its class, which checks
+    itself; ranges are left to the class."""
     for f, hint in _field_specs(type(obj)):
         value = getattr(obj, f.name)
         if is_dataclass(hint):
@@ -130,7 +131,7 @@ def check_fields(obj) -> None:
                 raise ValueError(f"{f.name}: expected a {hint.__name__}, got {reprlib.repr(value)}")
             continue
         try:
-            read_value(hint, value, f.name)
+            object.__setattr__(obj, f.name, read_value(hint, value, f.name))
         except SchemaError as exc:
             raise ValueError(str(exc)) from None
 

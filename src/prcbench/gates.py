@@ -146,12 +146,8 @@ class GateParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (16,):
             raise ValueError("parameter vector must have 16 entries")
-        return cls(
-            pre=tuple(vec[0:6]),
-            entangling=tuple(vec[6:9]),
-            post=tuple(vec[9:15]),
-            phase=float(vec[15]),
-        )
+        row = vec.tolist()  # Python floats, with the array's bits
+        return cls(pre=tuple(row[0:6]), entangling=tuple(row[6:9]), post=tuple(row[9:15]), phase=row[15])
 
     @classmethod
     def identity(cls) -> "GateParams":

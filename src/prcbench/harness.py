@@ -64,6 +64,8 @@ class BenchConfig:
             raise ValueError("min_shots must be at least 1")
         if self.max_shots < self.min_shots:
             raise ValueError(f"max_shots: {self.max_shots} is below min_shots {self.min_shots}")
+        if self.max_shots > sim.MAX_SHOTS:
+            raise ValueError(f"max_shots: {self.max_shots} exceeds sim.MAX_SHOTS = {sim.MAX_SHOTS}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if self.top_k < 0:

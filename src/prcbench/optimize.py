@@ -423,10 +423,11 @@ class PeakProfile:
 
 
 def c_max_from_dominance(r_p: float) -> float:
-    """Best-case contrast implied by a dominance ratio: (r - 1) / (r + 1)."""
+    """Best-case contrast implied by a dominance ratio: the contrast of
+    p_peak = r_p * p_second, that is (r - 1) / (r + 1)."""
     if np.isinf(r_p):
         return 1.0
-    return (r_p - 1.0) / (r_p + 1.0)
+    return contrast_from_probabilities(r_p, 1.0)
 
 
 def peak_profile(circuit: Circuit) -> PeakProfile:

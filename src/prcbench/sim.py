@@ -44,7 +44,7 @@ any of them changes a result in the last bit or a sampled histogram.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +62,10 @@ NUMERICS = 10
 # Memory guard.  A gradient evaluation holds six state vectors (the random
 # half's output, three ket and two bra buffers): 6 * 2**24 * 16 B = 1.5 GiB.
 MAX_QUBITS = 24
+# Shot guard.  sample holds 8 B per shot beyond its CDF once shots outnumber
+# outcomes (about 36 B per distinct draw below that), so 2**27 shots keep a
+# rep near MAX_QUBITS' 1.5 GiB.  BenchConfig caps max_shots at it.
+MAX_SHOTS = 2**27
 
 # Kernel cut-overs, measured per call on one BLAS thread.  For an op of
 # width d at qubit_low q, the kron(u, I) GEMM and the environment GEMM cost
@@ -101,11 +105,11 @@ class ProbabilityDistribution:
             raise ValueError(f"probs has shape {shape}, not ({2**self.n},) for n = {self.n}")
 
 
-class ShotHistogram:
+class ShotHistogram(Mapping):
     """Sampled outcome counts as two aligned int64 arrays: the distinct basis
     indices in ascending order (`outcomes`) and how often each was seen
     (`tallies`), which must already be in that form (nothing is sorted or
-    merged here).  `counts` offers the same data as a read-only mapping."""
+    merged here).  It is a read-only mapping {basis index: count}."""
 
     __slots__ = ("n", "outcomes", "tallies", "shots")
 
@@ -117,7 +121,20 @@ class ShotHistogram:
 
     @property
     def counts(self) -> Mapping[int, int]:
-        return _CountsView(self)
+        """The histogram itself, under the name benchmarks/spans.py reads."""
+        return self
+
+    def __getitem__(self, idx: int) -> int:
+        i = self.position(idx)
+        if i is None:
+            raise KeyError(idx)
+        return int(self.tallies[i])
+
+    def __iter__(self):
+        return iter(self.outcomes.tolist())
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
 
     def position(self, idx: int) -> int | None:
         """Array position of basis index idx, or None if it was never seen."""
@@ -141,8 +158,9 @@ class ShotHistogram:
         ]
 
     def __eq__(self, other: object) -> bool:
+        # A histogram compares its arrays; any other mapping, its counts.
         if not isinstance(other, ShotHistogram):
-            return NotImplemented
+            return super().__eq__(other)
         return (
             self.n == other.n
             and np.array_equal(self.outcomes, other.outcomes)
@@ -150,28 +168,7 @@ class ShotHistogram:
         )
 
     def __repr__(self) -> str:
-        return f"ShotHistogram({self.n}, {dict(self.counts)!r})"
-
-
-class _CountsView(Mapping):
-    """{basis index: count} view of a ShotHistogram's arrays."""
-
-    __slots__ = ("_hist",)
-
-    def __init__(self, hist: ShotHistogram) -> None:
-        self._hist = hist
-
-    def __getitem__(self, idx: int) -> int:
-        i = self._hist.position(idx)
-        if i is None:
-            raise KeyError(idx)
-        return int(self._hist.tallies[i])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._hist.outcomes.tolist())
-
-    def __len__(self) -> int:
-        return len(self._hist.outcomes)
+        return f"ShotHistogram({self.n}, {dict(self)!r})"
 
 
 def apply_gate_matrix(

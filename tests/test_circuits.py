@@ -247,6 +247,11 @@ def _built_circuits() -> dict:
     }
 
 
+def _angles(circuit):
+    for g in circuit.placements():
+        yield from (*g.params.pre, *g.params.entangling, *g.params.post, g.params.phase)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("builder", sorted(_built_circuits()))
     def test_every_builder_round_trips_by_position(self, builder):
@@ -256,6 +261,7 @@ class TestSerialization:
         assert loaded == circ
         for c in (circ, loaded):
             assert all(type(g) is GatePlacement for g in c.placements())
+            assert all(type(a) is float for a in _angles(c))
         for t, layer in enumerate(doc["layers"]):
             role = ROLE_RANDOM if t < circ.random_depth else ROLE_PEAKING
             assert [(g["layer"], g["role"]) for g in layer] == [(t, role)] * len(layer)

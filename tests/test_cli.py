@@ -3,7 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from prcbench.cli import main, _parse_range, UsageError
+from prcbench.cli import main, _parse_range, build_parser, UsageError
+from prcbench.optimize import OptimizerConfig
 from prcbench.report import COLOR_TARGET_BAR
 
 
@@ -201,8 +202,11 @@ def test_bench_missing_suite_file_exit_1(tiny_suite, tmp_path):
                      "in double quotes: line 1 column 2 (char 1)"),
         ('{"reps": "many"}', 2, "malformed config {config}: reps: expected an integer, got 'many'"),
         ('{"qubits": [9], "depths": [2, 4]}', 1, "suite is missing circuits for cells [(9, 2), (9, 4)]"),
+        # Once loaded, then died inside numpy's sampler with exit 1.
+        ('{"max_shots": 100000000000000000000000, "shot_base": 1e300}', 2,
+         "malformed config {config}: max_shots: 100000000000000000000000 exceeds sim.MAX_SHOTS = 134217728"),
     ],
-    ids=["missing_config", "invalid_json", "malformed_config", "grid_wider_than_suite"],
+    ids=["missing_config", "invalid_json", "malformed_config", "grid_wider_than_suite", "max_shots_above_cap"],
 )
 def test_bench_failure_prints_one_error_line(tiny_suite, tmp_path, capsys, config, code, message):
     path = tmp_path / "config.json"
@@ -224,17 +228,23 @@ def bare_matrix(tiny_suite, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "flags,message",
+    "mode,files,flags,code,message",
     [
-        (["--cell", "9,9"], "cell (9, 9) not present in matrix"),
-        (["--cell", "2,2", "--rep", "2"], "cell (2, 2) has no record for rep 2"),
-        (["--cell", "2,2"], "cell (2, 2) rep 0 carries no histogram entries"),
+        ("histogram", 1, ["--cell", "9,9"], 1, "cell (9, 9) not present in matrix"),
+        ("histogram", 1, ["--cell", "2,2", "--rep", "2"], 1, "cell (2, 2) has no record for rep 2"),
+        ("histogram", 1, ["--cell", "2,2"], 1, "cell (2, 2) rep 0 carries no histogram entries"),
+        ("heatmap", 2, [], 2, "heatmap mode takes exactly one matrix file"),
+        ("histogram", 2, ["--cell", "2,2"], 2, "histogram mode takes exactly one matrix file"),
+        ("histogram", 1, [], 2, "histogram mode needs --cell n,d"),
+        ("histogram", 1, ["--cell", "2"], 2, "cannot parse --cell '2'"),
     ],
-    ids=["missing_cell", "missing_rep", "no_histogram_entries"],
+    ids=["missing_cell", "missing_rep", "no_histogram_entries", "heatmap_two_files",
+         "histogram_two_files", "histogram_without_cell", "cell_without_depth"],
 )
-def test_report_failure_prints_one_error_line(bare_matrix, tmp_path, capsys, flags, message):
+def test_report_failure_prints_one_error_line(bare_matrix, tmp_path, capsys, mode, files, flags, code,
+                                              message):
     out = tmp_path / "h.svg"
-    assert main(["report", "--mode", "histogram", str(bare_matrix), "--out", str(out), *flags]) == 1
+    assert main(["report", "--mode", mode, *[str(bare_matrix)] * files, "--out", str(out), *flags]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -381,6 +391,12 @@ def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_generate_flag_defaults_are_the_optimizer_defaults():
+    args = build_parser().parse_args(["generate", "--qubits", "2", "--depths", "2"])
+    flags = (args.stage1_iters, args.stage2_iters, args.adam_step, args.stop_tol)
+    assert OptimizerConfig(*flags) == OptimizerConfig()
 
 
 def test_generate_without_optimizing_records_no_optimizer(tmp_path):

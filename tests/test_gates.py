@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,19 @@ def test_a_complex_value_written_into_a_float_array_fails():
     out = np.zeros(2)
     with pytest.raises(np.exceptions.ComplexWarning):
         out[:] = np.array([1.0 + 1e-3j, 2.0])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: GateParams((0.0,) * 5, (0.0,) * 3, (0.0,) * 6), "GateParams needs 6 + 3 + 6 angles"),
+        (lambda: GateParams.from_vector(np.zeros(15)), "parameter vector must have 16 entries"),
+    ],
+    ids=["five_pre_angles", "fifteen_entries"],
+)
+def test_gate_params_refuse_wrong_angle_counts(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("shape", [(16,), (2, 15), (1, 17)])

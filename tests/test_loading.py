@@ -85,9 +85,15 @@ class TestBenchConfigRules:
             ({"qubits": [3, 2, 3]}, r"qubits: \(3, 2, 3\) lists a value twice"),
             ({"depths": [2, 2]}, r"depths: \(2, 2\) lists a value twice"),
             ({"shot_base": -250}, "shot_base must be non-negative, got -250"),
+            ({"qubits": []}, "qubits must be non-empty"),
+            ({"reps": 0}, "reps must be at least 1"),
+            # A larger one once loaded and died inside numpy's sampler.
+            ({"max_shots": 10**23, "shot_base": 1e300},
+             "max_shots: 100000000000000000000000 exceeds sim.MAX_SHOTS = 134217728"),
         ],
         ids=["min_above_max", "min_below_1", "negative_seed", "qubit_below_2", "depth_below_2",
-             "duplicate_qubit", "duplicate_depth", "negative_shot_base"],
+             "duplicate_qubit", "duplicate_depth", "negative_shot_base", "empty_qubits", "zero_reps",
+             "max_shots_above_cap"],
     )
     def test_programmatic_and_loaded_configs_agree(self, values, path):
         with pytest.raises(ValueError, match=f"^{path}"):
@@ -200,9 +206,17 @@ class TestRejectedInputs:
             (lambda d: d.update(extra=1), r"document: unknown key\(s\) 'extra'"),
             (lambda d: d["layers"][2][0].update(extra=1), r"layers\[2\]\[0\]: unknown key\(s\)"),
             (lambda d: d.update(seed="1"), "seed: expected an integer"),
+            (lambda d: d.update(n=1), "n: need at least 2 qubits, got 1"),
+            (lambda d: d["layers"].pop(), "layers: 4 layers do not match depth 5"),
+            (lambda d: d.update(target="10"), "target: 2 bits do not match 3 qubits"),
+            (lambda d: d["layers"][0][0].update(qubit_low=2),
+             r"layers\[0\]\[0\]\.qubit_low: gate leaves the register"),
+            (lambda d: d["layers"][0].append(copy.deepcopy(d["layers"][0][0])),
+             r"layers\[0\]\[1\]\.qubit_low: gate overlaps another"),
         ],
         ids=["n_float", "final_x_bool", "param_str", "params_short", "unknown_key",
-             "unknown_gate_key", "seed_str"],
+             "unknown_gate_key", "seed_str", "n_below_2", "layer_count", "target_length",
+             "gate_leaves_register", "gates_overlap"],
     )
     def test_circuit(self, circuit_doc, edit, message):
         with pytest.raises(SchemaError, match=f"^{message}"):
@@ -239,9 +253,11 @@ class TestRejectedInputs:
             (lambda d: d["optimizer"].update(stage1_iters=1.0),
              r"optimizer\.stage1_iters: expected an integer"),
             (lambda d: d.update(optimizer=None), r"optimizer: expected an object, got None"),
+            (lambda d: d["circuits"].update({"02x4": d["circuits"]["2x4"]}),
+             r"suite key '02x4' repeats cell \(2, 4\)"),
         ],
         ids=["seed_str", "seed_float", "qubits_disagree_with_circuits", "file_name_int",
-             "optimizer_float", "optimizer_null"],
+             "optimizer_float", "optimizer_null", "two_keys_one_cell"],
     )
     def test_suite_manifest(self, saved, edit, message):
         _, manifest = saved
@@ -667,17 +683,20 @@ def test_mutated_suite_manifest_loads_faithfully_or_raises_schema_error(saved, d
     assert loaded.cells == suite.cells
 
 
+# Grids are drawn as the lists a caller passes, and numbers as ints or
+# floats: a config holds what the reader builds from either.
+_NUMBERS = st.one_of(st.floats(0, 1e9), st.integers(0, 10**9))
 _CONFIGS = st.builds(
     lambda grid, reps, threshold, shots, noise, **rest: BenchConfig(
         qubits=grid[0], depths=grid[1], reps=reps, threshold=min(threshold, reps),
         min_shots=min(shots), max_shots=max(shots), noise=noise, **rest),
-    grid=st.tuples(*[st.lists(st.integers(2, 40), min_size=1, max_size=4, unique=True).map(tuple)] * 2),
+    grid=st.tuples(*[st.lists(st.integers(2, 40), min_size=1, max_size=4, unique=True)] * 2),
     reps=st.integers(1, 9),
     threshold=st.integers(1, 9),
     shots=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
     noise=st.builds(NoiseSpec, *[st.floats(0, 1)] * 3, st.floats(0, 10)),
     skip_window=st.integers(1, 99),
-    shot_base=st.floats(0, 1e9),
+    shot_base=_NUMBERS,
     master_seed=st.integers(0, 2**64),
     exact=st.booleans(),
     top_k=st.integers(0, 50),
@@ -687,7 +706,30 @@ _CONFIGS = st.builds(
 @settings(max_examples=100, deadline=None, database=None)
 @given(config=_CONFIGS)
 def test_bench_config_json_round_trip(config):
-    assert BenchConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    text = json.dumps(config.to_dict())
+    loaded = BenchConfig.from_dict(json.loads(text))
+    assert loaded == config and hash(loaded) == hash(config)
+    assert json.dumps(loaded.to_dict()) == text
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        OptimizerConfig(stage1_iters=3, stage2_iters=2, adam_step=1, stop_tol=0),
+        BenchConfig(qubits=[2, 3], depths=[4, 2], shot_base=250, noise=NoiseSpec(p2=0, coherent_delta=1)),
+        NoiseSpec(p1=0, p2=1, readout_eps=0, coherent_delta=2),
+    ],
+    ids=["optimizer", "bench", "noise"],
+)
+def test_configs_built_in_code_hold_what_the_reader_builds(config):
+    # Lists become tuples and integers in number fields floats, so a config
+    # hashes, equals its loaded copy and writes the same JSON again.
+    text = json.dumps(asdict(config))
+    loaded = read_fields(type(config), json.loads(text), "")
+    assert loaded == config and hash(loaded) == hash(config)
+    assert json.dumps(asdict(loaded)) == text
+    for name, value in vars(config).items():
+        assert type(value) is type(getattr(loaded, name)), name
 
 
 def test_matrix_json_round_trip(matrices):
@@ -695,3 +737,12 @@ def test_matrix_json_round_trip(matrices):
         text = matrix_to_json(matrix)
         assert matrix_from_dict(json.loads(text)) == matrix
         assert matrix_to_json(matrix_from_dict(json.loads(text))) == text
+
+
+def test_matrix_of_a_config_with_an_integer_shot_base_loads_to_the_same_bytes(saved):
+    # The stored config once read 250 where the loaded one wrote 250.0.
+    suite, _ = saved
+    config = BenchConfig(qubits=[2], depths=[2, 4], reps=2, threshold=1, shot_base=250)
+    text = matrix_to_json(run_matrix(suite.as_mapping(), config))
+    assert '"shot_base": 250.0' in text
+    assert matrix_to_json(matrix_from_dict(json.loads(text))) == text

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,28 @@ class TestPerturbCoherent:
         probs = sim.full_distribution(pert).probs
         assert probs[0] < 1.0
         assert int(np.argmax(probs)) == circ.target.index
+
+
+@pytest.mark.parametrize(
+    "channel,message",
+    [
+        (lambda: depolarize(ProbabilityDistribution(np.full(4, 0.25), 2), 1.5),
+         "fidelity must lie in [0, 1]"),
+        (lambda: readout_flip(histogram(2, {0: 3}), -0.1, np.random.default_rng(0)), "eps must lie in [0, 1]"),
+        (lambda: readout_flip(histogram(2, {0: 3}), 1.5, np.random.default_rng(0)), "eps must lie in [0, 1]"),
+        (lambda: readout_confusion(ProbabilityDistribution(np.full(4, 0.25), 2), -0.1),
+         "eps must lie in [0, 1]"),
+        (lambda: readout_confusion(ProbabilityDistribution(np.full(4, 0.25), 2), 1.5),
+         "eps must lie in [0, 1]"),
+        (lambda: perturb_coherent(build_reference_circuit(2, 2, seed=0), -0.1, np.random.default_rng(0)),
+         "delta must be non-negative"),
+    ],
+    ids=["depolarize_fidelity", "readout_flip_negative", "readout_flip_above_1",
+         "readout_confusion_negative", "readout_confusion_above_1", "perturb_negative_delta"],
+)
+def test_channels_refuse_parameters_out_of_range(channel, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        channel()
 
 
 def test_noise_spec_validation_and_roundtrip():

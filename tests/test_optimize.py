@@ -16,7 +16,7 @@ from prcbench.circuits import (
     derive_subcircuit,
     retarget,
 )
-from prcbench.errors import NothingToOptimizeError, SchemaError
+from prcbench.errors import NothingToOptimizeError, SchemaError, UndefinedMetricError
 from prcbench.optimize import (
     OptimizerConfig,
     c_max_from_dominance,
@@ -83,6 +83,13 @@ class TestOptimize:
         values = np.array(trace.objective_values)
         assert np.all(np.diff(values) >= 0)
         assert trace.final_objective >= values[0]
+
+    def test_optimized_gates_hold_python_floats(self):
+        circ = derive_subcircuit(build_reference_circuit(3, 4, seed=3), 3, 4)
+        opt, _ = optimize(circ, OptimizerConfig(stage1_iters=5, stage2_iters=0))
+        for g in opt.placements():
+            p = g.params
+            assert all(type(a) is float for a in (*p.pre, *p.entangling, *p.post, p.phase))
 
     def test_random_half_bit_identical(self):
         circ = derive_subcircuit(build_reference_circuit(4, 6, seed=3), 4, 6)
@@ -205,6 +212,14 @@ class TestPeakProfile:
     )
     def test_paper_scale_dominance_to_contrast(self, r_p, c_max):
         assert c_max_from_dominance(r_p) == pytest.approx(c_max, abs=5e-5)
+
+    def test_dominance_contrast_is_the_contrast_of_r_p_and_1(self):
+        for r_p in (1.0, 1.5, 3840.0, 0.25, -0.5):
+            assert c_max_from_dominance(r_p) == (r_p - 1.0) / (r_p + 1.0)
+        assert c_max_from_dominance(math.inf) == 1.0
+        for r_p in (-1.0, -3.0):
+            with pytest.raises(UndefinedMetricError, match="both have zero mass"):
+                c_max_from_dominance(r_p)
 
     def test_profile_dict_roundtrip(self):
         circ = build_exact_inverse_peaking(build_reference_circuit(3, 4, seed=3))

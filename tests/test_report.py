@@ -145,6 +145,10 @@ class TestDeltaHeatmap:
         for v in values.values():
             assert diverging_color(v) in svg
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^empty delta grid$"):
+            render_delta_heatmap(DeltaGrid(qubits=(), depths=(), values={}))
+
     def test_csv(self):
         delta = DeltaGrid(qubits=(2,), depths=(2, 3), values={(2, 2): 0.25, (2, 3): None})
         csv = delta_to_csv(delta)

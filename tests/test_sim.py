@@ -1,5 +1,6 @@
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,16 @@ class TestShotHistogramArrays:
         assert a.shots == 10 and a.position(4) == 1 and a.position(5) is None
         with pytest.raises(KeyError):
             a.counts[5]
+
+
+    def test_histogram_is_its_own_count_mapping(self):
+        a = sim.ShotHistogram(3, np.array([1, 4, 6]), np.array([2, 7, 1]))
+        assert isinstance(a, Mapping) and a.counts is a
+        assert len(a) == 3 and 4 in a and 5 not in a and list(a) == [1, 4, 6]
+        assert a == {1: 2, 4: 7, 6: 1} == a and a != {1: 2, 4: 7}
+        assert dict(a) == {1: 2, 4: 7, 6: 1} and all(type(c) is int for c in a.values())
+        # Against another histogram, n counts too.
+        assert a != sim.ShotHistogram(4, a.outcomes, a.tallies)
 
 
 class TestPeakGradient:

@@ -162,8 +162,9 @@ def test_saved_bytes_do_not_depend_on_jobs(tmp_path):
         assert (dirs[1] / name).read_bytes() == (dirs[0] / name).read_bytes()
 
 
-@pytest.mark.parametrize("optimizer", [OptimizerConfig(stage1_iters=3, stage2_iters=2, stop_tol=-1e-3), None],
-                         ids=["optimized", "no_optimize"])
+@pytest.mark.parametrize("optimizer", [OptimizerConfig(stage1_iters=3, stage2_iters=2, stop_tol=-1e-3), None,
+                                       OptimizerConfig(stage1_iters=3, stage2_iters=2, adam_step=1)],
+                         ids=["optimized", "no_optimize", "integer_adam_step"])
 def test_saving_a_loaded_suite_writes_the_same_bytes(tmp_path, optimizer):
     # The manifest's optimizer comes from the suite, so it survives a load.
     suite = generate_suite((2, 3), (4,), seed=4, optimizer=optimizer)
